@@ -32,6 +32,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import lrqaoa, model, qubo, solvers
+from .errors import PressQuboError
 from .model import Instance, Solution
 from .qubo import Qubo, VariantSpec, variant_label, variant_sort_key
 from .solvers import SampleSet
@@ -265,16 +266,20 @@ def _run_solver(q: Qubo, solver: str, params: Mapping, seed: int) -> SampleSet:
     raise ValueError(f"unknown solver {solver!r}")
 
 
-def run_cell(cell: SweepCell, inst: Instance, reference: Solution) -> RunRecord:
-    """Execute one grid cell; failures land in the record, never raise."""
-    start = time.perf_counter()
-    base = dict(
+def _record_base(cell: SweepCell, inst: Instance) -> dict:
+    return dict(
         instance_id=inst.id,
         variant=cell.variant,
         solver=cell.solver,
         solver_params=dict(cell.solver_params),
         seed=cell.seed,
     )
+
+
+def run_cell(cell: SweepCell, inst: Instance, reference: Solution) -> RunRecord:
+    """Execute one grid cell; failures land in the record, never raise."""
+    start = time.perf_counter()
+    base = _record_base(cell, inst)
     try:
         q = qubo.build_qubo(inst, cell.variant)
         samples = _run_solver(q, cell.solver, cell.solver_params, cell.seed)
@@ -321,23 +326,34 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     typically pass the plan file's directory).  Instances are loaded
     (and sanitized) once; the exhaustive reference solution per
     instance is shared across cells.  Cells fail individually without
-    aborting the sweep.
+    aborting the sweep; when an instance has no reference solution
+    (it is infeasible or too large to enumerate), each of its cells
+    gets an error record.
     """
     cells = expand_plan(plan)
     root = Path(base_dir) if base_dir is not None else Path(".")
     instances: dict[str, Instance] = {}
     references: dict[str, Solution] = {}
+    failures: dict[str, str] = {}
     for cell in cells:
-        if cell.instance_path not in instances:
-            inst = model.sanitize_instance(model.load_instance(root / cell.instance_path))
-            instances[cell.instance_path] = inst
-            references[cell.instance_path] = model.exact_solve(inst)
-    jobs = [(c, instances[c.instance_path], references[c.instance_path]) for c in cells]
+        path = cell.instance_path
+        if path not in instances:
+            inst = model.sanitize_instance(model.load_instance(root / path))
+            instances[path] = inst
+            try:
+                references[path] = model.exact_solve(inst)
+            except PressQuboError as exc:  # Infeasible or TooLarge: fail its cells only
+                failures[path] = f"{type(exc).__name__}: {exc}"
+    records = [RunRecord(**_record_base(c, instances[c.instance_path]),
+                         error=failures[c.instance_path])
+               for c in cells if c.instance_path in failures]
+    jobs = [(c, instances[c.instance_path], references[c.instance_path])
+            for c in cells if c.instance_path in references]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_cell_worker, jobs))
+            records += pool.map(_cell_worker, jobs)
     else:
-        records = [run_cell(*job) for job in jobs]
+        records += [run_cell(*job) for job in jobs]
     return sorted(records, key=lambda r: r.grid_key())
 
 

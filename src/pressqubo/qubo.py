@@ -502,6 +502,48 @@ class DenseQubo:
 
 
 def as_dense(q: Qubo) -> DenseQubo:
+    """The float64 mirror of ``q``, built on first use and cached on it.
+
+    The cache is an instance attribute outside the dataclass fields, so
+    equality, repr and the file format ignore it.  Every caller shares
+    the cached arrays, which are therefore read-only.
+    """
+    return _cached(q, "_dense", _build_dense)
+
+
+def flip_delta(q: Qubo, i: int, x) -> Fraction:
+    """Exact energy change of flipping bit ``i`` of the 0/1 vector ``x``.
+
+    ``(1 - 2 x_i) * (c_ii + sum_j c_ij x_j)``, summed over the
+    coefficients that touch bit ``i`` only.  The per-bit adjacency is
+    built on first use and cached on ``q`` like the dense mirror.
+    """
+    linear, neighbours = _cached(q, "_adjacency", _build_adjacency)[i]
+    field = sum((c for j, c in neighbours if x[j]), linear)
+    return -field if x[i] else field
+
+
+def _cached(q: Qubo, name: str, build):
+    value = q.__dict__.get(name)
+    if value is None:
+        value = build(q)
+        object.__setattr__(q, name, value)
+    return value
+
+
+def _build_adjacency(q: Qubo) -> list[tuple[Fraction, list[tuple[int, Fraction]]]]:
+    linear = [Fraction(0)] * q.n
+    neighbours: list[list[tuple[int, Fraction]]] = [[] for _ in range(q.n)]
+    for (i, j), c in q.coeffs.items():
+        if i == j:
+            linear[i] = c
+        else:
+            neighbours[i].append((j, c))
+            neighbours[j].append((i, c))
+    return list(zip(linear, neighbours))
+
+
+def _build_dense(q: Qubo) -> DenseQubo:
     n = q.n
     linear = np.zeros(n)
     couplings = np.zeros((n, n))
@@ -522,6 +564,8 @@ def as_dense(q: Qubo) -> DenseQubo:
     energy_guard = 0.0 if int_exact else 4.0 * terms * _EPS * abs_total
     row_abs = np.abs(couplings).sum(axis=1) + np.abs(linear)
     flip_guard = np.zeros(n) if int_exact else 4.0 * (n + 2) * _EPS * row_abs
+    for array in (linear, couplings, flip_guard):
+        array.setflags(write=False)
     return DenseQubo(
         n=n,
         linear=linear,

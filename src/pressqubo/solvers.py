@@ -23,10 +23,12 @@ import numpy as np
 
 from .errors import TooLarge
 from .qubo import (
+    DenseQubo,
     Qubo,
     as_dense,
     bits_to_vector,
     dense_energies,
+    flip_delta,
     index_to_bits,
     minimum_states,
     qubo_energy,
@@ -228,11 +230,22 @@ def bitflip_postprocess(q: Qubo, bits: str) -> str:
 
 
 def postprocess_sampleset(q: Qubo, samples: SampleSet) -> SampleSet:
-    """Apply the bit-flip pass to every entry, re-merging duplicates."""
+    """Apply the bit-flip pass to every entry, re-merging duplicates.
+
+    All entries go through one batched pass: sequential over bits,
+    vectorized over entries.  Each entry ends where
+    :func:`bitflip_postprocess`, the reference kernel, takes it alone.
+    """
     dense = as_dense(q)
+    pairs = list(samples.iter_bits())
+    states = np.stack([bits_to_vector(bits) for bits, _ in pairs])
+    if states.shape[1] != q.n or (states > 1).any():
+        raise ValueError(f"need 0/1 strings of length {q.n}")
+    x = states.astype(np.float64)
+    _bitflip_pass(q, dense, x)
     by_bits: dict[str, int] = {}
-    for bits, mult in samples.iter_bits():
-        improved = bitflip_postprocess(q, bits)
+    for row, (_, mult) in zip((x + ord("0")).astype(np.uint8), pairs):
+        improved = row.tobytes().decode()
         by_bits[improved] = by_bits.get(improved, 0) + mult
     keys = sorted(by_bits)
     states = np.stack([bits_to_vector(b) for b in keys])
@@ -244,6 +257,25 @@ def postprocess_sampleset(q: Qubo, samples: SampleSet) -> SampleSet:
     meta = dict(samples.meta)
     meta["postprocessed"] = True
     return SampleSet(entries=entries, meta=meta)
+
+
+def _bitflip_pass(q: Qubo, dense: DenseQubo, x: np.ndarray) -> None:
+    """The left-to-right pass over every row of ``x`` at once, in place.
+
+    Outside ``flip_guard`` the float difference has the exact sign
+    whatever the summation order; inside it the exact difference over
+    the coefficients touching bit ``i`` decides.  For int-exact maps the
+    guard is 0 and a float difference of 0 is exact, so "does not
+    improve" needs no recheck.
+    """
+    for i in range(q.n):
+        d_e = (1.0 - 2.0 * x[:, i]) * (dense.linear[i] + x @ dense.couplings[i])
+        guard = dense.flip_guard[i]
+        improves = d_e < -guard
+        if not dense.int_exact:
+            for r in np.flatnonzero(np.abs(d_e) <= guard):
+                improves[r] = flip_delta(q, i, x[r]) < 0
+        x[improves, i] = 1.0 - x[improves, i]
 
 
 # ---------------------------------------------------------------------------
@@ -294,5 +326,11 @@ def load_sampleset(path) -> SampleSet:
     entries = []
     for line in lines[start + 1:]:
         bits, energy, mult = line.split(",")
+        if set(bits) - {"0", "1"}:
+            raise ValueError(f"{path}: {bits!r} is not a 0/1 string")
+        if entries and len(bits) != len(entries[0].bits):
+            raise ValueError(f"{path}: {bits!r} does not have length {len(entries[0].bits)}")
+        if int(mult) < 1:
+            raise ValueError(f"{path}: multiplicity {mult} of {bits!r} is below 1")
         entries.append(SampleEntry(bits, float(energy), int(mult)))
     return SampleSet(entries=tuple(entries), meta=meta)

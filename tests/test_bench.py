@@ -326,6 +326,25 @@ class TestSweep:
         assert records[0].error is not None
         assert "TooLarge" in records[0].error
 
+    def test_infeasible_instance_fails_its_cells_only(self, tiny, tmp_path):
+        small = pq.bundled_instance("press-small")
+        infeasible = pq.Instance(
+            id="press-small-full", toolkits=small.toolkits, machines=small.machines,
+            cost=small.cost, workload=small.workload,
+            capacity={m: Fraction(1) for m in small.machines})
+        bad_path = tmp_path / "infeasible.json"
+        pq.save_instance(infeasible, bad_path)
+        good_path = tmp_path / "tiny.json"
+        plan = load_plan(write_plan(tmp_path, tiny, instances=[str(bad_path), str(good_path)],
+                                    variants=[{"kind": "scaled"}, {"kind": "rounded"}]))
+        records = pq.sweep(plan)
+        assert len(records) == 6
+        bad = [r for r in records if r.instance_id == "press-small-full"]
+        good = [r for r in records if r.instance_id == "tiny"]
+        assert len(bad) == 3 and len(good) == 3
+        assert all(r.error.startswith("Infeasible: ") for r in bad)
+        assert all(r.error is None and r.n_samples == 20 for r in good)
+
     def test_missing_plan_key(self):
         with pytest.raises(ValueError):
             pq.expand_plan({"instances": []})

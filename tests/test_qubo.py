@@ -11,6 +11,8 @@ from pressqubo.qubo import (
     ROUNDED_GRID,
     SCALED_GRID,
     Qubo,
+    as_dense,
+    flip_delta,
     full_spectrum,
     index_to_bits,
     minimum_states,
@@ -377,6 +379,65 @@ class TestFullSpectrum:
                 )
         single = Qubo(n=1, coeffs={(0, 0): Fraction(-2)}, offset=Fraction(1))
         assert full_spectrum(single).tolist() == [1, -1]
+
+
+class TestDenseMirror:
+    def variants(self, tiny):
+        return [pq.build_qubo(tiny, v) for v in
+                (pq.RawVariant(LAM_M, LAM_T), pq.ScaledVariant(Fraction(1, 10)),
+                 pq.RoundedVariant())]
+
+    def test_built_once_per_qubo(self, tiny):
+        for q in self.variants(tiny):
+            assert as_dense(q) is as_dense(q)
+
+    def test_cached_arrays_equal_a_fresh_build(self, tiny):
+        for q in self.variants(tiny):
+            cached = as_dense(q)
+            fresh = as_dense(Qubo(n=q.n, coeffs=q.coeffs, offset=q.offset))
+            assert fresh is not cached
+            assert (cached.linear == fresh.linear).all()
+            assert (cached.couplings == fresh.couplings).all()
+            assert (cached.flip_guard == fresh.flip_guard).all()
+            assert (cached.offset, cached.int_exact, cached.energy_guard) == (
+                fresh.offset, fresh.int_exact, fresh.energy_guard)
+
+    def test_cached_arrays_are_read_only(self, tiny):
+        dense = as_dense(self.variants(tiny)[1])
+        for array in (dense.linear, dense.couplings, dense.flip_guard):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_cache_is_invisible_to_equality_repr_and_files(self, tiny, tmp_path):
+        q = pq.build_qubo(tiny, pq.ScaledVariant(Fraction(1)))
+        twin = pq.build_qubo(tiny, pq.ScaledVariant(Fraction(1)))
+        pq.save_qubo(q, tmp_path / "before.coo")
+        before_repr = repr(q)
+        as_dense(q)
+        flip_delta(q, 0, [0] * q.n)
+        assert q == twin
+        assert repr(q) == before_repr
+        pq.save_qubo(q, tmp_path / "after.coo")
+        assert (tmp_path / "before.coo").read_text() == (tmp_path / "after.coo").read_text()
+
+
+class TestFlipDelta:
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matches_difference_of_exact_energies(self, data):
+        n = data.draw(st.integers(1, 7))
+        keys = [(i, j) for i in range(n) for j in range(i, n)]
+        coeffs = {
+            k: data.draw(st.fractions(min_value=-20, max_value=20, max_denominator=6),
+                         label=str(k))
+            for k in data.draw(st.sets(st.sampled_from(keys), max_size=len(keys)))
+        }
+        q = Qubo(n=n, coeffs=coeffs, offset=Fraction(1, 7))
+        bits = data.draw(st.text(alphabet="01", min_size=n, max_size=n))
+        x = [int(b) for b in bits]
+        for i in range(n):
+            flipped = bits[:i] + ("0" if bits[i] == "1" else "1") + bits[i + 1:]
+            assert flip_delta(q, i, x) == pq.qubo_energy(q, flipped) - pq.qubo_energy(q, bits)
 
 
 class TestDecode:

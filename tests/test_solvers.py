@@ -6,7 +6,8 @@ import pytest
 
 import pressqubo as pq
 from pressqubo.errors import TooLarge
-from pressqubo.qubo import Qubo
+from pressqubo.qubo import Qubo, as_dense, flip_delta
+from pressqubo.solvers import SampleEntry, SampleSet, _bitflip_pass
 
 LAM_M = Fraction(1000)
 LAM_T = Fraction(10**7)
@@ -263,6 +264,119 @@ class TestBitflipPostprocess:
         assert cleaned.meta["postprocessed"]
 
 
+def reference_postprocess(q, samples):
+    """bits -> multiplicity after running the reference kernel per entry."""
+    out = {}
+    for bits, mult in samples.iter_bits():
+        improved = pq.bitflip_postprocess(q, bits)
+        out[improved] = out.get(improved, 0) + mult
+    return out
+
+
+def assert_batched_matches_reference(q, rows):
+    x = np.array([[int(b) for b in bits] for bits in rows], dtype=np.float64)
+    _bitflip_pass(q, as_dense(q), x)
+    for bits, row in zip(rows, x):
+        assert "".join(str(int(v)) for v in row) == pq.bitflip_postprocess(q, bits), bits
+    samples = SampleSet(entries=tuple(SampleEntry(b, 0.0, 1 + k % 3)
+                                      for k, b in enumerate(rows)), meta={})
+    cleaned = pq.postprocess_sampleset(q, samples)
+    assert {e.bits: e.multiplicity for e in cleaned.entries} == reference_postprocess(q, samples)
+    assert [(e.energy, e.bits) for e in cleaned.entries] == sorted(
+        (e.energy, e.bits) for e in cleaned.entries)
+
+
+def random_rows(rng, n, count):
+    return ["".join(str(b) for b in rng.integers(0, 2, size=n)) for _ in range(count)]
+
+
+def exact_ties(q, rows):
+    return sum(flip_delta(q, i, [int(b) for b in bits]) == 0
+               for bits in rows for i in range(q.n))
+
+
+class TestBatchedPostprocess:
+    """The batched pass against ``bitflip_postprocess``, row by row."""
+
+    def test_integer_qubos(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(1, 15))
+            q = random_integer_qubo(rng, n, scale=int(rng.integers(1, 60)))
+            assert as_dense(q).int_exact
+            assert_batched_matches_reference(q, random_rows(rng, n, 25))
+
+    def test_rational_qubos_with_exact_ties(self):
+        rng = np.random.default_rng(11)
+        ties = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            # normalizing a map with coefficients in -3..3 and one 3 gives
+            # thirds, whose single-flip differences are often exactly 0
+            base = random_integer_qubo(rng, n, scale=3)
+            base = Qubo(n=n, coeffs={**base.coeffs, (0, 0): Fraction(3)}, offset=base.offset)
+            q = pq.normalize_qubo(base)
+            rows = random_rows(rng, n, 25)
+            if not as_dense(q).int_exact:
+                ties += exact_ties(q, rows)
+            assert_batched_matches_reference(q, rows)
+        assert ties > 0
+
+    def test_scaled_and_rounded_generated_instances(self):
+        rng = np.random.default_rng(3)
+        ties = 0
+        for seed in range(6):
+            inst = pq.sanitize_instance(pq.generate_instance(3, 2, 3, seed))
+            for variant in (pq.ScaledVariant(Fraction(1, 10)), pq.ScaledVariant(Fraction(1)),
+                            pq.RoundedVariant()):
+                q = pq.build_qubo(inst, variant)
+                for qq in (q, pq.normalize_qubo(q)):
+                    rows = random_rows(rng, q.n, 30)
+                    rows += [pq.brute_force_qubo(qq)[0]]
+                    if not as_dense(qq).int_exact:
+                        ties += exact_ties(qq, rows)
+                    assert_batched_matches_reference(qq, rows)
+        assert ties > 0
+
+    def test_duplicate_rows_merge(self):
+        q = Qubo(n=3, coeffs={(0, 0): Fraction(1, 3), (0, 1): Fraction(-1, 3),
+                              (2, 2): Fraction(-1)}, offset=Fraction(0))
+        samples = SampleSet(entries=(SampleEntry("110", 0.0, 2), SampleEntry("110", 0.0, 3),
+                                     SampleEntry("111", 0.0, 4), SampleEntry("010", 0.0, 1)),
+                            meta={})
+        cleaned = pq.postprocess_sampleset(q, samples)
+        assert {e.bits: e.multiplicity for e in cleaned.entries} == {"111": 9, "011": 1}
+        assert_batched_matches_reference(q, ["110", "110", "111", "010"])
+
+    def test_improvement_inside_the_float_band_is_found(self):
+        # flipping bit 0 of "00" gains 1e-10, well inside the guard that the
+        # 1e6 coupling sets: only the exact recheck sees the improvement
+        q = Qubo(n=2, coeffs={(0, 0): Fraction(-1, 10**10), (0, 1): Fraction(10**6)},
+                 offset=Fraction(0))
+        assert as_dense(q).flip_guard[0] > 1e-10
+        assert pq.bitflip_postprocess(q, "00") == "10"
+        assert_batched_matches_reference(q, ["00", "01", "10", "11"])
+
+    def test_annealed_samples_of_the_smallest_ladder_instance(self):
+        inst = pq.bundled_instance("press-03x2")
+        for variant in (pq.RawVariant(Fraction(10**5), Fraction(10**9)),
+                        pq.ScaledVariant(Fraction(1)), pq.RoundedVariant()):
+            q = pq.build_qubo(inst, variant)
+            samples = pq.simulated_anneal(q, pq.SaConfig(seed=0))
+            assert_batched_matches_reference(q, [bits for bits, _ in samples.iter_bits()])
+            cleaned = pq.postprocess_sampleset(q, samples)
+            assert {e.bits: e.multiplicity for e in cleaned.entries} == \
+                reference_postprocess(q, samples)
+            assert cleaned.total == samples.total
+
+    def test_rejects_malformed_rows(self, tiny):
+        q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
+        for bits in ("01", "0120" + "0" * (q.n - 4)):
+            samples = SampleSet(entries=(SampleEntry(bits, 0.0, 1),), meta={})
+            with pytest.raises(ValueError):
+                pq.postprocess_sampleset(q, samples)
+
+
 class TestSampleSetIO:
     def test_roundtrip(self, tiny, tmp_path):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
@@ -278,6 +392,18 @@ class TestSampleSetIO:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# meta: ")
         assert lines[1] == "bits,energy,multiplicity"
+
+    @pytest.mark.parametrize("rows", [
+        ["01x,0.0,1"],
+        ["011,0.0,1", "01,0.0,1"],
+        ["011,0.0,0"],
+        ["011,0.0,-2"],
+    ])
+    def test_rejects_malformed_rows(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["bits,energy,multiplicity"] + rows) + "\n")
+        with pytest.raises(ValueError):
+            pq.load_sampleset(path)
 
     def test_rejects_non_csv(self, tmp_path):
         path = tmp_path / "nope.csv"
