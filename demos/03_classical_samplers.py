@@ -10,6 +10,7 @@ once the search space grows, while annealing keeps producing them.
 from fractions import Fraction
 
 import pressqubo as pq
+from pressqubo.bench import score_samples
 from pressqubo.model import BENCH_INSTANCE_NAMES
 
 variant = pq.RawVariant(Fraction(10**5), Fraction(10**9))
@@ -26,9 +27,10 @@ for name in BENCH_INSTANCE_NAMES:
 
     for label, samples in (("sa", sa), ("random", rnd)):
         cleaned = pq.postprocess_sampleset(q, samples)
-        valid = pq.percent_valid(cleaned, inst, q)
-        near = pq.percent_near_opt(cleaned, inst, q, opt)
-        ratio = pq.best_cost_ratio(cleaned, inst, q, opt)
+        scored = score_samples(cleaned, inst, q)  # decodes each entry once
+        valid = scored.percent_valid()
+        near = scored.percent_near_opt(opt)
+        ratio = scored.best_cost_ratio(opt)
         near_text = "--" if near is None else f"{near:.3f}"
         ratio_text = "--" if ratio is None else f"{float(ratio):.4f}"
         print(f"{name:<12} {q.n:>5} {label:>8} {valid:>8.3f} "

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,32 +41,58 @@ from .solvers import SampleSet
 # Metrics
 # ---------------------------------------------------------------------------
 
-def _decoded_costs(samples: SampleSet, inst: Instance, q: Qubo):
-    """(multiplicity, cost-or-None) per entry; cost None means invalid."""
-    out = []
+NEAR_OPT_TOLERANCE = Fraction(1, 100)
+
+
+@dataclass(frozen=True)
+class ScoredSamples:
+    """A sample set after one decode-validate-price pass over its entries.
+
+    ``valid`` holds (multiplicity, cost) of every entry decoding to a
+    feasible assignment; every metric is computed from it.
+    """
+
+    total: int
+    valid: tuple[tuple[int, Fraction], ...]
+
+    @property
+    def n_valid(self) -> int:
+        return sum(m for m, _ in self.valid)
+
+    def best_valid_cost(self) -> Fraction | None:
+        return min((c for _, c in self.valid), default=None)
+
+    def percent_valid(self) -> float:
+        if not self.total:
+            raise ValueError("empty sample set")
+        return self.n_valid / self.total
+
+    def percent_near_opt(self, opt_cost: Fraction,
+                         tol: Fraction = NEAR_OPT_TOLERANCE) -> float | None:
+        if not self.valid:
+            return None
+        bound = (1 + Fraction(tol)) * Fraction(opt_cost)
+        return sum(m for m, c in self.valid if c <= bound) / self.n_valid
+
+    def best_cost_ratio(self, opt_cost: Fraction) -> Fraction | None:
+        best = self.best_valid_cost()
+        return None if best is None else Fraction(opt_cost) / best
+
+
+def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
+    """Decode each entry once, and validate and price the decodable ones."""
+    valid = []
     for bits, mult in samples.iter_bits():
-        decoded = qubo.decode(q, bits)
-        assignment = decoded.as_assignment()
-        if assignment is None:
-            out.append((mult, None))
-            continue
-        report = model.validate_assignment(inst, assignment)
-        if not report.feasible:
-            out.append((mult, None))
-            continue
-        out.append((mult, model.solution_cost(inst, assignment)))
-    return out
+        assignment = qubo.decode(q, bits).as_assignment()
+        if assignment is not None and model.validate_assignment(inst, assignment).feasible:
+            valid.append((mult, model.solution_cost(inst, assignment)))
+    return ScoredSamples(total=samples.total, valid=tuple(valid))
 
 
 def percent_valid(samples: SampleSet, inst: Instance, q: Qubo) -> float:
     """Multiplicity-weighted share of samples decoding to feasible
     assignments."""
-    if not samples.entries:
-        raise ValueError("empty sample set")
-    scored = _decoded_costs(samples, inst, q)
-    total = sum(m for m, _ in scored)
-    valid = sum(m for m, c in scored if c is not None)
-    return valid / total
+    return score_samples(samples, inst, q).percent_valid()
 
 
 def percent_near_opt(
@@ -75,19 +100,14 @@ def percent_near_opt(
     inst: Instance,
     q: Qubo,
     opt_cost: Fraction,
-    tol: Fraction = Fraction(1, 100),
+    tol: Fraction = NEAR_OPT_TOLERANCE,
 ) -> float | None:
     """Share of *valid* samples within ``tol`` of the optimal cost.
 
     None when there is no valid sample (the ratio conditions on
     validity).
     """
-    scored = [(m, c) for m, c in _decoded_costs(samples, inst, q) if c is not None]
-    if not scored:
-        return None
-    bound = (1 + Fraction(tol)) * Fraction(opt_cost)
-    near = sum(m for m, c in scored if c <= bound)
-    return near / sum(m for m, _ in scored)
+    return score_samples(samples, inst, q).percent_near_opt(opt_cost, tol)
 
 
 def best_cost_ratio(
@@ -97,10 +117,7 @@ def best_cost_ratio(
 
     None when there is no valid sample.
     """
-    costs = [c for _, c in _decoded_costs(samples, inst, q) if c is not None]
-    if not costs:
-        return None
-    return Fraction(opt_cost) / min(costs)
+    return score_samples(samples, inst, q).best_cost_ratio(opt_cost)
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -124,11 +141,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One grid cell: solver output summary plus its metric scores.
-
-    ``wall_time`` is informational only and never exported, keeping
-    report files reproducible.
-    """
+    """One grid cell: solver output summary plus its metric scores."""
 
     instance_id: str
     variant: VariantSpec
@@ -143,7 +156,6 @@ class RunRecord:
     percent_near_opt: float | None = None
     best_cost_ratio: float | None = None
     error: str | None = None
-    wall_time: float = 0.0
 
     def params_label(self) -> str:
         return ";".join(f"{k}={self.solver_params[k]}" for k in sorted(self.solver_params))
@@ -159,26 +171,92 @@ class RunRecord:
 
 
 # ---------------------------------------------------------------------------
+# Solver registry
+# ---------------------------------------------------------------------------
+
+def _run_sa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
+    cfg = solvers.SaConfig(
+        steps=int(params["steps"]),
+        restarts=int(params["restarts"]),
+        t_start=params.get("t_start"),
+        t_end=params.get("t_end"),
+        seed=seed,
+    )
+    return solvers.simulated_anneal(q, cfg)
+
+
+def _run_random(q: Qubo, params: Mapping, seed: int) -> SampleSet:
+    return solvers.random_sample(q, int(params["shots"]), seed)
+
+
+def _run_lrqaoa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
+    sched = lrqaoa.lr_schedule(
+        int(params["p"]), float(params["delta_gamma"]), float(params["delta_beta"])
+    )
+    return lrqaoa.run_lrqaoa(q, sched, int(params["shots"]), seed)
+
+
+def _run_brute(q: Qubo, params: Mapping, seed: int) -> SampleSet:
+    bits, _ = solvers.brute_force_qubo(q)
+    meta = {"solver": "brute", "params": {}, "seed": seed}
+    return solvers.sampleset_from_states(qubo.as_dense(q), qubo.bits_to_vector(bits)[None, :],
+                                         [1], meta)
+
+
+@dataclass(frozen=True)
+class Solver:
+    """A sampler's default parameters and its ``run(q, params, seed)``.
+
+    ``optional`` names the parameters it also accepts without a default.
+    """
+
+    defaults: dict[str, object]
+    run: Callable[[Qubo, Mapping, int], SampleSet]
+    optional: tuple[str, ...] = ()
+
+    def keys(self) -> set[str]:
+        return set(self.defaults) | set(self.optional)
+
+
+# The run functions look each sampler up on its module when called, so a
+# wrapper patched onto the module attribute (as a tracer does) is used.
+SOLVERS: dict[str, Solver] = {
+    "sa": Solver({"steps": 1280, "restarts": 500}, _run_sa, optional=("t_start", "t_end")),
+    "random": Solver({"shots": 1000}, _run_random),
+    "lrqaoa": Solver({"p": 1, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 1000},
+                     _run_lrqaoa),
+    "brute": Solver({}, _run_brute),
+}
+
+DEFAULT_SOLVER_PARAMS: dict[str, dict[str, object]] = {
+    name: solver.defaults for name, solver in SOLVERS.items()
+}
+
+
+# ---------------------------------------------------------------------------
 # Plan expansion
 # ---------------------------------------------------------------------------
 
-DEFAULT_SOLVER_PARAMS: dict[str, dict[str, object]] = {
-    "sa": {"steps": 1280, "restarts": 500},
-    "random": {"shots": 1000},
-    "lrqaoa": {"p": 1, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 1000},
-    "brute": {},
-}
+def _require(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` (dict or list); ValueError otherwise."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _fractions(entry: Mapping, key: str, default: Sequence[Fraction]) -> list[Fraction]:
+    return [Fraction(str(v)) for v in _require(entry.get(key, list(default)), list, key)]
 
 
 def expand_variants(entry: Mapping) -> list[VariantSpec]:
     """One plan entry to concrete variant specs (defaults: full grids)."""
-    kind = entry.get("kind")
+    kind = _require(entry, dict, "a variant entry").get("kind")
     if kind == "raw":
-        lms = [Fraction(str(v)) for v in entry.get("lm", qubo.RAW_MACHINE_PENALTIES)]
-        lts = [Fraction(str(v)) for v in entry.get("lt", qubo.RAW_TOOLKIT_PENALTIES)]
+        lms = _fractions(entry, "lm", qubo.RAW_MACHINE_PENALTIES)
+        lts = _fractions(entry, "lt", qubo.RAW_TOOLKIT_PENALTIES)
         return [qubo.RawVariant(lm, lt) for lm in lms for lt in lts]
     if kind == "scaled":
-        lss = [Fraction(str(v)) for v in entry.get("ls", qubo.SCALED_ASSIGNMENT_SCALES)]
+        lss = _fractions(entry, "ls", qubo.SCALED_ASSIGNMENT_SCALES)
         return [qubo.ScaledVariant(ls) for ls in lss]
     if kind == "rounded":
         return [qubo.RoundedVariant()]
@@ -186,12 +264,19 @@ def expand_variants(entry: Mapping) -> list[VariantSpec]:
 
 
 def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
-    """Expand list-valued solver parameters into the full grid."""
-    name = entry.get("name")
-    if name not in DEFAULT_SOLVER_PARAMS:
+    """Expand list-valued solver parameters into the full grid.
+
+    Raises ValueError for a parameter the solver does not accept.
+    """
+    name = _require(entry, dict, "a solver entry").get("name")
+    if name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}")
-    params = dict(DEFAULT_SOLVER_PARAMS[name])
-    params.update(entry.get("params", {}))
+    given = _require(entry.get("params", {}), dict, f"params of solver {name!r}")
+    unknown = set(given) - SOLVERS[name].keys()
+    if unknown:
+        raise ValueError(f"solver {name!r} does not take {sorted(unknown)}; "
+                         f"it takes {sorted(SOLVERS[name].keys())}")
+    params = {**SOLVERS[name].defaults, **given}
     grids = [(k, v if isinstance(v, list) else [v]) for k, v in sorted(params.items())]
     combos: list[dict] = [{}]
     for key, values in grids:
@@ -213,6 +298,7 @@ def expand_plan(plan: Mapping) -> list[SweepCell]:
     for key in ("instances", "variants", "solvers", "seeds"):
         if key not in plan:
             raise ValueError(f"plan is missing the {key!r} list")
+        _require(plan[key], list, f"plan {key!r}")
     postprocess = bool(plan.get("postprocess", True))
     cells = []
     for path in plan["instances"]:
@@ -240,32 +326,6 @@ def load_plan(path) -> dict:
 # Sweep execution
 # ---------------------------------------------------------------------------
 
-def _run_solver(q: Qubo, solver: str, params: Mapping, seed: int) -> SampleSet:
-    if solver == "sa":
-        cfg = solvers.SaConfig(
-            steps=int(params["steps"]),
-            restarts=int(params["restarts"]),
-            t_start=params.get("t_start"),
-            t_end=params.get("t_end"),
-            seed=seed,
-        )
-        return solvers.simulated_anneal(q, cfg)
-    if solver == "random":
-        return solvers.random_sample(q, int(params["shots"]), seed)
-    if solver == "lrqaoa":
-        sched = lrqaoa.lr_schedule(
-            int(params["p"]), float(params["delta_gamma"]), float(params["delta_beta"])
-        )
-        return lrqaoa.run_lrqaoa(q, sched, int(params["shots"]), seed)
-    if solver == "brute":
-        bits, energy = solvers.brute_force_qubo(q)
-        return SampleSet(
-            entries=(solvers.SampleEntry(bits, float(energy), 1),),
-            meta={"solver": "brute", "params": {}, "seed": seed},
-        )
-    raise ValueError(f"unknown solver {solver!r}")
-
-
 def _record_base(cell: SweepCell, inst: Instance) -> dict:
     return dict(
         instance_id=inst.id,
@@ -278,40 +338,26 @@ def _record_base(cell: SweepCell, inst: Instance) -> dict:
 
 def run_cell(cell: SweepCell, inst: Instance, reference: Solution) -> RunRecord:
     """Execute one grid cell; failures land in the record, never raise."""
-    start = time.perf_counter()
     base = _record_base(cell, inst)
     try:
         q = qubo.build_qubo(inst, cell.variant)
-        samples = _run_solver(q, cell.solver, cell.solver_params, cell.seed)
+        samples = SOLVERS[cell.solver].run(q, cell.solver_params, cell.seed)
         if cell.postprocess:
             samples = solvers.postprocess_sampleset(q, samples)
-        scored = _decoded_costs(samples, inst, q)
-        total = sum(m for m, _ in scored)
-        valid_costs = [(m, c) for m, c in scored if c is not None]
-        n_valid = sum(m for m, _ in valid_costs)
-        pv = n_valid / total
-        pno = None
-        ratio = None
-        best_valid = None
-        if valid_costs:
-            bound = Fraction(101, 100) * reference.cost
-            pno = sum(m for m, c in valid_costs if c <= bound) / n_valid
-            best_valid = min(c for _, c in valid_costs)
-            ratio = float(reference.cost / best_valid)
+        scored = score_samples(samples, inst, q)
+        ratio = scored.best_cost_ratio(reference.cost)
         return RunRecord(
             **base,
-            n_samples=total,
-            n_valid=n_valid,
+            n_samples=scored.total,
+            n_valid=scored.n_valid,
             best_energy=samples.best.energy,
-            best_valid_cost=best_valid,
-            percent_valid=pv,
-            percent_near_opt=pno,
-            best_cost_ratio=ratio,
-            wall_time=time.perf_counter() - start,
+            best_valid_cost=scored.best_valid_cost(),
+            percent_valid=scored.percent_valid(),
+            percent_near_opt=scored.percent_near_opt(reference.cost),
+            best_cost_ratio=None if ratio is None else float(ratio),
         )
     except Exception as exc:  # cell failures must not abort the sweep
-        return RunRecord(**base, error=f"{type(exc).__name__}: {exc}",
-                         wall_time=time.perf_counter() - start)
+        return RunRecord(**base, error=f"{type(exc).__name__}: {exc}")
 
 
 def _cell_worker(args):
@@ -361,15 +407,6 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
 # Aggregation, penalty selection, correlation
 # ---------------------------------------------------------------------------
 
-def _config_key(record: RunRecord):
-    return (
-        record.instance_id,
-        variant_sort_key(record.variant),
-        record.solver,
-        record.params_label(),
-    )
-
-
 def aggregate_metrics(records: Sequence[RunRecord]) -> list[dict]:
     """Mean metrics per (instance, variant, solver-config) across seeds.
 
@@ -378,7 +415,7 @@ def aggregate_metrics(records: Sequence[RunRecord]) -> list[dict]:
     """
     groups: dict[tuple, list[RunRecord]] = {}
     for r in records:
-        groups.setdefault(_config_key(r), []).append(r)
+        groups.setdefault(r.grid_key()[:-1], []).append(r)  # the key without the seed
 
     def mean_defined(values):
         defined = [v for v in values if v is not None]
@@ -528,8 +565,6 @@ def _cell_text(value) -> str:
         return ""
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 

@@ -31,12 +31,6 @@ EXIT_TOO_LARGE = 3
 EXIT_INFEASIBLE = 4
 EXIT_IO = 5
 
-_DEFAULT_SHOTS = 1000
-_DEFAULT_STEPS = 1280
-_DEFAULT_RESTARTS = 500
-_DEFAULT_DG = 0.9
-_DEFAULT_DB = 0.6
-
 
 def _emit(args, human: str, payload: dict) -> None:
     if getattr(args, "json", False):
@@ -96,26 +90,10 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     q = qubo.load_qubo(args.qubo)
-    if args.solver == "sa":
-        cfg = solvers.SaConfig(
-            steps=args.steps,
-            restarts=args.restarts,
-            t_start=args.t_start,
-            t_end=args.t_end,
-            seed=args.seed,
-        )
-        samples = solvers.simulated_anneal(q, cfg)
-    elif args.solver == "random":
-        samples = solvers.random_sample(q, args.shots, args.seed)
-    elif args.solver == "lrqaoa":
-        sched = lrqaoa.lr_schedule(args.p, args.delta_gamma, args.delta_beta)
-        samples = lrqaoa.run_lrqaoa(q, sched, args.shots, args.seed)
-    else:
-        bits, energy = solvers.brute_force_qubo(q)
-        samples = solvers.SampleSet(
-            entries=(solvers.SampleEntry(bits, float(energy), 1),),
-            meta={"solver": "brute", "params": {}, "seed": args.seed},
-        )
+    solver = bench.SOLVERS[args.solver]
+    # Flags carry the solver parameter names; unset ones keep the registry defaults.
+    given = {k: getattr(args, k) for k in solver.keys() if getattr(args, k) is not None}
+    samples = solver.run(q, {**solver.defaults, **given}, args.seed)
     if args.postprocess:
         samples = solvers.postprocess_sampleset(q, samples)
     solvers.save_sampleset(samples, args.output)
@@ -225,15 +203,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="sample a coefficient file with one solver")
     p.add_argument("qubo")
-    p.add_argument("--solver", choices=("sa", "random", "lrqaoa", "brute"), required=True)
-    p.add_argument("--steps", type=int, default=_DEFAULT_STEPS)
-    p.add_argument("--restarts", type=int, default=_DEFAULT_RESTARTS)
-    p.add_argument("--t-start", type=float, default=None)
-    p.add_argument("--t-end", type=float, default=None)
-    p.add_argument("--shots", type=int, default=_DEFAULT_SHOTS)
-    p.add_argument("--p", type=int, default=1)
-    p.add_argument("--delta-gamma", type=float, default=_DEFAULT_DG)
-    p.add_argument("--delta-beta", type=float, default=_DEFAULT_DB)
+    p.add_argument("--solver", choices=tuple(bench.SOLVERS), required=True)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--t-start", type=float)
+    p.add_argument("--t-end", type=float)
+    p.add_argument("--shots", type=int)
+    p.add_argument("--p", type=int)
+    p.add_argument("--delta-gamma", type=float)
+    p.add_argument("--delta-beta", type=float)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--postprocess", action="store_true",
                    help="apply the single-bit-flip improvement pass")

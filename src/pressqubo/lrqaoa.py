@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLarge
-from .qubo import Qubo, as_dense, dense_energies, full_spectrum, minimum_states, normalize_qubo
-from .solvers import SampleEntry, SampleSet
+from .qubo import Qubo, as_dense, full_spectrum, minimum_states, normalize_qubo
+from .solvers import SampleSet, sampleset_from_states
 
 STATEVECTOR_GUARD = 26
 
@@ -140,16 +140,7 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, seed: int) -> SampleSet
     draws = np.searchsorted(cum, rng.random(shots), side="right")
     indices, counts = np.unique(draws, return_counts=True)
 
-    dense = as_dense(q)
     states = ((indices[:, None] >> np.arange(q.n)[None, :]) & 1).astype(np.int8)
-    energies = dense_energies(dense, states)
-    entries = []
-    for k, cnt, e, row in sorted(
-        zip(indices, counts, energies, states),
-        key=lambda item: (item[2], "".join("1" if b else "0" for b in item[3])),
-    ):
-        bits = "".join("1" if b else "0" for b in row)
-        entries.append(SampleEntry(bits, float(e), int(cnt)))
     meta = {
         "solver": "lrqaoa",
         "params": {
@@ -160,7 +151,7 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, seed: int) -> SampleSet
         },
         "seed": seed,
     }
-    return SampleSet(entries=tuple(entries), meta=meta)
+    return sampleset_from_states(as_dense(q), states, counts, meta)
 
 
 def success_probability(q: Qubo, sched: RampSchedule) -> float:

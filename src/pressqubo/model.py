@@ -43,7 +43,7 @@ def _as_fraction(value) -> Fraction:
         return Fraction(str(value))
     if isinstance(value, str):
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
 def _json_number(x: Fraction):
@@ -112,21 +112,6 @@ class Instance:
         return all(v.denominator == 1 for v in self.workload.values()) and all(
             v.denominator == 1 for v in self.capacity.values()
         )
-
-    def cost_matrix(self) -> np.ndarray:
-        """Costs as a float64 (toolkits x machines) matrix."""
-        return np.array(
-            [[float(self.cost[t, m]) for m in self.machines] for t in self.toolkits]
-        )
-
-    def workload_matrix(self) -> np.ndarray:
-        """Workloads as a float64 (toolkits x machines) matrix."""
-        return np.array(
-            [[float(self.workload[t, m]) for m in self.machines] for t in self.toolkits]
-        )
-
-    def capacity_vector(self) -> np.ndarray:
-        return np.array([float(self.capacity[m]) for m in self.machines])
 
 
 @dataclass(frozen=True)
@@ -355,17 +340,22 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    if not isinstance(doc, dict):
+        raise ValueError("instance document must be a JSON object")
     required = {"id", "toolkits", "machines", "cost", "workload", "capacity"}
     missing = required - set(doc)
     if missing:
         raise ValueError(f"instance document missing fields: {sorted(missing)}")
+    if not isinstance(doc["toolkits"], list) or not isinstance(doc["machines"], list):
+        raise ValueError("toolkits and machines must be lists of ids")
     toolkits = [str(t) for t in doc["toolkits"]]
     machines = [str(m) for m in doc["machines"]]
     T, M = len(toolkits), len(machines)
 
     def matrix(name: str) -> dict[tuple[str, str], Fraction]:
         rows = doc[name]
-        if len(rows) != T or any(not isinstance(r, list) or len(r) != M for r in rows):
+        if not isinstance(rows, list) or len(rows) != T or any(
+                not isinstance(r, list) or len(r) != M for r in rows):
             raise ValueError(f"{name} must be a {T}x{M} matrix (toolkit rows, machine columns)")
         return {
             (toolkits[i], machines[j]): _as_fraction(rows[i][j])
@@ -373,7 +363,7 @@ def instance_from_dict(doc: dict) -> Instance:
             for j in range(M)
         }
 
-    if len(doc["capacity"]) != M:
+    if not isinstance(doc["capacity"], list) or len(doc["capacity"]) != M:
         raise ValueError(f"capacity must list {M} values")
     capacity = {machines[j]: _as_fraction(doc["capacity"][j]) for j in range(M)}
     return Instance(

@@ -706,6 +706,8 @@ def load_qubo(path) -> Qubo:
     sc = sidecar_path(path)
     if sc.exists():
         varmap, variant = _varmap_from_doc(json.loads(sc.read_text()))
+        if varmap.n != n:
+            raise ValueError(f"{sc} lays out {varmap.n} variables, the header of {path} {n}")
     return Qubo(n=n, coeffs=coeffs, offset=offset, varmap=varmap, variant=variant)
 
 

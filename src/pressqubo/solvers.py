@@ -70,15 +70,26 @@ class SampleSet:
             yield e.bits, e.multiplicity
 
 
-def _make_sampleset(states: np.ndarray, energies: np.ndarray, meta: dict) -> SampleSet:
-    by_bits: dict[str, tuple[float, int]] = {}
-    for row, energy in zip(states, energies):
-        bits = "".join("1" if b else "0" for b in row)
+def sampleset_from_states(dense: DenseQubo, states: np.ndarray, counts: Iterable[int],
+                          meta: dict) -> SampleSet:
+    """Merge the rows of a (rows, n) 0/1 matrix into a :class:`SampleSet`.
+
+    Row ``r`` was drawn ``counts[r]`` times; duplicate rows merge into
+    one entry and entries sort by (energy, bits).  Energies come from
+    one :func:`dense_energies` call over ``states`` as given, and an
+    entry keeps the energy of its first row.  The float64 sums can round
+    a row differently in a batch of another shape, so the caller's
+    choice of rows fixes the energies' last bits.
+    """
+    energies = dense_energies(dense, states)
+    chars = np.asarray(states).astype(np.uint8) + ord("0")
+    by_bits: dict[str, list] = {}
+    for row, energy, count in zip(chars, energies, counts):
+        bits = row.tobytes().decode()
         if bits in by_bits:
-            e, mult = by_bits[bits]
-            by_bits[bits] = (e, mult + 1)
+            by_bits[bits][1] += int(count)
         else:
-            by_bits[bits] = (float(energy), 1)
+            by_bits[bits] = [float(energy), int(count)]
     entries = tuple(
         SampleEntry(bits, e, mult)
         for bits, (e, mult) in sorted(by_bits.items(), key=lambda kv: (kv[1][0], kv[0]))
@@ -164,7 +175,6 @@ def simulated_anneal(q: Qubo, cfg: SaConfig) -> SampleSet:
         accept = uniforms[:, s] < np.exp(-np.maximum(d_e, 0.0) / temps[s])
         states[rows[accept], i[accept]] = 1.0 - cur[accept]
 
-    energies = dense_energies(dense, states)
     meta = {
         "solver": "sa",
         "params": {
@@ -175,7 +185,7 @@ def simulated_anneal(q: Qubo, cfg: SaConfig) -> SampleSet:
         },
         "seed": cfg.seed,
     }
-    return _make_sampleset(states.astype(np.int8), energies, meta)
+    return sampleset_from_states(dense, states, np.ones(R, dtype=np.int64), meta)
 
 
 def random_sample(q: Qubo, shots: int, seed: int) -> SampleSet:
@@ -186,9 +196,8 @@ def random_sample(q: Qubo, shots: int, seed: int) -> SampleSet:
         raise ValueError("seed must be non-negative")
     rng = np.random.default_rng([seed])
     states = rng.integers(0, 2, size=(shots, q.n), dtype=np.int8)
-    energies = dense_energies(as_dense(q), states)
     meta = {"solver": "random", "params": {"shots": shots}, "seed": seed}
-    return _make_sampleset(states, energies, meta)
+    return sampleset_from_states(as_dense(q), states, np.ones(shots, dtype=np.int64), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +252,11 @@ def postprocess_sampleset(q: Qubo, samples: SampleSet) -> SampleSet:
         raise ValueError(f"need 0/1 strings of length {q.n}")
     x = states.astype(np.float64)
     _bitflip_pass(q, dense, x)
-    by_bits: dict[str, int] = {}
-    for row, (_, mult) in zip((x + ord("0")).astype(np.uint8), pairs):
-        improved = row.tobytes().decode()
-        by_bits[improved] = by_bits.get(improved, 0) + mult
-    keys = sorted(by_bits)
-    states = np.stack([bits_to_vector(b) for b in keys])
-    energies = dense_energies(dense, states)
-    entries = tuple(
-        SampleEntry(bits, float(e), by_bits[bits])
-        for e, bits in sorted(zip(energies, keys), key=lambda kv: (kv[0], kv[1]))
-    )
-    meta = dict(samples.meta)
-    meta["postprocessed"] = True
-    return SampleSet(entries=entries, meta=meta)
+    # The distinct improved rows, in bits order, are the batch evaluated.
+    keys, inverse = np.unique(x.astype(np.uint8), axis=0, return_inverse=True)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(counts, inverse.reshape(-1), [mult for _, mult in pairs])
+    return sampleset_from_states(dense, keys, counts, {**samples.meta, "postprocessed": True})
 
 
 def _bitflip_pass(q: Qubo, dense: DenseQubo, x: np.ndarray) -> None:

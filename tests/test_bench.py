@@ -7,6 +7,7 @@ import pytest
 import pressqubo as pq
 from pressqubo.bench import (
     DEFAULT_SOLVER_PARAMS,
+    SOLVERS,
     RunRecord,
     expand_solver_params,
     expand_variants,
@@ -262,6 +263,33 @@ class TestPlanExpansion:
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
             expand_solver_params({"name": "quantum-teleport"})
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "random", "params": {"shotz": 3}},
+        {"name": "sa", "params": {"shots": 3, "restarts": 4}},
+        {"name": "brute", "params": {"seed": 1}},
+    ])
+    def test_unknown_solver_parameter(self, entry):
+        with pytest.raises(ValueError, match="does not take"):
+            expand_solver_params(entry)
+
+    def test_optional_annealing_temperatures(self):
+        [(_, params)] = expand_solver_params({"name": "sa", "params": {"t_start": 5.0}})
+        assert params == {**DEFAULT_SOLVER_PARAMS["sa"], "t_start": 5.0}
+
+
+class TestSolverRegistry:
+    @pytest.mark.parametrize("name, module, attr", [
+        ("sa", pq.solvers, "simulated_anneal"),
+        ("random", pq.solvers, "random_sample"),
+        ("lrqaoa", pq.lrqaoa, "run_lrqaoa"),
+    ])
+    def test_sampler_is_looked_up_on_its_module(self, tiny_qubo, monkeypatch,
+                                                 name, module, attr):
+        # A tracer patches module attributes; the registry must call the patch.
+        marker = SampleSet(entries=(), meta={"patched": attr})
+        monkeypatch.setattr(module, attr, lambda *args: marker)
+        assert SOLVERS[name].run(tiny_qubo, DEFAULT_SOLVER_PARAMS[name], 0) is marker
 
 
 def write_plan(tmp_path, tiny, **overrides):

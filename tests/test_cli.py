@@ -3,6 +3,7 @@ import json
 import pytest
 
 import pressqubo as pq
+from pressqubo import bench
 from pressqubo.cli import main
 
 
@@ -190,6 +191,71 @@ class TestSweepAndReport:
         elsewhere.mkdir()
         monkeypatch.chdir(elsewhere)
         assert run("sweep", plan_path, "-o", tmp_path / "out") == 0
+
+
+def _variant_as_string(plan, inst):
+    plan["variants"] = ["raw"]
+
+
+def _instances_as_number(plan, inst):
+    plan["instances"] = 5
+
+
+def _capacity_as_number(plan, inst):
+    inst["capacity"] = 5
+
+
+def _null_cost(plan, inst):
+    inst["cost"][0][0] = None
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("corrupt", [_variant_as_string, _instances_as_number,
+                                         _capacity_as_number, _null_cost])
+    def test_malformed_plan_or_instance_is_usage_error(self, instance_file, tmp_path,
+                                                        corrupt, capsys):
+        inst = json.loads(instance_file.read_text())
+        plan = {"instances": ["inst.json"], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}
+        corrupt(plan, inst)
+        instance_file.write_text(json.dumps(inst))
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", [
+        {"name": "random", "params": {"shotz": 3}},
+        {"name": "sa", "params": {"shots": 3, "restarts": 4}},
+    ])
+    def test_unknown_solver_parameter_stops_the_sweep(self, instance_file, tmp_path, solver):
+        plan = {"instances": [str(instance_file)], "variants": [{"kind": "rounded"}],
+                "solvers": [solver], "seeds": [0]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_sidecar_of_another_size_is_usage_error(self, qubo_file, tmp_path):
+        sidecar = pq.qubo.sidecar_path(qubo_file)
+        doc = json.loads(sidecar.read_text())
+        doc["n"] += 1
+        sidecar.write_text(json.dumps(doc))
+        assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
+
+
+@pytest.mark.parametrize("name", sorted(bench.SOLVERS))
+def test_solve_defaults_match_the_sweep_call(tmp_path, name):
+    q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+    assert q.n == 14
+    path = tmp_path / "q.coo"
+    pq.save_qubo(q, path)
+    out = tmp_path / "samples.csv"
+    assert run("solve", path, "--solver", name, "--seed", 3, "-o", out) == 0
+    [(_, params)] = bench.expand_solver_params({"name": name})
+    assert params == bench.DEFAULT_SOLVER_PARAMS[name]
+    expected = bench.SOLVERS[name].run(q, params, 3)
+    assert pq.load_sampleset(out) == expected
 
 
 class TestStats:

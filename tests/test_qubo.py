@@ -558,6 +558,15 @@ class TestQuboIO:
         with pytest.raises(ValueError):
             pq.load_qubo(path)
 
+    def test_rejects_sidecar_of_another_size(self, tiny, tmp_path):
+        path = tmp_path / "q.coo"
+        pq.save_qubo(pq.build_qubo(tiny, pq.RoundedVariant()), path)
+        n, offset = path.read_text().splitlines()[0].split()
+        text = path.read_text().replace(f"{n} {offset}", f"{int(n) + 1} {offset}", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="variables"):
+            pq.load_qubo(path)
+
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
     def test_roundtrip_random_rationals(self, data, tmp_path_factory):

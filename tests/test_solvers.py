@@ -6,8 +6,8 @@ import pytest
 
 import pressqubo as pq
 from pressqubo.errors import TooLarge
-from pressqubo.qubo import Qubo, as_dense, flip_delta
-from pressqubo.solvers import SampleEntry, SampleSet, _bitflip_pass
+from pressqubo.qubo import Qubo, as_dense, dense_energies, flip_delta
+from pressqubo.solvers import SampleEntry, SampleSet, _bitflip_pass, sampleset_from_states
 
 LAM_M = Fraction(1000)
 LAM_T = Fraction(10**7)
@@ -410,3 +410,33 @@ class TestSampleSetIO:
         path.write_text("hello\n")
         with pytest.raises(ValueError):
             pq.load_sampleset(path)
+
+
+class TestSampleSetFromStates:
+    """The one constructor against a dict merge written out here."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dict_merge(self, seed):
+        inst = pq.sanitize_instance(pq.generate_instance(3, 2, 5, seed))
+        q = pq.build_qubo(inst, pq.ScaledVariant(Fraction(1, 10)))
+        dense = as_dense(q)
+        assert not dense.int_exact
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 2, size=(6, q.n), dtype=np.int8)
+        states = pool[rng.integers(0, len(pool), size=40)]  # many duplicate rows
+        counts = rng.integers(1, 4, size=len(states))
+
+        energies = dense_energies(dense, states)
+        merged = {}
+        for row, e, c in zip(states, energies, counts):
+            bits = "".join(str(int(b)) for b in row)
+            first_energy, total = merged.get(bits, (float(e), 0))
+            merged[bits] = (first_energy, total + int(c))
+        expected = sorted((e, bits, c) for bits, (e, c) in merged.items())
+
+        samples = sampleset_from_states(dense, states, counts, {"solver": "test"})
+        assert [(e.energy, e.bits, e.multiplicity) for e in samples.entries] == expected
+        assert samples.total == int(counts.sum())
+        assert samples.meta == {"solver": "test"}
+        for e in samples.entries:
+            assert abs(e.energy - float(pq.qubo_energy(q, e.bits))) <= dense.energy_guard
