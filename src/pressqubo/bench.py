@@ -245,7 +245,7 @@ def _require(value, kind: type, what: str):
 
 
 def _fractions(entry: Mapping, key: str, default: Sequence[Fraction]) -> list[Fraction]:
-    return [Fraction(str(v)) for v in _require(entry.get(key, list(default)), list, key)]
+    return [model.as_fraction(str(v)) for v in _require(entry.get(key, list(default)), list, key)]
 
 
 def expand_variants(entry: Mapping) -> list[VariantSpec]:

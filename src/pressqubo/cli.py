@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import bench, lrqaoa, model, qubo, solvers
@@ -56,9 +55,9 @@ def cmd_gen(args) -> int:
 
 def _variant_from_args(args) -> qubo.VariantSpec:
     if args.variant == "raw":
-        return qubo.RawVariant(Fraction(args.lm), Fraction(args.lt))
+        return qubo.RawVariant(model.as_fraction(args.lm), model.as_fraction(args.lt))
     if args.variant == "scaled":
-        ls = Fraction(args.ls)
+        ls = model.as_fraction(args.ls)
         if ls not in qubo.SCALED_ASSIGNMENT_SCALES:
             print(
                 f"warning: assignment scale {args.ls} is off the default grid "
@@ -89,10 +88,15 @@ def cmd_build(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    q = qubo.load_qubo(args.qubo)
     solver = bench.SOLVERS[args.solver]
     # Flags carry the solver parameter names; unset ones keep the registry defaults.
-    given = {k: getattr(args, k) for k in solver.keys() if getattr(args, k) is not None}
+    flags = set().union(*(s.keys() for s in bench.SOLVERS.values()))
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    foreign = sorted(set(given) - solver.keys())
+    if foreign:
+        named = ", ".join("--" + k.replace("_", "-") for k in foreign)
+        raise ValueError(f"solver {args.solver!r} does not take {named}")
+    q = qubo.load_qubo(args.qubo)
     samples = solver.run(q, {**solver.defaults, **given}, args.seed)
     if args.postprocess:
         samples = solvers.postprocess_sampleset(q, samples)

@@ -34,7 +34,12 @@ ENUMERATION_GUARD = 1 << 26
 _ENUM_CHUNK = 1 << 20
 
 
-def _as_fraction(value) -> Fraction:
+def as_fraction(value) -> Fraction:
+    """An exact rational from a Fraction, int, float (by its repr) or string.
+
+    Raises ValueError for anything else, including a string with a zero
+    denominator such as ``"1/0"``.
+    """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -42,7 +47,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot interpret {value!r} as an exact rational")
 
 
@@ -83,9 +91,9 @@ class Instance:
             raise ValueError("duplicate toolkit ids")
         if len(set(self.machines)) != len(self.machines):
             raise ValueError("duplicate machine ids")
-        cost = {k: _as_fraction(v) for k, v in dict(self.cost).items()}
-        workload = {k: _as_fraction(v) for k, v in dict(self.workload).items()}
-        capacity = {k: _as_fraction(v) for k, v in dict(self.capacity).items()}
+        cost = {k: as_fraction(v) for k, v in dict(self.cost).items()}
+        workload = {k: as_fraction(v) for k, v in dict(self.workload).items()}
+        capacity = {k: as_fraction(v) for k, v in dict(self.capacity).items()}
         keys = {(t, m) for t in self.toolkits for m in self.machines}
         for name, mapping in (("cost", cost), ("workload", workload)):
             if set(mapping) != keys:
@@ -358,14 +366,14 @@ def instance_from_dict(doc: dict) -> Instance:
                 not isinstance(r, list) or len(r) != M for r in rows):
             raise ValueError(f"{name} must be a {T}x{M} matrix (toolkit rows, machine columns)")
         return {
-            (toolkits[i], machines[j]): _as_fraction(rows[i][j])
+            (toolkits[i], machines[j]): as_fraction(rows[i][j])
             for i in range(T)
             for j in range(M)
         }
 
     if not isinstance(doc["capacity"], list) or len(doc["capacity"]) != M:
         raise ValueError(f"capacity must list {M} values")
-    capacity = {machines[j]: _as_fraction(doc["capacity"][j]) for j in range(M)}
+    capacity = {machines[j]: as_fraction(doc["capacity"][j]) for j in range(M)}
     return Instance(
         id=str(doc["id"]),
         toolkits=tuple(toolkits),

@@ -39,7 +39,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import TooLarge
-from .model import Instance
+from .model import Instance, as_fraction
 
 # Hard cap on 2**n for full-spectrum computations.
 SPECTRUM_GUARD = 26
@@ -693,13 +693,13 @@ def load_qubo(path) -> Qubo:
     head = text[0].split()
     if len(head) != 2:
         raise ValueError("header must be 'n offset'")
-    n, offset = int(head[0]), Fraction(head[1])
+    n, offset = int(head[0]), as_fraction(head[1])
     coeffs = {}
     for line in text[1:]:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad coefficient line: {line!r}")
-        i, j, c = int(parts[0]), int(parts[1]), Fraction(parts[2])
+        i, j, c = int(parts[0]), int(parts[1]), as_fraction(parts[2])
         coeffs[(i, j)] = c
     varmap = None
     variant = None
@@ -752,9 +752,9 @@ def _varmap_from_doc(doc: dict) -> tuple[VariableMap, VariantSpec | None]:
     if "variant" in doc:
         v = doc["variant"]
         if v["kind"] == "raw":
-            variant = RawVariant(Fraction(v["lm"]), Fraction(v["lt"]))
+            variant = RawVariant(as_fraction(v["lm"]), as_fraction(v["lt"]))
         elif v["kind"] == "scaled":
-            variant = ScaledVariant(Fraction(v["ls"]))
+            variant = ScaledVariant(as_fraction(v["ls"]))
         elif v["kind"] == "rounded":
             variant = RoundedVariant()
         else:

@@ -243,6 +243,43 @@ class TestMalformedInput:
         sidecar.write_text(json.dumps(doc))
         assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize("text", ["2 0\n0 0 1/0\n", "2 1/0\n0 0 1\n"])
+    def test_zero_denominator_in_coefficient_file_is_usage_error(self, tmp_path, capsys,
+                                                                  text):
+        path = tmp_path / "q.coo"
+        path.write_text(text)
+        assert run("solve", path, "--solver", "random", "-o", tmp_path / "s.csv") == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_zero_denominator_in_instance_is_usage_error(self, instance_file, tmp_path,
+                                                         capsys):
+        inst = json.loads(instance_file.read_text())
+        inst["cost"][0][0] = "1/0"
+        instance_file.write_text(json.dumps(inst))
+        assert run("build", instance_file, "--variant", "rounded",
+                   "-o", tmp_path / "q.coo") == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_zero_denominator_in_penalty_grid_or_flag_is_usage_error(self, instance_file,
+                                                                      tmp_path):
+        assert run("build", instance_file, "--variant", "raw", "--lm", "1/0",
+                   "-o", tmp_path / "q.coo") == 2
+        plan = {"instances": [str(instance_file)],
+                "variants": [{"kind": "raw", "lm": ["1/0"], "lt": [1]}],
+                "solvers": [{"name": "random"}], "seeds": [0]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+
+    def test_flag_the_solver_does_not_take_is_usage_error(self, qubo_file, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("solve", qubo_file, "--solver", "sa", "--shots", 5, "--steps", 10,
+                   "--restarts", 4, "-o", out) == 2
+        assert "--shots" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("solve", qubo_file, "--solver", "sa", "--steps", 10, "--restarts", 4,
+                   "-o", out) == 0
+
 
 @pytest.mark.parametrize("name", sorted(bench.SOLVERS))
 def test_solve_defaults_match_the_sweep_call(tmp_path, name):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import pressqubo as pq
 from pressqubo.errors import TooLarge
+from pressqubo import lrqaoa
 from pressqubo.lrqaoa import RampSchedule, final_state, interaction_graph
 from pressqubo.qubo import Qubo, index_to_bits, minimum_states
 
@@ -126,6 +128,97 @@ class TestLayers:
         q = pq.build_qubo(tiny, pq.ScaledVariant(Fraction(1)))
         sv = final_state(q, pq.lr_schedule(100))
         assert abs(np.vdot(sv, sv).real - 1.0) < 1e-9
+
+
+def random_state(rng, n):
+    return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+
+
+class TestFusedKernels:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_mixer_matches_reference(self, n):
+        rng = np.random.default_rng(100 + n)
+        betas = [0.0, np.pi / 2, np.pi, *rng.uniform(-np.pi, np.pi, size=2)]
+        for beta in betas:
+            sv = random_state(rng, n)
+            expected = lrqaoa.mixer_layer_reference(sv.copy(), beta)
+            got = sv.copy()
+            assert pq.apply_mixer_layer(got, beta) is got
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            got, scratch = sv.copy(), np.empty_like(sv)
+            pq.apply_mixer_layer(got, beta, scratch)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_mixer_groups(self):
+        assert lrqaoa._mixer_groups(22) == [4, 4, 4, 4, 3, 3]
+        for n in range(2, 30):
+            groups = lrqaoa._mixer_groups(n)
+            assert sum(groups) == n and len(groups) % 2 == 0
+            assert 1 <= min(groups) and max(groups) <= lrqaoa.MIXER_GROUP_QUBITS
+
+    def test_mixer_rejects_mismatched_scratch(self):
+        with pytest.raises(ValueError):
+            pq.apply_mixer_layer(pq.uniform_state(3), 0.1, np.empty(4, dtype=complex))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.37, -1.9, 12.5])
+    def test_cost_layer_is_bitwise_the_exponential(self, gamma):
+        rng = np.random.default_rng(11)
+        sv = random_state(rng, 9)
+        diag = rng.normal(size=len(sv)) * 40
+        expected = sv * np.exp(-1j * gamma * diag)
+        np.testing.assert_array_equal(pq.apply_cost_layer(sv.copy(), diag, gamma), expected)
+        got = sv.copy()
+        pq.apply_cost_layer(got, diag, gamma, np.empty_like(sv))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_run_matches_reference_kernels(self, monkeypatch, seed):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+        sched = pq.lr_schedule(4)
+        fast = pq.run_lrqaoa(q, sched, shots=2000, seed=seed)
+
+        def cost_reference(sv, diag, gamma, scratch=None):
+            sv *= np.exp(-1j * gamma * diag)
+            return sv
+
+        def mixer_reference(sv, beta, scratch=None):
+            return lrqaoa.mixer_layer_reference(sv, beta)
+
+        monkeypatch.setattr(lrqaoa, "apply_cost_layer", cost_reference)
+        monkeypatch.setattr(lrqaoa, "apply_mixer_layer", mixer_reference)
+        slow = pq.run_lrqaoa(q, sched, shots=2000, seed=seed)
+        assert fast == slow
+
+    def test_layer_pair_with_scratch_allocates_less_than_a_state(self):
+        n = 16
+        rng = np.random.default_rng(3)
+        sv = random_state(rng, n)
+        diag = rng.normal(size=len(sv))
+        scratch = np.empty_like(sv)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pq.apply_cost_layer(sv, diag, 0.4, scratch)
+            pq.apply_mixer_layer(sv, 0.3, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < sv.nbytes
+
+    def test_peak_bytes_at_the_guard(self):
+        n = lrqaoa.STATEVECTOR_GUARD
+        amps = 2 ** n
+        state = amps * np.dtype(np.complex128).itemsize
+        diag = amps * np.dtype(np.float64).itemsize
+        assert lrqaoa.statevector_peak_bytes(n) == 2 * state + diag == 40 * amps
+        assert lrqaoa.statevector_peak_bytes(n) == 5 * 2**29
+
+    def test_guard_message_names_the_estimate(self):
+        with pytest.raises(TooLarge, match=r"27 qubits .* about 5\.0 GiB"):
+            pq.uniform_state(27)
+        q = Qubo(n=27, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
+        with pytest.raises(TooLarge, match=r"about 5\.0 GiB"):
+            pq.precompute_diagonal(q)
 
 
 class TestRun:
