@@ -27,7 +27,7 @@ for name in BENCH_INSTANCE_NAMES:
 
     for label, samples in (("sa", sa), ("random", rnd)):
         cleaned = pq.postprocess_sampleset(q, samples)
-        scored = score_samples(cleaned, inst, q)  # decodes each entry once
+        scored = score_samples(cleaned, inst, q)  # one pass over all entries
         valid = scored.percent_valid()
         near = scored.percent_near_opt(opt)
         ratio = scored.best_cost_ratio(opt)

@@ -13,6 +13,13 @@ The last two are undefined (None / empty CSV cell) when a cell has no
 valid sample at all; folding them to 0 would conflate "found nothing
 valid" with "found only poor solutions".
 
+``score_samples`` scores all entries of a sample set in one exact
+integer pass over the instance's common-denominator int64 arrays.
+``score_samples_reference`` keeps the per-entry decode, validate and
+price loop in Fractions; it is what the fast pass is tested against,
+and it scores whenever the fast pass cannot (data too large for int64,
+no variable map or one naming other ids, empty or malformed sets).
+
 Reports are deterministic: records are ordered by their grid key and
 wall-clock timings are kept off the exported files, so re-running an
 identical plan reproduces the report byte for byte.
@@ -76,10 +83,49 @@ class ScoredSamples:
 
     def best_cost_ratio(self, opt_cost: Fraction) -> Fraction | None:
         best = self.best_valid_cost()
-        return None if best is None else Fraction(opt_cost) / best
+        if best is None:
+            return None
+        # 0 <= opt <= best, so a best of 0 means an optimum of 0: ratio 1.
+        return Fraction(1) if best == opt_cost else Fraction(opt_cost) / best
 
 
 def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
+    """Validate and price every entry in one exact integer pass.
+
+    The decision bits of all entries form an (entries, toolkits,
+    machines) 0/1 array.  An entry is valid when every toolkit selects
+    exactly one machine and no machine's load exceeds its capacity; its
+    cost is an integer over the instance's common cost denominator.
+    Whenever the instance's data do not fit int64 safely, the variable
+    map is missing or names other ids than the instance, the set is
+    empty or its bitstrings are malformed,
+    :func:`score_samples_reference` scores instead, so those cases keep
+    the reference's results and errors.
+    """
+    arrays = model._scaled_int_arrays(inst)
+    vm = q.varmap
+    try:
+        states = samples.states()
+    except ValueError:  # malformed bits: the reference's error names the entry
+        states = None
+    if (arrays is None or vm is None or states is None or not len(states)
+            or states.shape[1] != q.n
+            or set(vm.toolkits) != set(inst.toolkits) or set(vm.machines) != set(inst.machines)):
+        return score_samples_reference(samples, inst, q)
+    C, W, H, cost_denominator = arrays
+    idx = np.array([[vm.decision_index[t, m] for m in inst.machines] for t in inst.toolkits])
+    X = states[:, idx]  # (entries, toolkits, machines)
+    ok = (X.sum(axis=2) == 1).all(axis=1)
+    ok &= (np.einsum("etm,tm->em", X, W) <= H).all(axis=1)
+    costs = np.einsum("etm,tm->e", X, C)
+    valid = tuple(
+        (samples.entries[e].multiplicity, Fraction(int(costs[e]), cost_denominator))
+        for e in np.flatnonzero(ok)
+    )
+    return ScoredSamples(total=samples.total, valid=valid)
+
+
+def score_samples_reference(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     """Decode each entry once, and validate and price the decodable ones."""
     valid = []
     for bits, mult in samples.iter_bits():

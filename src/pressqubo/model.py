@@ -217,7 +217,13 @@ def solution_cost(inst: Instance, a: Assignment) -> Fraction:
 
 
 def _scaled_int_arrays(inst: Instance):
-    """Common-denominator int64 views of (cost, workload, capacity).
+    """Common-denominator int64 views ``(C, W, H, cost_denominator)``.
+
+    ``C`` is the (toolkits x machines) cost matrix times
+    ``cost_denominator``; ``W`` and ``H`` are the workloads and the
+    capacities over one shared denominator of their own, so loads and
+    capacities compare exactly.  The sums of ``C`` and ``W`` are bounded
+    by 2^60, so no 0/1 selection of their entries overflows.
 
     Returns None when the scaled values cannot be held safely in int64;
     callers then fall back to exact Fraction arithmetic.
@@ -237,14 +243,14 @@ def _scaled_int_arrays(inst: Instance):
     )
     if costs is None or cap_work is None:
         return None
-    c_flat, _ = costs
+    c_flat, cost_denominator = costs
     wh_flat, _ = cap_work
     C = np.array(c_flat, dtype=np.int64).reshape(T, M)
     W = np.array(wh_flat[: T * M], dtype=np.int64).reshape(T, M)
     H = np.array(wh_flat[T * M :], dtype=np.int64)
     if int(C.sum()) > (1 << 60) or int(W.sum()) > (1 << 60):
         return None
-    return C, W, H
+    return C, W, H, cost_denominator
 
 
 def _assignment_from_index(inst: Instance, k: int) -> Assignment:
@@ -280,7 +286,7 @@ def exact_solve(inst: Instance) -> Solution:
 
 
 def _exact_solve_int(arrays, T: int, M: int, total: int):
-    C, W, H = arrays
+    C, W, H, _ = arrays
     pows = np.array([M ** (T - 1 - t) for t in range(T)], dtype=np.int64)
     best_cost = None
     best_k = None

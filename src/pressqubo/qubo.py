@@ -593,6 +593,16 @@ def dense_energies(dense: DenseQubo, states: np.ndarray) -> np.ndarray:
     return dense.offset + x @ dense.linear + quad
 
 
+def spectrum_peak_bytes(n: int) -> int:
+    """Bytes :func:`minimum_states` holds at ``n`` variables, at most.
+
+    The 8-byte energies array of :func:`full_spectrum`, the boolean mask
+    of the minimum and its int64 index array, which holds every state
+    when all energies tie: 17 bytes per state (1.1 GiB at 26 variables).
+    """
+    return 17 << n
+
+
 def full_spectrum(q: Qubo) -> np.ndarray:
     """Energies of all 2**n bitstrings, indexed by bitstring value.
 
@@ -604,7 +614,8 @@ def full_spectrum(q: Qubo) -> np.ndarray:
     passes over the output instead of one pass per coefficient.
     """
     if q.n > SPECTRUM_GUARD:
-        raise TooLarge(f"full spectrum of {q.n} variables exceeds the 2^{SPECTRUM_GUARD} guard")
+        raise TooLarge(f"full spectrum of {q.n} variables exceeds the 2^{SPECTRUM_GUARD} guard "
+                       f"(it needs about {spectrum_peak_bytes(q.n) / 2**30:.1f} GiB)")
     dense = as_dense(q)
     n = q.n
     n_lo = n // 2

@@ -32,6 +32,7 @@ from .qubo import (
     index_to_bits,
     minimum_states,
     qubo_energy,
+    spectrum_peak_bytes,
 )
 
 BRUTE_FORCE_GUARD = 26
@@ -68,6 +69,21 @@ class SampleSet:
     def iter_bits(self) -> Iterable[tuple[str, int]]:
         for e in self.entries:
             yield e.bits, e.multiplicity
+
+    def states(self) -> np.ndarray:
+        """The entries' bits as an (entries x n) uint8 0/1 matrix.
+
+        Raises ValueError when the bitstrings differ in length or hold a
+        character other than 0 and 1.
+        """
+        n = len(self.entries[0].bits) if self.entries else 0
+        if any(len(e.bits) != n for e in self.entries):
+            raise ValueError(f"sample bitstrings differ in length (first has {n})")
+        joined = "".join(e.bits for e in self.entries).encode()
+        flat = np.frombuffer(joined, dtype=np.uint8) - ord("0")
+        if (flat > 1).any():
+            raise ValueError("sample bitstrings hold characters other than 0 and 1")
+        return flat.reshape(len(self.entries), n)
 
 
 def sampleset_from_states(dense: DenseQubo, states: np.ndarray, counts: Iterable[int],
@@ -246,16 +262,15 @@ def postprocess_sampleset(q: Qubo, samples: SampleSet) -> SampleSet:
     :func:`bitflip_postprocess`, the reference kernel, takes it alone.
     """
     dense = as_dense(q)
-    pairs = list(samples.iter_bits())
-    states = np.stack([bits_to_vector(bits) for bits, _ in pairs])
-    if states.shape[1] != q.n or (states > 1).any():
+    states = samples.states()
+    if states.shape[1] != q.n:
         raise ValueError(f"need 0/1 strings of length {q.n}")
     x = states.astype(np.float64)
     _bitflip_pass(q, dense, x)
     # The distinct improved rows, in bits order, are the batch evaluated.
     keys, inverse = np.unique(x.astype(np.uint8), axis=0, return_inverse=True)
     counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse.reshape(-1), [mult for _, mult in pairs])
+    np.add.at(counts, inverse.reshape(-1), [e.multiplicity for e in samples.entries])
     return sampleset_from_states(dense, keys, counts, {**samples.meta, "postprocessed": True})
 
 
@@ -289,7 +304,8 @@ def brute_force_qubo(q: Qubo) -> tuple[str, Fraction]:
     returned energy is exact.
     """
     if q.n > BRUTE_FORCE_GUARD:
-        raise TooLarge(f"{q.n} variables exceed the brute-force guard of {BRUTE_FORCE_GUARD}")
+        raise TooLarge(f"{q.n} variables exceed the brute-force guard of {BRUTE_FORCE_GUARD} "
+                       f"(it needs about {spectrum_peak_bytes(q.n) / 2**30:.1f} GiB)")
     ks, energy = minimum_states(q)
     arr = np.asarray(ks, dtype=np.int64)
     # Lexicographic order of bitstrings (variable 0 first) equals numeric
