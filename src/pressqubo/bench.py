@@ -345,7 +345,12 @@ def expand_plan(plan: Mapping) -> list[SweepCell]:
         if key not in plan:
             raise ValueError(f"plan is missing the {key!r} list")
         _require(plan[key], list, f"plan {key!r}")
-    postprocess = bool(plan.get("postprocess", True))
+    postprocess = plan.get("postprocess", True)
+    if not isinstance(postprocess, bool):
+        raise ValueError(f"plan 'postprocess' must be true or false, got {postprocess!r}")
+    for seed in plan["seeds"]:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"plan seeds must be non-negative integers, got {seed!r}")
     cells = []
     for path in plan["instances"]:
         for variant_entry in plan["variants"]:
@@ -355,7 +360,7 @@ def expand_plan(plan: Mapping) -> list[SweepCell]:
                         for seed in plan["seeds"]:
                             cells.append(
                                 SweepCell(str(path), variant, solver, params,
-                                          int(seed), postprocess)
+                                          seed, postprocess)
                             )
     return cells
 
@@ -422,6 +427,8 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     (it is infeasible or too large to enumerate), each of its cells
     gets an error record.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = expand_plan(plan)
     root = Path(base_dir) if base_dir is not None else Path(".")
     instances: dict[str, Instance] = {}

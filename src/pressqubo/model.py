@@ -7,8 +7,9 @@ is the total cost of the chosen placements.
 
 This module holds the instance data and its JSON form, the integer
 sanitization step (capacities floored, workloads ceiled), feasibility
-checking, a seeded synthetic instance generator, and an exhaustive
-reference solver used as the ground-truth oracle by everything else.
+checking, a seeded synthetic instance generator, and the exhaustive
+oracle every quality metric is scored against: a split-half (meet in
+the middle) int64 search, with plain Fraction enumeration as fallback.
 
 All numeric data is kept as exact :class:`fractions.Fraction` values;
 floats only appear at the raw-input boundary and inside vectorized
@@ -265,9 +266,17 @@ def _assignment_from_index(inst: Instance, k: int) -> Assignment:
 def exact_solve(inst: Instance) -> Solution:
     """Exhaustively find the minimum-cost feasible assignment.
 
-    Ties are broken by lexicographic order of the machine-index vector in
-    toolkit order, so the result is fully deterministic.  The search
-    space is internally chunked; the outcome is independent of chunking.
+    Ties go to the lexicographically smallest machine-index vector in
+    toolkit order, i.e. the smallest base-M index ``k`` (toolkit 0 most
+    significant), so the result is fully deterministic.
+
+    Split-half search: the costs and per-machine loads of the first
+    ``T // 2`` toolkits and of the rest are enumerated once each; row
+    chunks of the first half (at most ``_ENUM_CHUNK`` entries each) are
+    combined with the whole second half as outer sums, infeasible
+    entries masked.  ``k`` grows in row-major order within a chunk and
+    from chunk to chunk, so ``np.argmin`` keeps the tie-break as long
+    as a later chunk wins only when strictly cheaper.
     """
     T, M = inst.n_toolkits, inst.n_machines
     total = M**T
@@ -275,39 +284,40 @@ def exact_solve(inst: Instance) -> Solution:
         raise TooLarge(f"{M}^{T} assignments exceed the enumeration guard 2^26")
     arrays = _scaled_int_arrays(inst)
     if arrays is not None:
-        best = _exact_solve_int(arrays, T, M, total)
+        best = _exact_solve_int(arrays, T, M)
     else:
         best = _exact_solve_fraction(inst, T, M, total)
     if best is None:
         raise Infeasible(f"instance {inst.id!r} has no feasible assignment")
-    k = best
-    assignment = _assignment_from_index(inst, k)
+    assignment = _assignment_from_index(inst, best)
     return Solution(assignment=assignment, cost=solution_cost(inst, assignment), optimal=True)
 
 
-def _exact_solve_int(arrays, T: int, M: int, total: int):
+def _half_enumeration(C: np.ndarray, W: np.ndarray, M: int):
+    # Cost (S,) and per-machine load (S, M) of all S = M^t machine-index
+    # vectors over the t rows of C and W, first row most significant.
+    t = len(C)
+    digits = np.arange(M**t, dtype=np.int64)[:, None] // M ** np.arange(t - 1, -1, -1) % M
+    rows = np.arange(t)
+    load = (W[rows, digits][:, :, None] * (digits[:, :, None] == np.arange(M))).sum(axis=1)
+    return C[rows, digits].sum(axis=1), load
+
+
+def _exact_solve_int(arrays, T: int, M: int):
     C, W, H, _ = arrays
-    pows = np.array([M ** (T - 1 - t) for t in range(T)], dtype=np.int64)
-    best_cost = None
-    best_k = None
-    for base in range(0, total, _ENUM_CHUNK):
-        ks = np.arange(base, min(base + _ENUM_CHUNK, total), dtype=np.int64)
-        digits = (ks[None, :] // pows[:, None]) % M  # (T, chunk)
-        cost = np.zeros(len(ks), dtype=np.int64)
-        load = np.zeros((M, len(ks)), dtype=np.int64)
-        for t in range(T):
-            d = digits[t]
-            cost += C[t, d]
-            for m in range(M):
-                load[m] += W[t, m] * (d == m)
-        feasible = np.all(load <= H[:, None], axis=0)
-        if not feasible.any():
-            continue
-        fcost = np.where(feasible, cost, np.iinfo(np.int64).max)
-        cmin = int(fcost.min())
-        k = int(ks[fcost == cmin].min())  # numeric min == lexicographic tie-break
-        if best_cost is None or (cmin, k) < (best_cost, best_k):
-            best_cost, best_k = cmin, k
+    cost_hi, load_hi = _half_enumeration(C[: T // 2], W[: T // 2], M)
+    cost_lo, load_lo = _half_enumeration(C[T // 2 :], W[T // 2 :], M)
+    n_lo = len(cost_lo)
+    rows = max(1, _ENUM_CHUNK // n_lo)
+    masked = np.iinfo(np.int64).max  # above every feasible cost, which is <= 2^60
+    best_cost, best_k = masked, None
+    for start in range(0, len(cost_hi), rows):
+        cost = np.add.outer(cost_hi[start : start + rows], cost_lo)
+        for m in range(M):
+            cost[np.less.outer(H[m] - load_hi[start : start + rows, m], load_lo[:, m])] = masked
+        i = int(np.argmin(cost))  # row-major: k = start * n_lo + i
+        if cost.flat[i] < best_cost:
+            best_cost, best_k = int(cost.flat[i]), start * n_lo + i
     return best_k
 
 

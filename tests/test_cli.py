@@ -236,6 +236,32 @@ class TestMalformedInput:
         assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("postprocess", "false"),
+        ("seeds", [1.5]),
+        ("seeds", [True]),
+        ("seeds", [-1]),
+    ])
+    def test_mistyped_seed_or_postprocess_stops_the_sweep(self, instance_file, tmp_path,
+                                                          field, value, capsys):
+        plan = {"instances": [str(instance_file)], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}
+        plan[field] = value
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_is_usage_error(self, instance_file, tmp_path, workers):
+        plan = {"instances": [str(instance_file)], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "--workers", workers, "-o", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
     def test_sidecar_of_another_size_is_usage_error(self, qubo_file, tmp_path):
         sidecar = pq.qubo.sidecar_path(qubo_file)
         doc = json.loads(sidecar.read_text())

@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressqubo as pq
+from pressqubo import model
 from pressqubo.errors import Infeasible, TooLarge
 from pressqubo.model import BUNDLED_SHAPES
 
@@ -170,6 +173,87 @@ class TestExactSolve:
         for choice in enumerate_assignments(inst):
             if reference_feasible(inst, choice):
                 assert sol.cost <= reference_cost(inst, choice)
+
+
+def _index_of(inst, solution):
+    """Base-M machine-index number of an assignment, toolkit 0 most significant."""
+    k = 0
+    for t in inst.toolkits:
+        k = k * inst.n_machines + inst.machines.index(solution.assignment.choice[t])
+    return k
+
+
+def _generated(T, M, seed, kind):
+    rng = np.random.default_rng([T, M, seed])
+    cost = rng.integers(0, 30, size=(T, M))
+    workload = rng.integers(0, 7, size=(T, M))
+    # Tight capacities: the loads of one random assignment plus 0..2.
+    chosen = rng.integers(0, M, size=T)
+    capacity = np.bincount(chosen, workload[np.arange(T), chosen], M).astype(int)
+    capacity += rng.integers(0, 3, size=M)
+    if kind == "ties":  # every machine column costs the same
+        cost[:] = cost[:, :1]
+    elif kind == "infeasible":  # each toolkit overloads any machine alone
+        workload = workload + 1
+        capacity = np.minimum(capacity, workload.min(axis=0) - 1)
+    return make_instance(cost.tolist(), workload.tolist(), capacity.tolist())
+
+
+SHAPES = ([(1, T) for T in range(1, 13)] + [(2, T) for T in range(1, 13)]
+          + [(3, T) for T in range(1, 9)])
+
+
+class TestSplitHalfOracle:
+    @pytest.mark.parametrize("M,T", SHAPES)
+    @pytest.mark.parametrize("kind", ["random", "ties", "infeasible"])
+    def test_int_path_matches_fraction_reference(self, M, T, kind, monkeypatch):
+        inst = _generated(T, M, 0, kind)
+        expected = model._exact_solve_fraction(inst, T, M, M**T)
+        assert (expected is None) == (kind == "infeasible")
+        arrays = model._scaled_int_arrays(inst)
+        for chunk in (1 << 20, 8, 1):  # one chunk, a few rows each, one row each
+            monkeypatch.setattr(model, "_ENUM_CHUNK", chunk)
+            assert model._exact_solve_int(arrays, T, M) == expected
+        if expected is None:
+            with pytest.raises(Infeasible):
+                pq.exact_solve(inst)
+        else:
+            assert _index_of(inst, pq.exact_solve(inst)) == expected
+
+    def test_tied_optima_in_different_chunks(self, monkeypatch):
+        # Equal costs everywhere; unit workloads with m0 holding exactly
+        # one toolkit make the optima k = 2^8 - 1 - 2^j, j = 0..7.  With
+        # two upper-half rows per chunk they fall in four of eight chunks.
+        T = 8
+        inst = make_instance([[5, 5]] * T, [[1, 1]] * T, [1, T - 1])
+        monkeypatch.setattr(model, "_ENUM_CHUNK", 32)
+        n_lo = 2 ** (T - T // 2)
+        rows = model._ENUM_CHUNK // n_lo
+        optima = [2**T - 1 - 2**j for j in range(T)]
+        assert 2 ** (T // 2) // rows >= 3
+        assert len({k // n_lo // rows for k in optima}) == 4
+        assert model._exact_solve_fraction(inst, T, 2, 2**T) == min(optima)
+        assert _index_of(inst, pq.exact_solve(inst)) == min(optima) == 127
+
+    @pytest.mark.parametrize("name,k", [
+        ("press-03x2", 3), ("press-09x2", 11), ("press-13x2", 788),
+        ("press-16x2", 29467), ("press-18x2", 70803), ("press-19x2", 52791),
+        ("press-small", 1),
+    ])
+    def test_bundled_instances_keep_their_optimum(self, name, k):
+        inst = pq.bundled_instance(name)
+        assert _index_of(inst, pq.exact_solve(inst)) == k
+
+    def test_peak_memory_of_the_largest_ladder_instance(self):
+        inst = pq.bundled_instance("press-19x2")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pq.exact_solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 32 * 2**20
 
 
 class TestGenerator:
