@@ -1,7 +1,11 @@
 """Experiment grid execution and scoring.
 
 A sweep plan names instances, construction variants, solvers, and
-seeds; every combination runs as an independent cell.  Each cell's
+seeds; every combination is one cell.  The sweep runs the cells in
+groups, one job per (instance, variant): the job compiles the QUBO
+once and runs, post-processes and scores each (solver, parameters,
+seed) cell of the group on it, so the per-``Qubo`` caches (dense
+mirror, ramp diagonal) are shared by the whole group.  Each cell's
 samples are scored against the exhaustive reference optimum with three
 metrics:
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,10 +225,12 @@ class RunRecord:
 # Solver registry
 # ---------------------------------------------------------------------------
 
+# The parameters reach the runners checked (see ``expand_solver_params``)
+# or typed by the CLI's flags, so they are used as given.
 def _run_sa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
     cfg = solvers.SaConfig(
-        steps=int(params["steps"]),
-        restarts=int(params["restarts"]),
+        steps=params["steps"],
+        restarts=params["restarts"],
         t_start=params.get("t_start"),
         t_end=params.get("t_end"),
         seed=seed,
@@ -232,14 +239,12 @@ def _run_sa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
 
 
 def _run_random(q: Qubo, params: Mapping, seed: int) -> SampleSet:
-    return solvers.random_sample(q, int(params["shots"]), seed)
+    return solvers.random_sample(q, params["shots"], seed)
 
 
 def _run_lrqaoa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
-    sched = lrqaoa.lr_schedule(
-        int(params["p"]), float(params["delta_gamma"]), float(params["delta_beta"])
-    )
-    return lrqaoa.run_lrqaoa(q, sched, int(params["shots"]), seed)
+    sched = lrqaoa.lr_schedule(params["p"], params["delta_gamma"], params["delta_beta"])
+    return lrqaoa.run_lrqaoa(q, sched, params["shots"], seed)
 
 
 def _run_brute(q: Qubo, params: Mapping, seed: int) -> SampleSet:
@@ -309,10 +314,30 @@ def expand_variants(entry: Mapping) -> list[VariantSpec]:
     raise ValueError(f"unknown variant kind {kind!r}")
 
 
+# Solver parameters that count (steps, shots, layers); every other one is
+# a slope or a temperature.
+_COUNT_PARAMS = frozenset({"steps", "restarts", "shots", "p"})
+
+
+def _check_solver_param(name: str, key: str, value) -> None:
+    if key in _COUNT_PARAMS:
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
+        kind = "an integer >= 1"
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value) and value > 0)
+        kind = "a finite positive number"
+    if not ok:
+        raise ValueError(f"solver {name!r} parameter {key!r} must be {kind}, got {value!r}")
+
+
 def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
     """Expand list-valued solver parameters into the full grid.
 
-    Raises ValueError for a parameter the solver does not accept.
+    Raises ValueError for a parameter the solver does not accept, and
+    for any value (or list element) of the wrong type or range: counts
+    must be integers >= 1, slopes and temperatures finite positive
+    numbers, and neither may be a boolean.
     """
     name = _require(entry, dict, "a solver entry").get("name")
     if name not in SOLVERS:
@@ -324,6 +349,9 @@ def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
                          f"it takes {sorted(SOLVERS[name].keys())}")
     params = {**SOLVERS[name].defaults, **given}
     grids = [(k, v if isinstance(v, list) else [v]) for k, v in sorted(params.items())]
+    for key, values in grids:
+        for value in values:
+            _check_solver_param(name, key, value)
     combos: list[dict] = [{}]
     for key, values in grids:
         combos = [dict(c, **{key: v}) for c in combos for v in values]
@@ -387,11 +415,21 @@ def _record_base(cell: SweepCell, inst: Instance) -> dict:
     )
 
 
-def run_cell(cell: SweepCell, inst: Instance, reference: Solution) -> RunRecord:
-    """Execute one grid cell; failures land in the record, never raise."""
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def run_cell(cell: SweepCell, inst: Instance, reference: Solution,
+             q: Qubo | None = None) -> RunRecord:
+    """Execute one grid cell; failures land in the record, never raise.
+
+    ``q`` is the cell's compiled QUBO; the cell builds it when none is
+    given.
+    """
     base = _record_base(cell, inst)
     try:
-        q = qubo.build_qubo(inst, cell.variant)
+        if q is None:
+            q = qubo.build_qubo(inst, cell.variant)
         samples = SOLVERS[cell.solver].run(q, cell.solver_params, cell.seed)
         if cell.postprocess:
             samples = solvers.postprocess_sampleset(q, samples)
@@ -408,12 +446,22 @@ def run_cell(cell: SweepCell, inst: Instance, reference: Solution) -> RunRecord:
             best_cost_ratio=None if ratio is None else float(ratio),
         )
     except Exception as exc:  # cell failures must not abort the sweep
-        return RunRecord(**base, error=f"{type(exc).__name__}: {exc}")
+        return RunRecord(**base, error=_error_text(exc))
 
 
-def _cell_worker(args):
-    cell, inst, reference = args
-    return run_cell(cell, inst, reference)
+def _run_group(job: tuple[list[SweepCell], Instance, Solution]) -> list[RunRecord]:
+    """Compile the QUBO of one (instance, variant) group once and run
+    every cell of the group on it.
+
+    A failed build gives each cell the error record it would get from
+    building the QUBO itself.
+    """
+    cells, inst, reference = job
+    try:
+        q = qubo.build_qubo(inst, cells[0].variant)
+    except Exception as exc:  # a build failure fails this group's cells only
+        return [RunRecord(**_record_base(c, inst), error=_error_text(exc)) for c in cells]
+    return [run_cell(c, inst, reference, q) for c in cells]
 
 
 def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
@@ -422,7 +470,11 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     Relative instance paths resolve against ``base_dir`` (callers
     typically pass the plan file's directory).  Instances are loaded
     (and sanitized) once; the exhaustive reference solution per
-    instance is shared across cells.  Cells fail individually without
+    instance is shared across cells.  The cells are grouped by
+    (instance, variant), and each group is one job that compiles its
+    QUBO once; with ``workers > 1`` the jobs run in that many
+    processes, the largest (cells times decision variables) first so
+    that no long job starts last.  Cells fail individually without
     aborting the sweep; when an instance has no reference solution
     (it is infeasible or too large to enumerate), each of its cells
     gets an error record.
@@ -442,17 +494,24 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
             try:
                 references[path] = model.exact_solve(inst)
             except PressQuboError as exc:  # Infeasible or TooLarge: fail its cells only
-                failures[path] = f"{type(exc).__name__}: {exc}"
+                failures[path] = _error_text(exc)
     records = [RunRecord(**_record_base(c, instances[c.instance_path]),
                          error=failures[c.instance_path])
                for c in cells if c.instance_path in failures]
-    jobs = [(c, instances[c.instance_path], references[c.instance_path])
-            for c in cells if c.instance_path in references]
+    groups: dict[tuple, list[SweepCell]] = {}
+    for c in cells:
+        if c.instance_path in references:
+            groups.setdefault((c.instance_path, c.variant), []).append(c)
+    jobs = [(group, instances[path], references[path]) for (path, _), group in groups.items()]
     if workers > 1:
+        jobs.sort(key=lambda job: len(job[0]) * job[1].n_toolkits * job[1].n_machines,
+                  reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records += pool.map(_cell_worker, jobs)
+            for group_records in pool.map(_run_group, jobs):
+                records += group_records
     else:
-        records += [run_cell(*job) for job in jobs]
+        for job in jobs:
+            records += _run_group(job)
     return sorted(records, key=lambda r: r.grid_key())
 
 

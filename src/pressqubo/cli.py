@@ -132,11 +132,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _report_rows(report: dict, key: str, fields: dict[str, type | tuple]) -> list:
+    """``report[key]`` when it is a list of objects whose ``fields`` hold
+    values of the given types; ValueError otherwise."""
+    rows = report.get(key, [])
+    if not (isinstance(rows, list) and all(
+            isinstance(row, dict) and all(k in row and isinstance(row[k], t)
+                                          for k, t in fields.items())
+            for row in rows)):
+        raise ValueError(f"report.json {key!r} must be a list of objects holding "
+                         f"{', '.join(fields)} as a sweep writes them")
+    return rows
+
+
 def cmd_report(args) -> int:
     report_path = Path(args.directory) / "report.json"
     report = json.loads(report_path.read_text())
+    if not isinstance(report, dict):
+        raise ValueError("report.json must hold a JSON object")
     if args.select_best:
-        rows = report.get("best_penalties", [])
+        rows = _report_rows(report, "best_penalties",
+                            {"group": list, "variant_kind": object, "variant": object})
         if args.json:
             print(json.dumps(rows, sort_keys=True))
         else:
@@ -146,7 +162,9 @@ def cmd_report(args) -> int:
                 group = ", ".join(str(g) for g in row["group"])
                 print(f"{group} [{row['variant_kind']}] -> {row['variant']}")
         return EXIT_OK
-    metrics = report.get("metrics", [])
+    metrics = _report_rows(report, "metrics", {
+        "instance_id": object, "variant": object, "solver": object, "solver_params": object,
+        "percent_valid": (int, float, type(None))})
     if args.json:
         print(json.dumps(metrics, sort_keys=True))
     else:

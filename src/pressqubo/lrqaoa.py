@@ -13,6 +13,13 @@ State layout: amplitude index equals the bitstring value with variable
 guarded at 26 qubits; ``statevector_peak_bytes`` gives the memory a
 simulation holds (state, scratch and diagonal: 40 bytes per amplitude).
 
+``precompute_diagonal`` caches its read-only result on the ``Qubo``
+for the object's lifetime, as ``as_dense`` caches the dense mirror, so
+runs at several depths on one QUBO compute the 2**n spectrum once.
+The peak stays 40 bytes per amplitude: the layers hold the state, the
+scratch and the diagonal; sampling holds the state, the diagonal, the
+squared magnitudes and their cumulative sum.
+
 ``final_state`` allocates one scratch buffer the size of the state and
 passes it to both layers.  The cost layer forms its phases in it, and
 the mixer fuses the one-qubit X rotations: it applies groups of up to
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLarge
-from .qubo import Qubo, as_dense, full_spectrum, minimum_states, normalize_qubo
+from .qubo import Qubo, _cached, as_dense, full_spectrum, minimum_states, normalize_qubo
 from .solvers import SampleSet, sampleset_from_states
 
 STATEVECTOR_GUARD = 26
@@ -82,7 +89,9 @@ def statevector_peak_bytes(n: int) -> int:
 
     The complex128 state, the complex128 scratch buffer the layers
     share, and the float64 diagonal: 40 bytes per amplitude.  Building
-    the diagonal and sampling afterwards hold less.
+    the diagonal holds less; sampling afterwards holds as much (the
+    state, the cached diagonal, the squared magnitudes and their
+    cumulative sum).
     """
     return 40 << n
 
@@ -103,9 +112,19 @@ def uniform_state(n: int) -> np.ndarray:
 
 
 def precompute_diagonal(q: Qubo) -> np.ndarray:
-    """Normalized energies of all bitstrings (the diagonal phase profile)."""
+    """Normalized energies of all bitstrings (the diagonal phase profile).
+
+    Built on first use and cached on ``q`` like its dense mirror, so
+    every run on ``q`` shares it; the array is therefore read-only.
+    """
     _check_guard(q.n)
-    return full_spectrum(normalize_qubo(q)).astype(np.float64)
+    return _cached(q, "_diagonal", _build_diagonal)
+
+
+def _build_diagonal(q: Qubo) -> np.ndarray:
+    diag = full_spectrum(normalize_qubo(q)).astype(np.float64)
+    diag.setflags(write=False)
+    return diag
 
 
 def _scratch_for(sv: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:

@@ -12,6 +12,7 @@ from pressqubo.bench import (
     expand_solver_params,
     expand_variants,
     load_plan,
+    run_cell,
     series_correlations,
 )
 from pressqubo.solvers import SampleEntry, SampleSet
@@ -393,6 +394,117 @@ class TestSweep:
         raw_records = pq.sweep(raw_plan)
         cleaned_records = pq.sweep(cleaned_plan)
         assert cleaned_records[0].best_energy <= raw_records[0].best_energy
+
+
+def mixed_plan(tmp_path, tiny):
+    small_path = tmp_path / "small.json"
+    pq.save_instance(pq.bundled_instance("press-small"), small_path)
+    return load_plan(write_plan(
+        tmp_path, tiny,
+        instances=[str(tmp_path / "tiny.json"), str(small_path)],
+        variants=[{"kind": "raw", "lm": [1000, 100000], "lt": [10**7]},
+                  {"kind": "scaled", "ls": [1]}, {"kind": "rounded"}],
+        solvers=[{"name": "sa", "params": {"steps": 40, "restarts": 10}},
+                 {"name": "random", "params": {"shots": 30}},
+                 {"name": "lrqaoa", "params": {"p": [1, 2], "shots": 50}},
+                 {"name": "brute"}],
+        seeds=[0, 1], postprocess=True))
+
+
+def per_cell_records(plan):
+    """Every cell run on its own, building its own QUBO."""
+    inputs = {}
+    for path in plan["instances"]:
+        inst = pq.sanitize_instance(pq.load_instance(path))
+        inputs[path] = (inst, pq.exact_solve(inst))
+    records = [run_cell(c, *inputs[c.instance_path]) for c in pq.expand_plan(plan)]
+    return sorted(records, key=RunRecord.grid_key)
+
+
+class RecordingPool:
+    """In-process stand-in for the process pool that records the job order."""
+
+    jobs: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        RecordingPool.jobs = list(jobs)
+        return map(fn, RecordingPool.jobs)
+
+
+class TestGroupedSweep:
+    def test_grouped_sweep_matches_cells_run_alone(self, tiny, tmp_path):
+        plan = mixed_plan(tmp_path, tiny)
+        expected = per_cell_records(plan)
+        assert len(expected) == 2 * 4 * 5 * 2
+        assert all(r.error is None for r in expected)
+        assert pq.sweep(plan, workers=1) == expected
+        assert pq.sweep(plan, workers=2) == expected
+
+    def test_one_build_per_instance_and_variant(self, tiny, tmp_path, monkeypatch):
+        plan = mixed_plan(tmp_path, tiny)
+        builds = []
+        original = pq.qubo.build_qubo
+
+        def counting(inst, variant):
+            builds.append((inst.id, variant))
+            return original(inst, variant)
+
+        monkeypatch.setattr(pq.qubo, "build_qubo", counting)
+        records = pq.sweep(plan)
+        assert len(records) == 80
+        groups = {(r.instance_id, r.variant) for r in records}
+        assert len(groups) == 8
+        assert sorted(builds, key=str) == sorted(groups, key=str)
+
+    def test_build_failure_fails_its_group_only(self, tmp_path, tiny):
+        small = pq.bundled_instance("press-small")
+        free = pq.Instance(id="free", toolkits=small.toolkits, machines=small.machines,
+                           cost={k: Fraction(0) for k in small.cost},
+                           workload=small.workload, capacity=small.capacity)
+        free_path = tmp_path / "free.json"
+        pq.save_instance(free, free_path)
+        plan = load_plan(write_plan(
+            tmp_path, tiny, instances=[str(free_path)],
+            variants=[{"kind": "rounded"}, {"kind": "scaled"}],
+            solvers=[{"name": "sa", "params": {"steps": 40, "restarts": 10}},
+                     {"name": "random", "params": {"shots": 30}}],
+            seeds=[0, 1]))
+        records = pq.sweep(plan)
+        assert records == per_cell_records(plan)
+        rounded = [r for r in records if r.variant.kind == "rounded"]
+        scaled = [r for r in records if r.variant.kind == "scaled"]
+        assert len(rounded) == 4 and len(scaled) == 8
+        assert all(r.error == "ValueError: rounded variant needs at least one positive cost"
+                   and r.n_samples == 0 for r in rounded)
+        assert all(r.error is None and r.n_samples > 0 and r.best_cost_ratio == 1.0
+                   for r in scaled)
+
+    def test_pool_gets_largest_groups_first(self, tiny, tmp_path, monkeypatch):
+        monkeypatch.setattr(pq.bench, "ProcessPoolExecutor", RecordingPool)
+        small_path = tmp_path / "small.json"
+        pq.save_instance(pq.bundled_instance("press-small"), small_path)
+        plan = load_plan(write_plan(
+            tmp_path, tiny, instances=[str(tmp_path / "tiny.json"), str(small_path)],
+            variants=[{"kind": "scaled", "ls": [1]}, {"kind": "rounded"}],
+            solvers=[{"name": "random", "params": {"shots": [5, 6]}}], seeds=[0]))
+        records = pq.sweep(plan, workers=2)
+        assert records == pq.sweep(plan, workers=1)
+        sizes = [len(cells) * inst.n_toolkits * inst.n_machines
+                 for cells, inst, _ in RecordingPool.jobs]
+        assert sizes == [12, 12, 8, 8]
+        # equal sizes keep plan order
+        assert [(inst.id, cells[0].variant.kind) for cells, inst, _ in RecordingPool.jobs] == [
+            ("press-small", "scaled"), ("press-small", "rounded"),
+            ("tiny", "scaled"), ("tiny", "rounded")]
 
 
 class TestExportReport:

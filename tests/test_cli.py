@@ -168,6 +168,23 @@ class TestSweepAndReport:
         rows = json.loads(capsys.readouterr().out)
         assert isinstance(rows, list) and rows
 
+    @pytest.mark.parametrize("content, flags", [
+        ([], ()),
+        ([], ("--select-best",)),
+        ({"best_penalties": [5]}, ("--select-best",)),
+        ({"best_penalties": [{"group": 5, "variant_kind": "raw", "variant": "x"}]},
+         ("--select-best",)),
+        ({"best_penalties": {}}, ("--select-best", "--json")),
+        ({"metrics": [{"instance_id": "a"}]}, ()),
+        ({"metrics": [{"instance_id": "a", "variant": "v", "solver": "sa",
+                       "solver_params": "", "percent_valid": [1]}]}, ()),
+        ({"metrics": "rows"}, ("--json",)),
+    ])
+    def test_malformed_report_is_usage_error(self, tmp_path, capsys, content, flags):
+        (tmp_path / "report.json").write_text(json.dumps(content))
+        assert run("report", tmp_path, *flags) == 2
+        assert "report.json" in capsys.readouterr().err
+
     def test_missing_report_dir_is_io_error(self, tmp_path):
         assert run("report", tmp_path / "nowhere") == 5
 
@@ -251,6 +268,29 @@ class TestMalformedInput:
         plan_path.write_text(json.dumps(plan))
         assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("params", [
+        {"shots": 2.5},
+        {"shots": True},
+        {"restarts": "20"},
+        {"shots": 0},
+        {"steps": 0},
+        {"delta_gamma": -1},
+        {"t_start": "abc"},
+        {"p": [1, 0]},
+        {"delta_beta": [0.6, float("inf")]},
+    ])
+    def test_mistyped_solver_parameter_stops_the_sweep(self, instance_file, tmp_path,
+                                                       params, capsys):
+        name = {"shots": "random", "p": "lrqaoa", "delta_gamma": "lrqaoa",
+                "delta_beta": "lrqaoa"}.get(next(iter(params)), "sa")
+        plan = {"instances": [str(instance_file)], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": name, "params": params}], "seeds": [0]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        assert repr(next(iter(params))) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("workers", [0, -2])

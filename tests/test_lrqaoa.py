@@ -75,6 +75,52 @@ class TestDiagonal:
             assert diag[k] == pytest.approx(expected, rel=1e-12)
 
 
+class TestDiagonalCache:
+    @staticmethod
+    def build():
+        return pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+
+    def test_second_call_returns_the_cached_array(self):
+        q = self.build()
+        diag = pq.precompute_diagonal(q)
+        assert pq.precompute_diagonal(q) is diag
+
+    def test_cached_array_is_read_only(self):
+        diag = pq.precompute_diagonal(self.build())
+        assert not diag.flags.writeable
+        with pytest.raises(ValueError):
+            diag[0] = 0.0
+
+    def test_cache_is_invisible_to_equality_repr_and_file(self, tmp_path):
+        q, copy = self.build(), self.build()
+        text = repr(q)
+        pq.save_qubo(q, tmp_path / "before.coo")
+        pq.precompute_diagonal(q)
+        assert q == copy
+        assert repr(q) == text
+        pq.save_qubo(q, tmp_path / "after.coo")
+        for suffix in ("", ".varmap.json"):
+            before = (tmp_path / f"before.coo{suffix}").read_bytes()
+            assert (tmp_path / f"after.coo{suffix}").read_bytes() == before
+
+    def test_depths_share_one_spectrum_and_match_fresh_runs(self, monkeypatch):
+        calls = []
+        original = lrqaoa.full_spectrum
+
+        def counting(q):
+            calls.append(q.n)
+            return original(q)
+
+        monkeypatch.setattr(lrqaoa, "full_spectrum", counting)
+        q = self.build()
+        one = pq.run_lrqaoa(q, pq.lr_schedule(1), shots=400, seed=3)
+        two = pq.run_lrqaoa(q, pq.lr_schedule(2), shots=400, seed=3)
+        assert calls == [q.n]
+        assert one == pq.run_lrqaoa(self.build(), pq.lr_schedule(1), shots=400, seed=3)
+        assert two == pq.run_lrqaoa(self.build(), pq.lr_schedule(2), shots=400, seed=3)
+        assert len(calls) == 3
+
+
 class TestLayers:
     def test_cost_layer_zero_angle_is_identity(self):
         sv = pq.uniform_state(3)
