@@ -35,7 +35,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -258,21 +258,33 @@ def _run_brute(q: Qubo, params: Mapping, seed: int) -> SampleSet:
 class Solver:
     """A sampler's default parameters and its ``run(q, params, seed)``.
 
-    ``optional`` names the parameters it also accepts without a default.
+    ``optional`` maps the parameters it also accepts without a default
+    to their type.  A parameter's type (its default's, or the one
+    ``optional`` gives) is ``int`` for a count, which must be >= 1, or
+    ``float`` for a slope or temperature, which must be finite and > 0.
     """
 
     defaults: dict[str, object]
     run: Callable[[Qubo, Mapping, int], SampleSet]
-    optional: tuple[str, ...] = ()
+    optional: Mapping[str, type] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key in self.keys():
+            if self.kind(key) not in (int, float):
+                raise TypeError(f"solver parameter {key!r} must be an int or a float")
 
     def keys(self) -> set[str]:
         return set(self.defaults) | set(self.optional)
+
+    def kind(self, key: str) -> type:
+        return type(self.defaults[key]) if key in self.defaults else self.optional[key]
 
 
 # The run functions look each sampler up on its module when called, so a
 # wrapper patched onto the module attribute (as a tracer does) is used.
 SOLVERS: dict[str, Solver] = {
-    "sa": Solver({"steps": 1280, "restarts": 500}, _run_sa, optional=("t_start", "t_end")),
+    "sa": Solver({"steps": 1280, "restarts": 500}, _run_sa,
+                 optional={"t_start": float, "t_end": float}),
     "random": Solver({"shots": 1000}, _run_random),
     "lrqaoa": Solver({"p": 1, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 1000},
                      _run_lrqaoa),
@@ -314,18 +326,16 @@ def expand_variants(entry: Mapping) -> list[VariantSpec]:
     raise ValueError(f"unknown variant kind {kind!r}")
 
 
-# Solver parameters that count (steps, shots, layers); every other one is
-# a slope or a temperature.
-_COUNT_PARAMS = frozenset({"steps", "restarts", "shots", "p"})
-
-
 def _check_solver_param(name: str, key: str, value) -> None:
-    if key in _COUNT_PARAMS:
+    if SOLVERS[name].kind(key) is int:
         ok = isinstance(value, int) and not isinstance(value, bool) and value >= 1
         kind = "an integer >= 1"
     else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value) and value > 0)
+        try:
+            ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+                  and math.isfinite(value) and value > 0)
+        except OverflowError:  # an int too large for a float
+            ok = False
         kind = "a finite positive number"
     if not ok:
         raise ValueError(f"solver {name!r} parameter {key!r} must be {kind}, got {value!r}")
@@ -415,10 +425,6 @@ def _record_base(cell: SweepCell, inst: Instance) -> dict:
     )
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def run_cell(cell: SweepCell, inst: Instance, reference: Solution,
              q: Qubo | None = None) -> RunRecord:
     """Execute one grid cell; failures land in the record, never raise.
@@ -446,22 +452,38 @@ def run_cell(cell: SweepCell, inst: Instance, reference: Solution,
             best_cost_ratio=None if ratio is None else float(ratio),
         )
     except Exception as exc:  # cell failures must not abort the sweep
-        return RunRecord(**base, error=_error_text(exc))
+        return RunRecord(**base, error=f"{type(exc).__name__}: {exc}")
 
 
 def _run_group(job: tuple[list[SweepCell], Instance, Solution]) -> list[RunRecord]:
     """Compile the QUBO of one (instance, variant) group once and run
     every cell of the group on it.
 
-    A failed build gives each cell the error record it would get from
-    building the QUBO itself.
+    When the build fails, each cell builds again itself and so records
+    the error it would get run alone.
     """
     cells, inst, reference = job
     try:
         q = qubo.build_qubo(inst, cells[0].variant)
-    except Exception as exc:  # a build failure fails this group's cells only
-        return [RunRecord(**_record_base(c, inst), error=_error_text(exc)) for c in cells]
+    except Exception:  # run_cell records the failure per cell
+        q = None
     return [run_cell(c, inst, reference, q) for c in cells]
+
+
+def _split_jobs(groups: list[list[SweepCell]], workers: int) -> list[list[SweepCell]]:
+    """Halve the largest group until there are ``workers`` jobs or every
+    job is one cell, so a sweep of few groups still fills the pool.
+
+    Each part compiles its own QUBO; the split keeps plan order.
+    """
+    jobs = list(groups)
+    while jobs and len(jobs) < workers:
+        i = max(range(len(jobs)), key=lambda k: len(jobs[k]))
+        if len(jobs[i]) < 2:
+            break
+        half = len(jobs[i]) // 2
+        jobs[i:i + 1] = [jobs[i][:half], jobs[i][half:]]
+    return jobs
 
 
 def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
@@ -473,8 +495,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     instance is shared across cells.  The cells are grouped by
     (instance, variant), and each group is one job that compiles its
     QUBO once; with ``workers > 1`` the jobs run in that many
-    processes, the largest (cells times decision variables) first so
-    that no long job starts last.  Cells fail individually without
+    processes, in plan order.  When there are fewer groups than
+    workers, the largest groups are split so every worker gets a job.
+    Cells fail individually without
     aborting the sweep; when an instance has no reference solution
     (it is infeasible or too large to enumerate), each of its cells
     gets an error record.
@@ -494,7 +517,7 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
             try:
                 references[path] = model.exact_solve(inst)
             except PressQuboError as exc:  # Infeasible or TooLarge: fail its cells only
-                failures[path] = _error_text(exc)
+                failures[path] = f"{type(exc).__name__}: {exc}"
     records = [RunRecord(**_record_base(c, instances[c.instance_path]),
                          error=failures[c.instance_path])
                for c in cells if c.instance_path in failures]
@@ -502,10 +525,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     for c in cells:
         if c.instance_path in references:
             groups.setdefault((c.instance_path, c.variant), []).append(c)
-    jobs = [(group, instances[path], references[path]) for (path, _), group in groups.items()]
+    jobs = [(part, instances[part[0].instance_path], references[part[0].instance_path])
+            for part in _split_jobs(list(groups.values()), workers)]
     if workers > 1:
-        jobs.sort(key=lambda job: len(job[0]) * job[1].n_toolkits * job[1].n_machines,
-                  reverse=True)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for group_records in pool.map(_run_group, jobs):
                 records += group_records

@@ -280,6 +280,23 @@ class TestPlanExpansion:
 
 
 class TestSolverRegistry:
+    def test_parameter_types_come_from_the_registry(self):
+        assert SOLVERS["sa"].kind("steps") is int
+        assert SOLVERS["sa"].kind("t_end") is float
+        assert SOLVERS["lrqaoa"].kind("delta_beta") is float
+        [(_, params)] = expand_solver_params({"name": "sa", "params": {"t_start": 5}})
+        assert params["t_start"] == 5
+        with pytest.raises(ValueError, match="'steps' must be an integer"):
+            expand_solver_params({"name": "sa", "params": {"steps": 5.0}})
+
+    @pytest.mark.parametrize("defaults, optional", [
+        ({"flag": True}, {}),
+        ({}, {"label": str}),
+    ])
+    def test_parameter_without_a_check_is_refused(self, defaults, optional):
+        with pytest.raises(TypeError, match="must be an int or a float"):
+            pq.bench.Solver(defaults, lambda q, params, seed: None, optional=optional)
+
     @pytest.mark.parametrize("name, module, attr", [
         ("sa", pq.solvers, "simulated_anneal"),
         ("random", pq.solvers, "random_sample"),
@@ -488,23 +505,31 @@ class TestGroupedSweep:
         assert all(r.error is None and r.n_samples > 0 and r.best_cost_ratio == 1.0
                    for r in scaled)
 
-    def test_pool_gets_largest_groups_first(self, tiny, tmp_path, monkeypatch):
-        monkeypatch.setattr(pq.bench, "ProcessPoolExecutor", RecordingPool)
-        small_path = tmp_path / "small.json"
-        pq.save_instance(pq.bundled_instance("press-small"), small_path)
+    def test_fewer_groups_than_workers_are_split(self, tiny, tmp_path, monkeypatch):
         plan = load_plan(write_plan(
-            tmp_path, tiny, instances=[str(tmp_path / "tiny.json"), str(small_path)],
-            variants=[{"kind": "scaled", "ls": [1]}, {"kind": "rounded"}],
-            solvers=[{"name": "random", "params": {"shots": [5, 6]}}], seeds=[0]))
-        records = pq.sweep(plan, workers=2)
-        assert records == pq.sweep(plan, workers=1)
-        sizes = [len(cells) * inst.n_toolkits * inst.n_machines
-                 for cells, inst, _ in RecordingPool.jobs]
-        assert sizes == [12, 12, 8, 8]
-        # equal sizes keep plan order
-        assert [(inst.id, cells[0].variant.kind) for cells, inst, _ in RecordingPool.jobs] == [
-            ("press-small", "scaled"), ("press-small", "rounded"),
-            ("tiny", "scaled"), ("tiny", "rounded")]
+            tmp_path, tiny, variants=[{"kind": "rounded"}],
+            solvers=[{"name": "random", "params": {"shots": 20}}], seeds=list(range(8))))
+        expected = per_cell_records(plan)
+        monkeypatch.setattr(pq.bench, "ProcessPoolExecutor", RecordingPool)
+        builds = []
+        original = pq.qubo.build_qubo
+
+        def counting(inst, variant):
+            builds.append(variant)
+            return original(inst, variant)
+
+        monkeypatch.setattr(pq.qubo, "build_qubo", counting)
+        assert pq.sweep(plan, workers=4) == expected
+        assert [[c.seed for c in cells] for cells, _, _ in RecordingPool.jobs] == [
+            [0, 1], [2, 3], [4, 5], [6, 7]]
+        assert len(builds) == 4
+
+    def test_split_halves_the_largest_job_in_place(self):
+        split = pq.bench._split_jobs
+        assert split([[1, 2, 3], [4]], 3) == [[1], [2, 3], [4]]
+        assert split([[1], [2], [3]], 2) == [[1], [2], [3]]
+        assert split([[1], [2]], 4) == [[1], [2]]
+        assert split([], 4) == []
 
 
 class TestExportReport:

@@ -278,6 +278,7 @@ class TestMalformedInput:
         {"steps": 0},
         {"delta_gamma": -1},
         {"t_start": "abc"},
+        {"t_start": 10**400},
         {"p": [1, 0]},
         {"delta_beta": [0.6, float("inf")]},
     ])
