@@ -3,9 +3,10 @@
 A sweep plan names instances, construction variants, solvers, and
 seeds; every combination is one cell.  The sweep runs the cells in
 groups, one job per (instance, variant): the job compiles the QUBO
-once and runs, post-processes and scores each (solver, parameters,
-seed) cell of the group on it, so the per-``Qubo`` caches (dense
-mirror, ramp diagonal) are shared by the whole group.  Each cell's
+once, samples all seeds of each (solver, parameters) pair in one
+registry call, and post-processes and scores each cell's samples, so
+the per-``Qubo`` caches (dense mirror, ramp diagonal) are shared by the
+whole group and annealing runs a pair's seeds in one loop.  Each cell's
 samples are scored against the exhaustive reference optimum with three
 metrics:
 
@@ -227,36 +228,37 @@ class RunRecord:
 
 # The parameters reach the runners checked (see ``expand_solver_params``)
 # or typed by the CLI's flags, so they are used as given.
-def _run_sa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
+def _run_sa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
     cfg = solvers.SaConfig(
         steps=params["steps"],
         restarts=params["restarts"],
         t_start=params.get("t_start"),
         t_end=params.get("t_end"),
-        seed=seed,
     )
-    return solvers.simulated_anneal(q, cfg)
+    return solvers.simulated_anneal(q, cfg, seeds=seeds)
 
 
-def _run_random(q: Qubo, params: Mapping, seed: int) -> SampleSet:
-    return solvers.random_sample(q, params["shots"], seed)
+def _run_random(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
+    return [solvers.random_sample(q, params["shots"], seed) for seed in seeds]
 
 
-def _run_lrqaoa(q: Qubo, params: Mapping, seed: int) -> SampleSet:
+def _run_lrqaoa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
     sched = lrqaoa.lr_schedule(params["p"], params["delta_gamma"], params["delta_beta"])
-    return lrqaoa.run_lrqaoa(q, sched, params["shots"], seed)
+    return [lrqaoa.run_lrqaoa(q, sched, params["shots"], seed) for seed in seeds]
 
 
-def _run_brute(q: Qubo, params: Mapping, seed: int) -> SampleSet:
-    bits, _ = solvers.brute_force_qubo(q)
-    meta = {"solver": "brute", "params": {}, "seed": seed}
-    return solvers.sampleset_from_states(qubo.as_dense(q), qubo.bits_to_vector(bits)[None, :],
-                                         [1], meta)
+def _run_brute(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
+    bits, _ = solvers.brute_force_qubo(q)  # the same minimum for every seed
+    state = qubo.bits_to_vector(bits)[None, :]
+    return [solvers.sampleset_from_states(qubo.as_dense(q), state, [1],
+                                          {"solver": "brute", "params": {}, "seed": seed})
+            for seed in seeds]
 
 
 @dataclass(frozen=True)
 class Solver:
-    """A sampler's default parameters and its ``run(q, params, seed)``.
+    """A sampler's default parameters and its ``run(q, params, seeds)``,
+    which returns one :class:`SampleSet` per seed, in order.
 
     ``optional`` maps the parameters it also accepts without a default
     to their type.  A parameter's type (its default's, or the one
@@ -265,7 +267,7 @@ class Solver:
     """
 
     defaults: dict[str, object]
-    run: Callable[[Qubo, Mapping, int], SampleSet]
+    run: Callable[[Qubo, Mapping, Sequence[int]], list[SampleSet]]
     optional: Mapping[str, type] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -426,17 +428,19 @@ def _record_base(cell: SweepCell, inst: Instance) -> dict:
 
 
 def run_cell(cell: SweepCell, inst: Instance, reference: Solution,
-             q: Qubo | None = None) -> RunRecord:
+             q: Qubo | None = None, samples: SampleSet | None = None) -> RunRecord:
     """Execute one grid cell; failures land in the record, never raise.
 
-    ``q`` is the cell's compiled QUBO; the cell builds it when none is
-    given.
+    ``q`` is the cell's compiled QUBO and ``samples`` its solver output;
+    the cell builds the one and runs its solver for the other when they
+    are not given.
     """
     base = _record_base(cell, inst)
     try:
         if q is None:
             q = qubo.build_qubo(inst, cell.variant)
-        samples = SOLVERS[cell.solver].run(q, cell.solver_params, cell.seed)
+        if samples is None:
+            [samples] = SOLVERS[cell.solver].run(q, cell.solver_params, [cell.seed])
         if cell.postprocess:
             samples = solvers.postprocess_sampleset(q, samples)
         scored = score_samples(samples, inst, q)
@@ -459,22 +463,38 @@ def _run_group(job: tuple[list[SweepCell], Instance, Solution]) -> list[RunRecor
     """Compile the QUBO of one (instance, variant) group once and run
     every cell of the group on it.
 
-    When the build fails, each cell builds again itself and so records
-    the error it would get run alone.
+    The cells of one (solver, parameters) form a batch: one registry
+    call samples all their seeds, and each cell then post-processes and
+    scores its own set.  When the build or a batch fails, each cell
+    concerned builds or samples again itself and so records the error it
+    would get run alone.
     """
     cells, inst, reference = job
     try:
         q = qubo.build_qubo(inst, cells[0].variant)
     except Exception:  # run_cell records the failure per cell
-        q = None
-    return [run_cell(c, inst, reference, q) for c in cells]
+        return [run_cell(c, inst, reference) for c in cells]
+    batches: dict[tuple, list[SweepCell]] = {}
+    for c in cells:
+        batches.setdefault((c.solver, tuple(sorted(c.solver_params.items()))), []).append(c)
+    records = []
+    for batch in batches.values():
+        try:
+            runs = SOLVERS[batch[0].solver].run(q, batch[0].solver_params,
+                                                [c.seed for c in batch])
+        except Exception:  # run_cell records the failure per cell
+            runs = [None] * len(batch)
+        records += [run_cell(c, inst, reference, q, samples)
+                    for c, samples in zip(batch, runs)]
+    return records
 
 
 def _split_jobs(groups: list[list[SweepCell]], workers: int) -> list[list[SweepCell]]:
     """Halve the largest group until there are ``workers`` jobs or every
     job is one cell, so a sweep of few groups still fills the pool.
 
-    Each part compiles its own QUBO; the split keeps plan order.
+    Each part compiles its own QUBO and samples its own seeds; the split
+    keeps plan order.
     """
     jobs = list(groups)
     while jobs and len(jobs) < workers:

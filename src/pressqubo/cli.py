@@ -96,8 +96,10 @@ def cmd_solve(args) -> int:
     if foreign:
         named = ", ".join("--" + k.replace("_", "-") for k in foreign)
         raise ValueError(f"solver {args.solver!r} does not take {named}")
+    for key, value in sorted(given.items()):
+        bench._check_solver_param(args.solver, key, value)
     q = qubo.load_qubo(args.qubo)
-    samples = solver.run(q, {**solver.defaults, **given}, args.seed)
+    [samples] = solver.run(q, {**solver.defaults, **given}, [args.seed])
     if args.postprocess:
         samples = solvers.postprocess_sampleset(q, samples)
     solvers.save_sampleset(samples, args.output)

@@ -36,6 +36,7 @@ analyses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 import numpy as np
 
@@ -72,8 +73,9 @@ def lr_schedule(p: int, delta_gamma: float = 0.9, delta_beta: float = 0.6) -> Ra
     """
     if p < 1:
         raise ValueError("layer count must be >= 1")
-    if delta_gamma <= 0 or delta_beta <= 0:
-        raise ValueError("ramp slopes must be positive")
+    if not all(math.isfinite(d) and d > 0 for d in (delta_gamma, delta_beta)):
+        raise ValueError(f"ramp slopes must be finite and positive, got "
+                         f"{delta_gamma!r} and {delta_beta!r}")
     gammas = tuple(delta_gamma * i / p for i in range(1, p + 1))
     betas = tuple(delta_beta * (p - i + 1) / p for i in range(1, p + 1))
     return RampSchedule(p=p, delta_gamma=delta_gamma, delta_beta=delta_beta,

@@ -8,16 +8,20 @@ any sampler's output.
 
 Determinism: every sampler derives all randomness from its seed (each
 annealing restart from ``(seed, restart_index)``), so identical calls
-return identical results regardless of scheduling.
+return identical results regardless of scheduling.  Annealing several
+seeds in one stacked step loop, and reusing the last restart draws for
+an identical next batch, change neither a restart's stream nor its
+arithmetic: each seed's result equals a call for that seed alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence, overload
 
 import numpy as np
 
@@ -122,7 +126,8 @@ class SaConfig:
     """Annealing run shape; temperatures default to the coefficient scale.
 
     When ``t_start``/``t_end`` are None they resolve to the largest
-    coefficient magnitude and a thousandth of it.
+    coefficient magnitude and a thousandth of it.  A given temperature
+    must be finite and > 0.
     """
 
     steps: int = 1280
@@ -136,15 +141,26 @@ class SaConfig:
             raise ValueError("steps and restarts must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        for t in (self.t_start, self.t_end):
+            if t is not None and not (math.isfinite(t) and t > 0):
+                raise ValueError(f"temperatures must be finite and > 0, got {t!r}")
         if self.t_start is not None and self.t_end is not None:
             if not (self.t_start >= self.t_end > 0):
                 raise ValueError("need t_start >= t_end > 0")
 
     def temperatures(self, q: Qubo) -> np.ndarray:
+        """The ``steps`` temperatures of the geometric ladder on ``q``."""
+        return self._ladder(as_dense(q))
+
+    def _ladder(self, dense: DenseQubo) -> np.ndarray:
         t_start = self.t_start
         t_end = self.t_end
         if t_start is None:
-            scale = float(q.max_abs_coefficient())
+            # The map is upper-triangular, so each mirror entry is the float
+            # of one coefficient, and float() is monotone: this is
+            # float(q.max_abs_coefficient()).
+            scale = float(max(np.abs(dense.linear).max(initial=0.0),
+                              np.abs(dense.couplings).max(initial=0.0)))
             t_start = scale if scale > 0 else 1.0
         if t_end is None:
             t_end = 1e-3 * t_start
@@ -156,7 +172,56 @@ class SaConfig:
         return t_start * ratio ** (np.arange(self.steps) / (self.steps - 1))
 
 
-def simulated_anneal(q: Qubo, cfg: SaConfig) -> SampleSet:
+# Restart rows annealed in one step loop; a seed's restarts are never split.
+_BATCH_ROWS = 1024
+
+# The last (key, draws) of _restart_draws, or nothing.
+_last_draws: list[tuple[tuple, tuple[np.ndarray, ...]]] = []
+
+
+def _restart_draws(seeds: Sequence[int], restarts: int, n: int,
+                   steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every restart's random streams for ``seeds``, stacked seed by seed.
+
+    Row ``k * restarts + r`` holds restart ``r`` of ``seeds[k]``, drawn
+    from ``default_rng([seed, r])`` exactly as a lone restart draws it:
+    its start state (rows, n) as uint8, then its flip indices and its
+    uniforms, stored as (steps, rows) so each step reads contiguous
+    columns.  The indices are int64 draws kept in the smallest unsigned
+    type that holds ``n - 1``.  The arrays are read-only; the last set
+    is kept for an identical next call and dropped before a new set is
+    drawn.
+    """
+    key = (tuple(seeds), restarts, n, steps)
+    if _last_draws and _last_draws[0][0] == key:
+        return _last_draws[0][1]
+    _last_draws.clear()
+    rows = len(seeds) * restarts
+    starts = np.empty((rows, n), dtype=np.uint8)
+    flips = np.empty((steps, rows), dtype=np.min_scalar_type(n - 1))
+    uniforms = np.empty((steps, rows))
+    row = 0
+    for seed in seeds:
+        for r in range(restarts):
+            rng = np.random.default_rng([seed, r])
+            starts[row] = rng.integers(0, 2, size=n)
+            flips[:, row] = rng.integers(0, n, size=steps)
+            uniforms[:, row] = rng.random(steps)
+            row += 1
+    draws = (starts, flips, uniforms)
+    for array in draws:
+        array.setflags(write=False)
+    _last_draws.append((key, draws))
+    return draws
+
+
+@overload
+def simulated_anneal(q: Qubo, cfg: SaConfig, seeds: None = None) -> SampleSet: ...
+@overload
+def simulated_anneal(q: Qubo, cfg: SaConfig, seeds: Sequence[int]) -> list[SampleSet]: ...
+
+
+def simulated_anneal(q, cfg, seeds=None):
     """Independent single-bit-flip annealing chains, one per restart.
 
     Each step flips one uniformly random bit; the flip is kept when it
@@ -165,7 +230,59 @@ def simulated_anneal(q: Qubo, cfg: SaConfig) -> SampleSet:
     draw is consumed per step whether or not it is needed, so each
     restart's stream is reproducible in isolation.  The final state of
     every restart is recorded.
+
+    Without ``seeds`` the result is the :class:`SampleSet` of
+    ``cfg.seed``.  With ``seeds`` (``cfg.seed`` is then unused) it is a
+    list of one set per seed, in order, equal to separate calls: the
+    restarts of up to ``_BATCH_ROWS // cfg.restarts`` seeds (at least
+    one) run in one step loop, and no row's arithmetic depends on the
+    rows beside it.  :func:`simulated_anneal_reference` is the per-seed
+    kernel this is tested against.
     """
+    if q.n < 1:
+        raise ValueError("QUBO must have at least one variable")
+    batch = [cfg.seed] if seeds is None else list(seeds)
+    if any(s < 0 for s in batch):
+        raise ValueError("seeds must be non-negative")
+    dense = as_dense(q)
+    temps = cfg._ladder(dense)
+    per_batch = max(1, _BATCH_ROWS // cfg.restarts)
+    results = []
+    for start in range(0, len(batch), per_batch):
+        results += _anneal_batch(dense, cfg, temps, batch[start:start + per_batch])
+    return results[0] if seeds is None else results
+
+
+def _anneal_batch(dense: DenseQubo, cfg: SaConfig, temps: np.ndarray,
+                  seeds: Sequence[int]) -> list[SampleSet]:
+    """Anneal the stacked restarts of ``seeds``; one set per seed."""
+    R, n, steps = cfg.restarts, dense.n, cfg.steps
+    starts, flips, uniforms = _restart_draws(seeds, R, n, steps)
+    states = starts.astype(np.float64)
+    flat = states.reshape(-1)  # a view: bit i of row r is flat[r * n + i]
+    row_start = np.arange(0, flat.size, n)
+    for s in range(steps):
+        i = flips[s]
+        at = row_start + i
+        field_i = dense.linear.take(i) + np.einsum(
+            "rn,rn->r", dense.couplings.take(i, axis=0), states)
+        d_e = (1.0 - 2.0 * flat.take(at)) * field_i
+        # dE <= 0 always passes: exp(0) = 1 > any uniform draw in [0, 1)
+        at = at[uniforms[s] < np.exp(-np.maximum(d_e, 0.0) / temps[s])]
+        flat[at] = 1.0 - flat[at]
+
+    params = {"steps": steps, "restarts": R,
+              "t_start": float(temps[0]), "t_end": float(temps[-1])}
+    # One sampleset_from_states per seed keeps each seed's energies
+    # rounded as a lone call rounds them.
+    return [sampleset_from_states(dense, states[k * R:(k + 1) * R], np.ones(R, dtype=np.int64),
+                                  {"solver": "sa", "params": dict(params), "seed": seed})
+            for k, seed in enumerate(seeds)]
+
+
+def simulated_anneal_reference(q: Qubo, cfg: SaConfig) -> SampleSet:
+    """:func:`simulated_anneal` of ``cfg.seed``, one restart stream at a
+    time: the reference the stacked kernel is tested against."""
     if q.n < 1:
         raise ValueError("QUBO must have at least one variable")
     dense = as_dense(q)

@@ -306,8 +306,13 @@ class TestSolverRegistry:
                                                  name, module, attr):
         # A tracer patches module attributes; the registry must call the patch.
         marker = SampleSet(entries=(), meta={"patched": attr})
-        monkeypatch.setattr(module, attr, lambda *args: marker)
-        assert SOLVERS[name].run(tiny_qubo, DEFAULT_SOLVER_PARAMS[name], 0) is marker
+
+        def patched(*args, seeds=None):  # annealing takes all seeds in one call
+            return marker if seeds is None else [marker] * len(seeds)
+
+        monkeypatch.setattr(module, attr, patched)
+        runs = SOLVERS[name].run(tiny_qubo, DEFAULT_SOLVER_PARAMS[name], [0, 1])
+        assert len(runs) == 2 and all(samples is marker for samples in runs)
 
 
 def write_plan(tmp_path, tiny, **overrides):
@@ -523,6 +528,46 @@ class TestGroupedSweep:
         assert [[c.seed for c in cells] for cells, _, _ in RecordingPool.jobs] == [
             [0, 1], [2, 3], [4, 5], [6, 7]]
         assert len(builds) == 4
+
+    def test_one_annealing_call_per_group_and_parameters(self, tiny, tmp_path, monkeypatch):
+        # perfbench traces annealing by wrapping the module attribute and
+        # reads the run shape from the second argument.
+        plan = load_plan(write_plan(
+            tmp_path, tiny, variants=[{"kind": "rounded"}, {"kind": "scaled", "ls": [1]}],
+            solvers=[{"name": "sa", "params": {"steps": [30, 40], "restarts": 10}},
+                     {"name": "random", "params": {"shots": 20}}],
+            seeds=[0, 1], postprocess=True))
+        expected = per_cell_records(plan)
+        calls = []
+        original = pq.solvers.simulated_anneal
+
+        def counting(q, cfg, seeds=None):
+            calls.append((q.variant.kind, cfg.steps, cfg.restarts, seeds))
+            return original(q, cfg, seeds=seeds)
+
+        monkeypatch.setattr(pq.solvers, "simulated_anneal", counting)
+        assert pq.sweep(plan) == expected
+        assert sorted(calls) == [("rounded", 30, 10, [0, 1]), ("rounded", 40, 10, [0, 1]),
+                                 ("scaled", 30, 10, [0, 1]), ("scaled", 40, 10, [0, 1])]
+
+    def test_failed_batch_gives_each_cell_its_own_error(self, tiny, tmp_path, monkeypatch):
+        plan = load_plan(write_plan(
+            tmp_path, tiny, variants=[{"kind": "rounded"}],
+            solvers=[{"name": "sa", "params": {"steps": 30, "restarts": 10}}],
+            seeds=[0, 1, 2]))
+        original = pq.solvers.simulated_anneal
+
+        def failing(q, cfg, seeds=None):
+            if seeds is not None and len(seeds) > 1:
+                raise MemoryError("batch too large")
+            if seeds == [1]:
+                raise ValueError("seed 1 fails")
+            return original(q, cfg, seeds=seeds)
+
+        monkeypatch.setattr(pq.solvers, "simulated_anneal", failing)
+        records = pq.sweep(plan)
+        assert [r.error for r in records] == [None, "ValueError: seed 1 fails", None]
+        assert records[0] == per_cell_records(plan)[0]
 
     def test_split_halves_the_largest_job_in_place(self):
         split = pq.bench._split_jobs

@@ -116,6 +116,17 @@ class TestSolve:
                    "--seed", 2, "--postprocess", "-o", out) == 0
         assert pq.load_sampleset(out).meta["postprocessed"]
 
+    @pytest.mark.parametrize("flags", [
+        ("--solver", "sa", "--t-start", "inf"),
+        ("--solver", "lrqaoa", "--delta-gamma", "nan"),
+        ("--solver", "lrqaoa", "--delta-beta", "inf"),
+    ])
+    def test_non_finite_solver_flag_is_usage_error(self, qubo_file, tmp_path, capsys, flags):
+        out = tmp_path / "s.csv"
+        assert run("solve", qubo_file, *flags, "-o", out) == 2
+        assert "must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic(self, qubo_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         flags = ("--solver", "sa", "--steps", 80, "--restarts", 20, "--seed", 9)
@@ -358,7 +369,7 @@ def test_solve_defaults_match_the_sweep_call(tmp_path, name):
     assert run("solve", path, "--solver", name, "--seed", 3, "-o", out) == 0
     [(_, params)] = bench.expand_solver_params({"name": name})
     assert params == bench.DEFAULT_SOLVER_PARAMS[name]
-    expected = bench.SOLVERS[name].run(q, params, 3)
+    [expected] = bench.SOLVERS[name].run(q, params, [3])
     assert pq.load_sampleset(out) == expected
 
 

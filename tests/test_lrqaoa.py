@@ -43,6 +43,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             pq.lr_schedule(1, 0.9, -0.1)
 
+    @pytest.mark.parametrize("slopes", [(float("nan"), 0.6), (0.9, float("nan")),
+                                        (float("inf"), 0.6), (0.9, float("inf"))])
+    def test_slopes_must_be_finite(self, slopes):
+        with pytest.raises(ValueError, match="finite and positive"):
+            pq.lr_schedule(1, *slopes)
+
 
 class TestDiagonal:
     def test_single_variable(self):

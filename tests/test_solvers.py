@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +10,14 @@ import pytest
 import pressqubo as pq
 from pressqubo.errors import TooLarge
 from pressqubo.qubo import Qubo, as_dense, dense_energies, flip_delta
-from pressqubo.solvers import SampleEntry, SampleSet, _bitflip_pass, sampleset_from_states
+from pressqubo import solvers
+from pressqubo.solvers import (
+    SampleEntry,
+    SampleSet,
+    _bitflip_pass,
+    sampleset_from_states,
+    simulated_anneal_reference,
+)
 
 LAM_M = Fraction(1000)
 LAM_T = Fraction(10**7)
@@ -21,6 +31,15 @@ def random_integer_qubo(rng, n, scale=50):
             if c:
                 coeffs[(i, j)] = Fraction(c)
     return Qubo(n=n, coeffs=coeffs, offset=Fraction(int(rng.integers(-10, 11))))
+
+
+def random_fraction_qubo(rng, n, terms=None):
+    """Coefficients p/d with |p| <= 50 and d in 1..12, on every pair or on
+    ``terms`` random pairs."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)] if terms is None else [
+        tuple(sorted(int(v) for v in rng.integers(0, n, size=2))) for _ in range(terms)]
+    coeffs = {p: Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 13))) for p in pairs}
+    return Qubo(n=n, coeffs=coeffs, offset=Fraction(int(rng.integers(-10, 11)), 3))
 
 
 def spectrum_by_energy(q):
@@ -158,6 +177,29 @@ class TestSimulatedAnneal:
         with pytest.raises(ValueError):
             pq.SaConfig(t_start=1.0, t_end=2.0)
 
+    @pytest.mark.parametrize("temps", [
+        {"t_start": math.inf}, {"t_start": math.nan}, {"t_end": math.inf},
+        {"t_end": math.nan}, {"t_start": math.inf, "t_end": 1.0}, {"t_end": 0.0},
+        {"t_start": -1.0},
+    ])
+    def test_temperatures_must_be_finite_and_positive(self, temps):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            pq.SaConfig(**temps)
+
+    def test_default_scale_is_the_largest_coefficient_magnitude(self):
+        rng = np.random.default_rng(17)
+        cfg = pq.SaConfig(steps=3)
+        for k in range(40):
+            n = int(rng.integers(1, 12))
+            q = random_fraction_qubo(rng, n) if k % 2 else random_integer_qubo(rng, n)
+            scale = float(q.max_abs_coefficient())
+            assert cfg.temperatures(q)[0] == (scale if scale > 0 else 1.0)
+        for q in (Qubo(n=3, coeffs={}, offset=Fraction(4)),
+                  Qubo(n=2, coeffs={(0, 1): Fraction(-7, 3)}, offset=Fraction(0)),
+                  Qubo(n=2, coeffs={(1, 1): Fraction(-1, 10**30)}, offset=Fraction(0))):
+            scale = float(q.max_abs_coefficient())
+            assert cfg.temperatures(q)[0] == (scale if scale > 0 else 1.0)
+
     def test_geometric_temperature_ladder(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
         cfg = pq.SaConfig(steps=5, t_start=16.0, t_end=1.0)
@@ -192,6 +234,89 @@ class TestSimulatedAnneal:
             sa_best.append(sa.best.energy)
             rnd_best.append(rnd.best.energy)
         assert np.median(sa_best) <= np.median(rnd_best)
+
+
+def stacked_and_alone(q, cfg, seeds):
+    return (pq.simulated_anneal(q, cfg, seeds=seeds),
+            [simulated_anneal_reference(q, replace(cfg, seed=k)) for k in seeds])
+
+
+class TestStackedAnneal:
+    """All seeds of one call in one step loop, against the per-seed reference."""
+
+    def test_randomized_identity(self):
+        rng = np.random.default_rng(23)
+        for k in range(16):
+            n = int(rng.integers(1, 24))
+            q = random_fraction_qubo(rng, n) if k % 2 else random_integer_qubo(rng, n)
+            cfg = pq.SaConfig(steps=int(rng.integers(1, 60)), restarts=(13, 77)[k % 4 // 2],
+                              t_start=40.0 if k % 3 == 0 else None)
+            seeds = [int(s) for s in rng.choice(50, size=1 + k % 3, replace=False)]
+            stacked, alone = stacked_and_alone(q, cfg, seeds)
+            assert stacked == alone
+            assert [s.meta["seed"] for s in stacked] == seeds
+
+    def test_bundled_instance_and_given_temperatures(self):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.ScaledVariant(Fraction(1)))
+        cfg = pq.SaConfig(steps=200, restarts=40, t_start=50.0, t_end=0.5)
+        stacked, alone = stacked_and_alone(q, cfg, [4, 0, 9])
+        assert stacked == alone
+        assert pq.simulated_anneal(q, replace(cfg, seed=9)) == alone[2]
+
+    def test_more_than_256_variables(self):
+        rng = np.random.default_rng(5)
+        q = random_fraction_qubo(rng, 300, terms=400)
+        stacked, alone = stacked_and_alone(q, pq.SaConfig(steps=40, restarts=13), [1, 2])
+        assert stacked == alone
+        assert solvers._last_draws[0][1][1].dtype == np.uint16
+
+    def test_batches_split_at_the_row_cap_without_splitting_a_seed(self):
+        rng = np.random.default_rng(8)
+        q = random_fraction_qubo(rng, 9)
+        assert solvers._BATCH_ROWS == 1024
+        cfg = pq.SaConfig(steps=20, restarts=400)
+        stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2])  # 1,200 rows: batches of 2, 1
+        assert stacked == alone
+        assert solvers._last_draws[0][0] == ((2,), 400, 9, 20)
+        cfg = pq.SaConfig(steps=5, restarts=1100)  # one seed over the cap still runs whole
+        stacked, alone = stacked_and_alone(q, cfg, [0, 1])
+        assert stacked == alone
+        assert solvers._last_draws[0][0] == ((1,), 1100, 9, 5)
+
+    def test_results_do_not_depend_on_earlier_calls(self):
+        rng = np.random.default_rng(2)
+        a, b = random_integer_qubo(rng, 7), random_fraction_qubo(rng, 11)
+        cfg, other = pq.SaConfig(steps=30, restarts=13), pq.SaConfig(steps=25, restarts=77)
+        for q, c in ((a, cfg), (b, cfg), (a, cfg), (a, other), (a, cfg)):
+            stacked, alone = stacked_and_alone(q, c, [0, 1])
+            assert stacked == alone
+            assert len(solvers._last_draws) == 1
+            key, draws = solvers._last_draws[0]
+            assert key == ((0, 1), c.restarts, q.n, c.steps)
+            assert not any(array.flags.writeable for array in draws)
+
+    def test_empty_and_negative_seeds(self, tiny):
+        q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
+        assert pq.simulated_anneal(q, pq.SaConfig(steps=5, restarts=3), seeds=[]) == []
+        with pytest.raises(ValueError, match="non-negative"):
+            pq.simulated_anneal(q, pq.SaConfig(steps=5, restarts=3), seeds=[0, -1])
+
+    def test_peak_memory_of_a_two_seed_batch(self):
+        rng = np.random.default_rng(1)
+        q = random_integer_qubo(rng, 40)
+        as_dense(q)
+        cfg = pq.SaConfig(steps=1280, restarts=500)
+        attempts = 2 * cfg.restarts * cfg.steps
+        solvers._last_draws.clear()
+        tracemalloc.start()
+        try:
+            pq.simulated_anneal(q, cfg, seeds=[0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The draws take 9 B per flip attempt (a uint8 index and a float64
+        # uniform); a lone call of the reference holds 16 B per attempt.
+        assert peak < 10 * attempts
 
 
 class TestBitflipPostprocess:
