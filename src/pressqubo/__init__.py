@@ -13,7 +13,6 @@ from .model import (
     Instance,
     Solution,
     bundled_instance,
-    bundled_instances,
     exact_solve,
     generate_instance,
     load_instance,

@@ -36,7 +36,7 @@ import csv
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -309,23 +309,16 @@ def _require(value, kind: type, what: str):
     return value
 
 
-def _fractions(entry: Mapping, key: str, default: Sequence[Fraction]) -> list[Fraction]:
-    return [model.as_fraction(str(v)) for v in _require(entry.get(key, list(default)), list, key)]
-
-
 def expand_variants(entry: Mapping) -> list[VariantSpec]:
-    """One plan entry to concrete variant specs (defaults: full grids)."""
+    """One plan entry to concrete variant specs: the product of the
+    entry's parameter lists, where a parameter it leaves out takes its
+    default grid from :data:`~pressqubo.qubo.VARIANT_KINDS`."""
     kind = _require(entry, dict, "a variant entry").get("kind")
-    if kind == "raw":
-        lms = _fractions(entry, "lm", qubo.RAW_MACHINE_PENALTIES)
-        lts = _fractions(entry, "lt", qubo.RAW_TOOLKIT_PENALTIES)
-        return [qubo.RawVariant(lm, lt) for lm in lms for lt in lts]
-    if kind == "scaled":
-        lss = _fractions(entry, "ls", qubo.SCALED_ASSIGNMENT_SCALES)
-        return [qubo.ScaledVariant(ls) for ls in lss]
-    if kind == "rounded":
-        return [qubo.RoundedVariant()]
-    raise ValueError(f"unknown variant kind {kind!r}")
+    if not isinstance(kind, str) or kind not in qubo.VARIANT_KINDS:
+        raise ValueError(f"unknown variant kind {kind!r}")
+    grids = {label: [str(v) for v in _require(entry.get(label, list(default)), list, label)]
+             for label, default in qubo.VARIANT_KINDS[kind][1].items()}
+    return qubo.variant_grid(kind, grids)
 
 
 def _check_solver_param(name: str, key: str, value) -> None:
@@ -516,7 +509,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     (instance, variant), and each group is one job that compiles its
     QUBO once; with ``workers > 1`` the jobs run in that many
     processes, in plan order.  When there are fewer groups than
-    workers, the largest groups are split so every worker gets a job.
+    workers, the largest groups are split so every worker gets a job;
+    when there are still fewer jobs than workers, the pool has one
+    process per job, and one job runs in this process.
     Cells fail individually without
     aborting the sweep; when an instance has no reference solution
     (it is infeasible or too large to enumerate), each of its cells
@@ -547,6 +542,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
             groups.setdefault((c.instance_path, c.variant), []).append(c)
     jobs = [(part, instances[part[0].instance_path], references[part[0].instance_path])
             for part in _split_jobs(list(groups.values()), workers)]
+    # A fork pool starts all its processes at the first submit: start no
+    # more than there are jobs.
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for group_records in pool.map(_run_group, jobs):
@@ -593,31 +591,19 @@ def aggregate_metrics(records: Sequence[RunRecord]) -> list[dict]:
     return rows
 
 
-def select_best_penalty(
-    records: Sequence[RunRecord],
-    group_keys: Sequence[str] = ("instance_id", "solver", "solver_params"),
-) -> dict[tuple, VariantSpec]:
-    """Best variant per group and variant kind.
+def select_best_penalty(records: Sequence[RunRecord]) -> dict[tuple, VariantSpec]:
+    """Best variant per (instance, solver, solver parameters, variant kind).
 
     Ranking: highest valid share, then highest best-cost ratio, then
     the lexicographically smallest penalty parameters.  Groups without
     scored records are skipped.
     """
-    def group_of(r: RunRecord):
-        fields = {
-            "instance_id": r.instance_id,
-            "solver": r.solver,
-            "solver_params": r.params_label(),
-            "variant_kind": r.variant.kind,
-            "seed": r.seed,
-        }
-        return tuple(fields[k] for k in group_keys) + (r.variant.kind,)
-
     pools: dict[tuple, dict] = {}
     for r in records:
         if r.error is not None or r.percent_valid is None:
             continue
-        pools.setdefault(group_of(r), {}).setdefault(variant_sort_key(r.variant), []).append(r)
+        group = (r.instance_id, r.solver, r.params_label(), r.variant.kind)
+        pools.setdefault(group, {}).setdefault(variant_sort_key(r.variant), []).append(r)
 
     best: dict[tuple, VariantSpec] = {}
     for group, by_variant in pools.items():
@@ -686,21 +672,7 @@ def series_correlations(records: Sequence[RunRecord]) -> list[dict]:
 # Export
 # ---------------------------------------------------------------------------
 
-RUNS_COLUMNS = (
-    "instance_id",
-    "variant",
-    "solver",
-    "solver_params",
-    "seed",
-    "n_samples",
-    "n_valid",
-    "best_energy",
-    "best_valid_cost",
-    "percent_valid",
-    "percent_near_opt",
-    "best_cost_ratio",
-    "error",
-)
+RUNS_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
 METRICS_COLUMNS = (
     "instance_id",
@@ -723,21 +695,8 @@ def _cell_text(value) -> str:
 
 
 def _record_row(r: RunRecord) -> dict:
-    return {
-        "instance_id": r.instance_id,
-        "variant": variant_label(r.variant),
-        "solver": r.solver,
-        "solver_params": r.params_label(),
-        "seed": r.seed,
-        "n_samples": r.n_samples,
-        "n_valid": r.n_valid,
-        "best_energy": r.best_energy,
-        "best_valid_cost": r.best_valid_cost,
-        "percent_valid": r.percent_valid,
-        "percent_near_opt": r.percent_near_opt,
-        "best_cost_ratio": r.best_cost_ratio,
-        "error": r.error,
-    }
+    return {**{c: getattr(r, c) for c in RUNS_COLUMNS},
+            "variant": variant_label(r.variant), "solver_params": r.params_label()}
 
 
 def _write_csv(path: Path, columns: Sequence[str], rows: Sequence[Mapping]) -> None:

@@ -54,18 +54,17 @@ def cmd_gen(args) -> int:
 
 
 def _variant_from_args(args) -> qubo.VariantSpec:
-    if args.variant == "raw":
-        return qubo.RawVariant(model.as_fraction(args.lm), model.as_fraction(args.lt))
-    if args.variant == "scaled":
-        ls = model.as_fraction(args.ls)
-        if ls not in qubo.SCALED_ASSIGNMENT_SCALES:
-            print(
-                f"warning: assignment scale {args.ls} is off the default grid "
-                f"{[str(s) for s in qubo.SCALED_ASSIGNMENT_SCALES]}",
-                file=sys.stderr,
-            )
-        return qubo.ScaledVariant(ls)
-    return qubo.RoundedVariant()
+    # The --lm, --lt and --ls flags carry the parameter labels.
+    grids = {label: [getattr(args, label)] for label in qubo.VARIANT_KINDS[args.variant][1]}
+    scales = qubo.VARIANT_KINDS["scaled"][1]["ls"]
+    if args.variant == "scaled" and model.as_fraction(args.ls) not in scales:
+        print(
+            f"warning: assignment scale {args.ls} is off the default grid "
+            f"{[str(s) for s in scales]}",
+            file=sys.stderr,
+        )
+    [variant] = qubo.variant_grid(args.variant, grids)
+    return variant
 
 
 def cmd_build(args) -> int:
@@ -87,17 +86,23 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+# Every solver parameter of the registry is a ``solve`` flag of its type.
+SOLVE_FLAGS: dict[str, type] = {key: solver.kind(key) for solver in bench.SOLVERS.values()
+                                for key in (*solver.defaults, *solver.optional)}
+
+
 def cmd_solve(args) -> int:
     solver = bench.SOLVERS[args.solver]
-    # Flags carry the solver parameter names; unset ones keep the registry defaults.
-    flags = set().union(*(s.keys() for s in bench.SOLVERS.values()))
-    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    # Unset flags keep the registry defaults.
+    given = {k: getattr(args, k) for k in SOLVE_FLAGS if getattr(args, k) is not None}
     foreign = sorted(set(given) - solver.keys())
     if foreign:
         named = ", ".join("--" + k.replace("_", "-") for k in foreign)
         raise ValueError(f"solver {args.solver!r} does not take {named}")
     for key, value in sorted(given.items()):
         bench._check_solver_param(args.solver, key, value)
+    if args.seed < 0:
+        raise ValueError(f"seeds must be non-negative integers, got {args.seed!r}")
     q = qubo.load_qubo(args.qubo)
     [samples] = solver.run(q, {**solver.defaults, **given}, [args.seed])
     if args.postprocess:
@@ -217,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="compile an instance into a coefficient file")
     p.add_argument("instance")
-    p.add_argument("--variant", choices=("raw", "scaled", "rounded"), required=True)
+    p.add_argument("--variant", choices=tuple(qubo.VARIANT_KINDS), required=True)
     p.add_argument("--lm", default="1e5", help="machine-capacity penalty weight (raw)")
     p.add_argument("--lt", default="1e9", help="assignment penalty weight (raw)")
     p.add_argument("--ls", default="1", help="assignment scale (scaled)")
@@ -228,14 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="sample a coefficient file with one solver")
     p.add_argument("qubo")
     p.add_argument("--solver", choices=tuple(bench.SOLVERS), required=True)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--t-start", type=float)
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--delta-gamma", type=float)
-    p.add_argument("--delta-beta", type=float)
+    for key, kind in SOLVE_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--postprocess", action="store_true",
                    help="apply the single-bit-flip improvement pass")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -518,16 +518,4 @@ def bundled_instance(name: str) -> Instance:
         T, M, bits, seed = BUNDLED_SHAPES[name]
     except KeyError:
         raise KeyError(f"unknown bundled instance {name!r}; see BUNDLED_SHAPES") from None
-    inst = sanitize_instance(generate_instance(T, M, bits, seed))
-    return Instance(
-        id=name,
-        toolkits=inst.toolkits,
-        machines=inst.machines,
-        cost=inst.cost,
-        workload=inst.workload,
-        capacity=inst.capacity,
-    )
-
-
-def bundled_instances() -> dict[str, Instance]:
-    return {name: bundled_instance(name) for name in BUNDLED_SHAPES}
+    return replace(sanitize_instance(generate_instance(T, M, bits, seed)), id=name)

@@ -30,8 +30,9 @@ comparisons can be recovered where they matter.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -49,8 +50,16 @@ SPECTRUM_GUARD = 26
 # Variants
 # ---------------------------------------------------------------------------
 
+class _Variant:
+    def params(self) -> tuple[tuple[str, Fraction], ...]:
+        """(label, value) of each parameter in constructor order, with the
+        labels of :data:`VARIANT_KINDS`."""
+        labels = VARIANT_KINDS[self.kind][1]
+        return tuple(zip(labels, (getattr(self, f.name) for f in fields(self))))
+
+
 @dataclass(frozen=True)
-class RawVariant:
+class RawVariant(_Variant):
     """Hand-picked penalty weights on otherwise untouched data."""
 
     machine_penalty: Fraction
@@ -64,12 +73,9 @@ class RawVariant:
         if self.machine_penalty <= 0 or self.toolkit_penalty <= 0:
             raise ValueError("penalty weights must be positive")
 
-    def params(self) -> tuple[tuple[str, Fraction], ...]:
-        return (("lm", self.machine_penalty), ("lt", self.toolkit_penalty))
-
 
 @dataclass(frozen=True)
-class ScaledVariant:
+class ScaledVariant(_Variant):
     """Value-range rescaling with unit penalties."""
 
     assignment_scale: Fraction = Fraction(1)
@@ -81,35 +87,52 @@ class ScaledVariant:
         if self.assignment_scale <= 0:
             raise ValueError("assignment scale must be positive")
 
-    def params(self) -> tuple[tuple[str, Fraction], ...]:
-        return (("ls", self.assignment_scale),)
-
 
 @dataclass(frozen=True)
-class RoundedVariant:
+class RoundedVariant(_Variant):
     """Cost flattening by integer division, then the scaled pipeline."""
 
     kind = "rounded"
 
-    def params(self) -> tuple[tuple[str, Fraction], ...]:
-        return ()
-
 
 VariantSpec = Union[RawVariant, ScaledVariant, RoundedVariant]
 
-# Default penalty grids (9 raw combinations, 2 scaled, 1 rounded).
-RAW_MACHINE_PENALTIES = (Fraction(10**3), Fraction(10**4), Fraction(10**5))
-RAW_TOOLKIT_PENALTIES = (Fraction(10**7), Fraction(10**8), Fraction(10**9))
-SCALED_ASSIGNMENT_SCALES = (Fraction(1, 10), Fraction(1))
+# kind -> (class, default grid of each parameter by its label, in
+# constructor order).  Plans, sidecars and ``pressqubo build`` name the
+# parameters by these labels.
+VARIANT_KINDS: dict[str, tuple[type, dict[str, tuple[Fraction, ...]]]] = {
+    "raw": (RawVariant, {"lm": (Fraction(10**3), Fraction(10**4), Fraction(10**5)),
+                         "lt": (Fraction(10**7), Fraction(10**8), Fraction(10**9))}),
+    "scaled": (ScaledVariant, {"ls": (Fraction(1, 10), Fraction(1))}),
+    "rounded": (RoundedVariant, {}),
+}
 
-RAW_GRID: tuple[RawVariant, ...] = tuple(
-    RawVariant(lm, lt) for lm in RAW_MACHINE_PENALTIES for lt in RAW_TOOLKIT_PENALTIES
-)
+
+def variant_grid(kind: str, grids: Mapping[str, Sequence]) -> list[VariantSpec]:
+    """Every ``kind`` variant over the product of its parameters' grids.
+
+    ``grids`` maps each parameter label to its values, read with
+    :func:`~pressqubo.model.as_fraction`; the first parameter varies
+    slowest.  Other keys are ignored.  Raises ValueError for an unknown
+    kind and for a parameter ``grids`` lacks: nothing falls back to the
+    default grids.
+    """
+    if not isinstance(kind, str) or kind not in VARIANT_KINDS:
+        raise ValueError(f"unknown variant kind {kind!r}")
+    cls, defaults = VARIANT_KINDS[kind]
+    for label in defaults:
+        if label not in grids:
+            raise ValueError(f"{kind} variant lacks its {label!r} parameter")
+    return [cls(*map(as_fraction, values))
+            for values in itertools.product(*(grids[label] for label in defaults))]
+
+
+# Default penalty grids (9 raw combinations, 2 scaled, 1 rounded).
+RAW_GRID: tuple[RawVariant, ...] = tuple(variant_grid("raw", VARIANT_KINDS["raw"][1]))
 SCALED_GRID: tuple[ScaledVariant, ...] = tuple(
-    ScaledVariant(ls) for ls in SCALED_ASSIGNMENT_SCALES
-)
-ROUNDED_GRID: tuple[RoundedVariant, ...] = (RoundedVariant(),)
-DEFAULT_VARIANT_GRID: tuple[VariantSpec, ...] = RAW_GRID + SCALED_GRID + ROUNDED_GRID
+    variant_grid("scaled", VARIANT_KINDS["scaled"][1]))
+ROUNDED_GRID: tuple[RoundedVariant, ...] = tuple(
+    variant_grid("rounded", VARIANT_KINDS["rounded"][1]))
 
 
 def variant_label(variant: VariantSpec) -> str:
@@ -128,12 +151,7 @@ def variant_sort_key(variant: VariantSpec):
 
 def slack_bit_count(h: int) -> int:
     """Number of binary digits used for a slack bounded by ``h``."""
-    h = _as_int(h, "capacity")
-    if h < 0:
-        raise ValueError("capacity must be non-negative")
-    if h == 0:
-        return 0
-    return h.bit_length()  # floor(log2 h) + 1
+    return len(slack_coefficients(h))
 
 
 def slack_coefficients(h: int) -> tuple[int, ...]:
@@ -231,6 +249,8 @@ class Qubo:
     variant: VariantSpec | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a QUBO needs at least one variable, got n={self.n}")
         object.__setattr__(self, "offset", Fraction(self.offset))
         clean = {}
         for (i, j), c in dict(self.coeffs).items():
@@ -296,10 +316,11 @@ class _Accumulator:
 def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
     """Compile a sanitized instance into binary-quadratic form.
 
-    Both constraint families are added as squared penalty terms; the
-    variant decides the data preprocessing and the penalty weights (see
-    the module docstring).  Identical inputs produce coefficient-
-    identical results.
+    The objective and both constraint families, added as squared
+    penalty terms, are compiled the same way for every variant; the
+    variant decides only the data preprocessing and the weights (see the
+    module docstring).  Identical inputs produce coefficient-identical
+    results.
     """
     if not inst.is_sanitized():
         raise ValueError("instance must be sanitized (integral workloads and capacities)")
@@ -314,59 +335,44 @@ def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
         c_min = min(positive)
         cost = {k: Fraction(int(c // c_min)) if c > 0 else Fraction(0) for k, c in cost.items()}
 
+    v_obj = value_range(list(cost.values()))
+    v_cap = {
+        m: value_range(
+            [inst.workload[t, m] for t in inst.toolkits]
+            + [Fraction(w) for w in varmap.slack_weights[m]]
+        )
+        for m in inst.machines
+    }
+    # No workload and no capacity: the machine's constraint is vacuous.
+    machines = [m for m in inst.machines if v_cap[m] != 0]
+    # The weights: a factor on every cost, the coefficient and weight of
+    # each exactly-once term, and each capacity equality's factor and weight.
     if isinstance(variant, RawVariant):
-        _add_objective(acc, inst, varmap, cost, Fraction(1))
-        for t in inst.toolkits:
-            terms = {varmap.decision_index[t, m]: Fraction(1) for m in inst.machines}
-            acc.add_squared_affine(terms, Fraction(-1), variant.toolkit_penalty)
-        for m in inst.machines:
-            terms = _capacity_terms(inst, varmap, m, Fraction(1))
-            acc.add_squared_affine(terms, -inst.capacity[m], variant.machine_penalty)
+        f_obj, f_assign, w_assign = Fraction(1), Fraction(1), variant.toolkit_penalty
+        f_cap, w_cap = dict.fromkeys(machines, Fraction(1)), variant.machine_penalty
     else:
         scale = variant.assignment_scale if isinstance(variant, ScaledVariant) else Fraction(1)
-        v_obj = value_range(list(cost.values()))
-        v_assign = scale * inst.n_machines
-        v_cap = {
-            m: value_range(
-                [inst.workload[t, m] for t in inst.toolkits]
-                + [Fraction(w) for w in varmap.slack_weights[m]]
-            )
-            for m in inst.machines
-        }
-        v_max = max([v_obj, v_assign, *v_cap.values()])
-        if v_obj > 0:
-            _add_objective(acc, inst, varmap, cost, v_max / v_obj)
-        f_assign = scale * (v_max / v_assign)
-        for t in inst.toolkits:
-            terms = {varmap.decision_index[t, m]: f_assign for m in inst.machines}
-            acc.add_squared_affine(terms, -f_assign, Fraction(1))
+        v_max = max([v_obj, scale * inst.n_machines, *v_cap.values()])
+        f_obj = v_max / v_obj if v_obj else Fraction(1)  # a zero range: every cost is 0
+        # ls times v_max over the exactly-once range ls * machines
+        f_assign, w_assign = v_max / inst.n_machines, Fraction(1)
+        f_cap, w_cap = {m: v_max / v_cap[m] for m in machines}, Fraction(1)
+
+    for t in inst.toolkits:
         for m in inst.machines:
-            if v_cap[m] == 0:
-                continue  # no workload and no capacity: constraint is vacuous
-            f = v_max / v_cap[m]
-            terms = _capacity_terms(inst, varmap, m, f)
-            acc.add_squared_affine(terms, -inst.capacity[m] * f, Fraction(1))
+            i = varmap.decision_index[t, m]
+            acc.add(i, i, cost[t, m] * f_obj)
+    for t in inst.toolkits:
+        terms = {varmap.decision_index[t, m]: f_assign for m in inst.machines}
+        acc.add_squared_affine(terms, -f_assign, w_assign)
+    for m, f in f_cap.items():
+        terms = {varmap.decision_index[t, m]: inst.workload[t, m] * f for t in inst.toolkits}
+        for j, digit in enumerate(varmap.slack_weights[m]):
+            terms[varmap.slack_index[m, j]] = Fraction(digit) * f
+        acc.add_squared_affine(terms, -inst.capacity[m] * f, w_cap)
 
     return Qubo(n=varmap.n, coeffs=acc.coeffs, offset=acc.offset, varmap=varmap,
                 variant=variant)
-
-
-def _add_objective(acc: _Accumulator, inst: Instance, varmap: VariableMap,
-                   cost: Mapping[tuple[str, str], Fraction], factor: Fraction):
-    for t in inst.toolkits:
-        for m in inst.machines:
-            acc.add(varmap.decision_index[t, m], varmap.decision_index[t, m],
-                    cost[t, m] * factor)
-
-
-def _capacity_terms(inst: Instance, varmap: VariableMap, m: str,
-                    factor: Fraction) -> dict[int, Fraction]:
-    terms = {
-        varmap.decision_index[t, m]: inst.workload[t, m] * factor for t in inst.toolkits
-    }
-    for j, w in enumerate(varmap.slack_weights[m]):
-        terms[varmap.slack_index[m, j]] = Fraction(w) * factor
-    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +717,8 @@ def load_qubo(path) -> Qubo:
         if len(parts) != 3:
             raise ValueError(f"bad coefficient line: {line!r}")
         i, j, c = int(parts[0]), int(parts[1]), as_fraction(parts[2])
+        if (i, j) in coeffs:
+            raise ValueError(f"{path}: line {line!r} repeats coefficient ({i}, {j})")
         coeffs[(i, j)] = c
     varmap = None
     variant = None
@@ -762,12 +770,5 @@ def _varmap_from_doc(doc: dict) -> tuple[VariableMap, VariantSpec | None]:
     variant = None
     if "variant" in doc:
         v = doc["variant"]
-        if v["kind"] == "raw":
-            variant = RawVariant(as_fraction(v["lm"]), as_fraction(v["lt"]))
-        elif v["kind"] == "scaled":
-            variant = ScaledVariant(as_fraction(v["ls"]))
-        elif v["kind"] == "rounded":
-            variant = RoundedVariant()
-        else:
-            raise ValueError(f"unknown variant kind {v['kind']!r}")
+        [variant] = variant_grid(v["kind"], {label: [value] for label, value in v.items()})
     return varmap, variant

@@ -239,8 +239,6 @@ def simulated_anneal(q, cfg, seeds=None):
     rows beside it.  :func:`simulated_anneal_reference` is the per-seed
     kernel this is tested against.
     """
-    if q.n < 1:
-        raise ValueError("QUBO must have at least one variable")
     batch = [cfg.seed] if seeds is None else list(seeds)
     if any(s < 0 for s in batch):
         raise ValueError("seeds must be non-negative")
@@ -283,8 +281,6 @@ def _anneal_batch(dense: DenseQubo, cfg: SaConfig, temps: np.ndarray,
 def simulated_anneal_reference(q: Qubo, cfg: SaConfig) -> SampleSet:
     """:func:`simulated_anneal` of ``cfg.seed``, one restart stream at a
     time: the reference the stacked kernel is tested against."""
-    if q.n < 1:
-        raise ValueError("QUBO must have at least one variable")
     dense = as_dense(q)
     temps = cfg.temperatures(q)
     R, n, steps = cfg.restarts, q.n, cfg.steps

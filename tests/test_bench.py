@@ -249,6 +249,12 @@ class TestPlanExpansion:
         with pytest.raises(ValueError):
             expand_variants({"kind": "mystery"})
 
+    def test_raw_grid_is_lm_major_and_fills_left_out_parameters(self):
+        lms = pq.qubo.VARIANT_KINDS["raw"][1]["lm"]
+        assert expand_variants({"kind": "raw", "lt": [5, 3]}) == [
+            pq.RawVariant(lm, lt) for lm in lms for lt in (5, 3)]
+        assert expand_variants({"kind": "raw"}) == list(pq.qubo.RAW_GRID)
+
     def test_solver_param_lists_expand(self):
         combos = expand_solver_params(
             {"name": "lrqaoa", "params": {"p": [1, 2, 5, 10], "shots": 100}}
@@ -444,12 +450,14 @@ def per_cell_records(plan):
 
 
 class RecordingPool:
-    """In-process stand-in for the process pool that records the job order."""
+    """In-process stand-in for the process pool that records the job order
+    and the pool size."""
 
     jobs: list = []
+    max_workers: int | None = None
 
     def __init__(self, max_workers):
-        pass
+        RecordingPool.max_workers = max_workers
 
     def __enter__(self):
         return self
@@ -528,6 +536,18 @@ class TestGroupedSweep:
         assert [[c.seed for c in cells] for cells, _, _ in RecordingPool.jobs] == [
             [0, 1], [2, 3], [4, 5], [6, 7]]
         assert len(builds) == 4
+
+    @pytest.mark.parametrize("seeds,pool_size", [([0], None), ([0, 1], 2)])
+    def test_pool_has_no_more_processes_than_jobs(self, tiny, tmp_path, monkeypatch,
+                                                  seeds, pool_size):
+        plan = load_plan(write_plan(
+            tmp_path, tiny, variants=[{"kind": "rounded"}],
+            solvers=[{"name": "random", "params": {"shots": 20}}], seeds=seeds))
+        expected = per_cell_records(plan)
+        monkeypatch.setattr(RecordingPool, "max_workers", None)
+        monkeypatch.setattr(pq.bench, "ProcessPoolExecutor", RecordingPool)
+        assert pq.sweep(plan, workers=3) == expected
+        assert RecordingPool.max_workers == pool_size  # None: one job runs in this process
 
     def test_one_annealing_call_per_group_and_parameters(self, tiny, tmp_path, monkeypatch):
         # perfbench traces annealing by wrapping the module attribute and

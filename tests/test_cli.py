@@ -4,7 +4,7 @@ import pytest
 
 import pressqubo as pq
 from pressqubo import bench
-from pressqubo.cli import main
+from pressqubo.cli import build_parser, main
 
 
 def run(*argv):
@@ -321,6 +321,35 @@ class TestMalformedInput:
         sidecar.write_text(json.dumps(doc))
         assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
 
+    def test_sidecar_missing_a_parameter_is_usage_error(self, qubo_file, tmp_path, capsys):
+        sidecar = pq.qubo.sidecar_path(qubo_file)
+        doc = json.loads(sidecar.read_text())
+        del doc["variant"]["lt"]
+        sidecar.write_text(json.dumps(doc))
+        assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
+        assert "'lt'" in capsys.readouterr().err
+
+    def test_repeated_coefficient_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "q.coo"
+        path.write_text("2 0\n0 1 -1\n0 0 1\n0 1 5\n")
+        assert run("solve", path, "--solver", "brute", "-o", tmp_path / "s.csv") == 2
+        assert "'0 1 5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", ["random", "brute"])
+    def test_no_variables_is_usage_error(self, tmp_path, solver):
+        path = tmp_path / "q.coo"
+        path.write_text("0 0\n")
+        out = tmp_path / "s.csv"
+        assert run("solve", path, "--solver", solver, "-o", out) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", sorted(bench.SOLVERS))
+    def test_negative_seed_is_usage_error(self, qubo_file, tmp_path, solver, capsys):
+        out = tmp_path / "s.csv"
+        assert run("solve", qubo_file, "--solver", solver, "--seed", -1, "-o", out) == 2
+        assert "seeds must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", ["2 0\n0 0 1/0\n", "2 1/0\n0 0 1\n"])
     def test_zero_denominator_in_coefficient_file_is_usage_error(self, tmp_path, capsys,
                                                                   text):
@@ -357,6 +386,18 @@ class TestMalformedInput:
         assert not out.exists()
         assert run("solve", qubo_file, "--solver", "sa", "--steps", 10, "--restarts", 4,
                    "-o", out) == 0
+
+
+def test_solve_flags_are_the_registry_parameters():
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    actions = {a.dest: a for a in sub.choices["solve"]._actions}
+    registry = {key: solver.kind(key) for solver in bench.SOLVERS.values()
+                for key in solver.keys()}
+    assert set(actions) - set(registry) == {"help", "qubo", "solver", "seed", "postprocess",
+                                            "output", "json"}
+    for key, kind in registry.items():
+        assert actions[key].option_strings == ["--" + key.replace("_", "-")]
+        assert actions[key].type is kind
 
 
 @pytest.mark.parametrize("name", sorted(bench.SOLVERS))

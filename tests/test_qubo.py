@@ -292,6 +292,16 @@ class TestBuildScaledAndRounded:
         assert len(SCALED_GRID) == 2
         assert len(ROUNDED_GRID) == 1
 
+    @pytest.mark.parametrize("variant", RAW_GRID + SCALED_GRID + ROUNDED_GRID,
+                             ids=pq.qubo.variant_label)
+    def test_every_grid_variant_round_trips_through_variant_grid(self, variant):
+        grids = {label: [value] for label, value in variant.params()}
+        assert pq.qubo.variant_grid(variant.kind, grids) == [variant]
+
+    def test_variant_grid_names_a_missing_parameter(self):
+        with pytest.raises(ValueError, match="'lt'"):
+            pq.qubo.variant_grid("raw", {"lm": [1]})
+
 
 class TestEnergyAndNormalize:
     def test_all_zeros_is_offset(self):
