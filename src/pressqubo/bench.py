@@ -33,6 +33,7 @@ identical plan reproduces the report byte for byte.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -55,6 +56,8 @@ from .solvers import SampleSet
 # ---------------------------------------------------------------------------
 
 NEAR_OPT_TOLERANCE = Fraction(1, 100)
+# The three metrics of a scored cell, as named in records and reports.
+METRICS = ("percent_valid", "percent_near_opt", "best_cost_ratio")
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,10 @@ class ScoredSamples:
             raise ValueError("empty sample set")
         return self.n_valid / self.total
 
-    def percent_near_opt(self, opt_cost: Fraction,
-                         tol: Fraction = NEAR_OPT_TOLERANCE) -> float | None:
+    def percent_near_opt(self, opt_cost: Fraction) -> float | None:
         if not self.valid:
             return None
-        bound = (1 + Fraction(tol)) * Fraction(opt_cost)
+        bound = (1 + NEAR_OPT_TOLERANCE) * Fraction(opt_cost)
         return sum(m for m, c in self.valid if c <= bound) / self.n_valid
 
     def best_cost_ratio(self, opt_cost: Fraction) -> Fraction | None:
@@ -148,18 +150,15 @@ def percent_valid(samples: SampleSet, inst: Instance, q: Qubo) -> float:
 
 
 def percent_near_opt(
-    samples: SampleSet,
-    inst: Instance,
-    q: Qubo,
-    opt_cost: Fraction,
-    tol: Fraction = NEAR_OPT_TOLERANCE,
+    samples: SampleSet, inst: Instance, q: Qubo, opt_cost: Fraction
 ) -> float | None:
-    """Share of *valid* samples within ``tol`` of the optimal cost.
+    """Share of *valid* samples within ``NEAR_OPT_TOLERANCE`` (1%) of
+    the optimal cost.
 
     None when there is no valid sample (the ratio conditions on
     validity).
     """
-    return score_samples(samples, inst, q).percent_near_opt(opt_cost, tol)
+    return score_samples(samples, inst, q).percent_near_opt(opt_cost)
 
 
 def best_cost_ratio(
@@ -559,20 +558,28 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
 # Aggregation, penalty selection, correlation
 # ---------------------------------------------------------------------------
 
+def _by_config(records: Sequence[RunRecord]) -> dict[tuple, list[RunRecord]]:
+    """Records grouped by their grid key without the seed, each group in
+    input order."""
+    groups: dict[tuple, list[RunRecord]] = {}
+    for r in records:
+        groups.setdefault(r.grid_key()[:-1], []).append(r)
+    return groups
+
+
+def _mean_defined(values) -> float | None:
+    """Mean of the values that are not None; None when there are none."""
+    defined = [v for v in values if v is not None]
+    return sum(defined) / len(defined) if defined else None
+
+
 def aggregate_metrics(records: Sequence[RunRecord]) -> list[dict]:
     """Mean metrics per (instance, variant, solver-config) across seeds.
 
     Undefined per-seed values are skipped; a group with no defined
     values stays undefined.
     """
-    groups: dict[tuple, list[RunRecord]] = {}
-    for r in records:
-        groups.setdefault(r.grid_key()[:-1], []).append(r)  # the key without the seed
-
-    def mean_defined(values):
-        defined = [v for v in values if v is not None]
-        return sum(defined) / len(defined) if defined else None
-
+    groups = _by_config(records)
     rows = []
     for key in sorted(groups):
         rs = groups[key]
@@ -583,9 +590,7 @@ def aggregate_metrics(records: Sequence[RunRecord]) -> list[dict]:
                 "solver": rs[0].solver,
                 "solver_params": rs[0].params_label(),
                 "n_records": len(rs),
-                "percent_valid": mean_defined([r.percent_valid for r in rs]),
-                "percent_near_opt": mean_defined([r.percent_near_opt for r in rs]),
-                "best_cost_ratio": mean_defined([r.best_cost_ratio for r in rs]),
+                **{m: _mean_defined([getattr(r, m) for r in rs]) for m in METRICS},
             }
         )
     return rows
@@ -594,28 +599,20 @@ def aggregate_metrics(records: Sequence[RunRecord]) -> list[dict]:
 def select_best_penalty(records: Sequence[RunRecord]) -> dict[tuple, VariantSpec]:
     """Best variant per (instance, solver, solver parameters, variant kind).
 
-    Ranking: highest valid share, then highest best-cost ratio, then
-    the lexicographically smallest penalty parameters.  Groups without
-    scored records are skipped.
+    Ranking: highest valid share, then highest best-cost ratio (0 when
+    undefined), then the lexicographically smallest penalty parameters,
+    over the per-configuration means of the scored records.  Groups
+    without scored records are skipped.
     """
-    pools: dict[tuple, dict] = {}
-    for r in records:
-        if r.error is not None or r.percent_valid is None:
-            continue
-        group = (r.instance_id, r.solver, r.params_label(), r.variant.kind)
-        pools.setdefault(group, {}).setdefault(variant_sort_key(r.variant), []).append(r)
-
-    best: dict[tuple, VariantSpec] = {}
-    for group, by_variant in pools.items():
-        scored = []
-        for vkey, rs in by_variant.items():
-            pv = sum(r.percent_valid for r in rs) / len(rs)
-            ratios = [r.best_cost_ratio for r in rs if r.best_cost_ratio is not None]
-            ratio = sum(ratios) / len(ratios) if ratios else 0.0
-            scored.append(((-pv, -ratio, vkey), rs[0].variant))
-        scored.sort(key=lambda item: item[0])
-        best[group] = scored[0][1]
-    return best
+    scored = [r for r in records if r.error is None and r.percent_valid is not None]
+    options: dict[tuple, list] = {}
+    for (instance_id, vkey, solver, params), rs in _by_config(scored).items():
+        rank = (-_mean_defined([r.percent_valid for r in rs]),
+                -(_mean_defined([r.best_cost_ratio for r in rs]) or 0.0), vkey)
+        options.setdefault((instance_id, solver, params, vkey[0]), []).append(
+            (rank, rs[0].variant))
+    # Ranks differ in their variant keys, so variants are never compared.
+    return {group: min(ranked)[1] for group, ranked in options.items()}
 
 
 def series_correlations(records: Sequence[RunRecord]) -> list[dict]:
@@ -626,45 +623,38 @@ def series_correlations(records: Sequence[RunRecord]) -> list[dict]:
     another's.  Rows are emitted per solver pair (alphabetical order)
     with at least two instances of paired data and nonzero variance.
     """
-    metrics = ("percent_valid", "percent_near_opt", "best_cost_ratio")
-    solvers_seen = sorted({r.solver for r in records if r.error is None})
-    kinds = sorted({r.variant.kind for r in records if r.error is None})
-    rows = []
-    for kind in kinds:
-        for metric in metrics:
-            per_solver: dict[str, dict[str, list[float]]] = {}
-            for r in records:
-                if r.error is not None or r.variant.kind != kind:
-                    continue
-                value = getattr(r, metric)
-                if value is None:
-                    continue
+    # (kind, metric) -> solver -> instance -> defined values, in record order
+    series: dict[tuple, dict[str, dict[str, list[float]]]] = {}
+    for r in records:
+        if r.error is not None:
+            continue
+        for metric in METRICS:
+            value = getattr(r, metric)
+            if value is not None:
+                per_solver = series.setdefault((r.variant.kind, metric), {})
                 per_solver.setdefault(r.solver, {}).setdefault(r.instance_id, []).append(
-                    float(value)
-                )
-            for a in solvers_seen:
-                for b in solvers_seen:
-                    if a >= b or a not in per_solver or b not in per_solver:
-                        continue
-                    shared = sorted(set(per_solver[a]) & set(per_solver[b]))
-                    if len(shared) < 2:
-                        continue
-                    xs = [np.mean(per_solver[a][i]) for i in shared]
-                    ys = [np.mean(per_solver[b][i]) for i in shared]
-                    try:
-                        r_value = pearson_r(xs, ys)
-                    except ValueError:
-                        continue
-                    rows.append(
-                        {
-                            "variant_kind": kind,
-                            "metric": metric,
-                            "solver_a": a,
-                            "solver_b": b,
-                            "instances": shared,
-                            "r": r_value,
-                        }
-                    )
+                    float(value))
+    rows = []
+    for kind, metric in sorted(series, key=lambda km: (km[0], METRICS.index(km[1]))):
+        per_solver = series[kind, metric]
+        for a, b in itertools.combinations(sorted(per_solver), 2):
+            shared = sorted(set(per_solver[a]) & set(per_solver[b]))
+            xs = [np.mean(per_solver[a][i]) for i in shared]
+            ys = [np.mean(per_solver[b][i]) for i in shared]
+            try:
+                r_value = pearson_r(xs, ys)
+            except ValueError:  # fewer than two shared instances, or no variance
+                continue
+            rows.append(
+                {
+                    "variant_kind": kind,
+                    "metric": metric,
+                    "solver_a": a,
+                    "solver_b": b,
+                    "instances": shared,
+                    "r": r_value,
+                }
+            )
     return rows
 
 
@@ -674,16 +664,7 @@ def series_correlations(records: Sequence[RunRecord]) -> list[dict]:
 
 RUNS_COLUMNS = tuple(f.name for f in fields(RunRecord))
 
-METRICS_COLUMNS = (
-    "instance_id",
-    "variant",
-    "solver",
-    "solver_params",
-    "n_records",
-    "percent_valid",
-    "percent_near_opt",
-    "best_cost_ratio",
-)
+METRICS_COLUMNS = ("instance_id", "variant", "solver", "solver_params", "n_records", *METRICS)
 
 
 def _cell_text(value) -> str:

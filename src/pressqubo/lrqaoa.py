@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TooLarge
-from .qubo import Qubo, _cached, as_dense, full_spectrum, minimum_states, normalize_qubo
+from .qubo import (Qubo, _cached, as_dense, full_spectrum, index_states, minimum_states,
+                   normalize_qubo)
 from .solvers import SampleSet, sampleset_from_states
 
 STATEVECTOR_GUARD = 26
@@ -256,7 +257,7 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, seed: int) -> SampleSet
     draws = np.searchsorted(cum, rng.random(shots), side="right")
     indices, counts = np.unique(draws, return_counts=True)
 
-    states = ((indices[:, None] >> np.arange(q.n)[None, :]) & 1).astype(np.int8)
+    states = index_states(indices, q.n).astype(np.int8)
     meta = {
         "solver": "lrqaoa",
         "params": {

@@ -264,9 +264,6 @@ class Qubo:
     def max_abs_coefficient(self) -> Fraction:
         return max((abs(c) for c in self.coeffs.values()), default=Fraction(0))
 
-    def sorted_items(self) -> list[tuple[tuple[int, int], Fraction]]:
-        return sorted(self.coeffs.items())
-
 
 @dataclass(frozen=True)
 class DecodedSample:
@@ -291,16 +288,14 @@ class DecodedSample:
 # ---------------------------------------------------------------------------
 
 class _Accumulator:
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.coeffs: dict[tuple[int, int], Fraction] = {}
         self.offset = Fraction(0)
 
     def add(self, i: int, j: int, c: Fraction):
         if c == 0:
             return
-        key = (i, j) if i <= j else (j, i)
-        self.coeffs[key] = self.coeffs.get(key, Fraction(0)) + c
+        self.coeffs[i, j] = self.coeffs.get((i, j), Fraction(0)) + c
 
     def add_squared_affine(self, terms: Mapping[int, Fraction], const: Fraction,
                            weight: Fraction):
@@ -325,7 +320,7 @@ def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
     if not inst.is_sanitized():
         raise ValueError("instance must be sanitized (integral workloads and capacities)")
     varmap = VariableMap.for_instance(inst)
-    acc = _Accumulator(varmap.n)
+    acc = _Accumulator()
 
     cost = dict(inst.cost)
     if isinstance(variant, RoundedVariant):
@@ -592,6 +587,12 @@ def index_to_bits(k: int, n: int) -> str:
     return format(k, f"0{n}b")[::-1]
 
 
+def index_states(ks, n: int) -> np.ndarray:
+    """(len(ks), n) int64 0/1 rows of the states with indices ``ks``, the
+    array form of :func:`index_to_bits`."""
+    return (np.asarray(ks, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+
+
 def dense_energies(dense: DenseQubo, states: np.ndarray) -> np.ndarray:
     """Energies of a (rows, n) 0/1 matrix of states."""
     x = states.astype(np.float64, copy=False)
@@ -615,50 +616,36 @@ def full_spectrum(q: Qubo) -> np.ndarray:
     Exact integer arithmetic when possible, float64 otherwise.  Guarded
     at 2**26 states.
 
-    Splits the variables into two halves and combines the half-spectra
-    with one cross-coupling matrix product, so the cost is a few dense
-    passes over the output instead of one pass per coefficient.
+    The linear terms and couplings come from the cached float mirror
+    (:func:`as_dense`); for an ``int_exact`` map every value lies below
+    2**52, so the cast to int64 is exact.  The variables are split into
+    two halves whose half-spectra are combined with one cross-coupling
+    matrix product, so the cost is a few dense passes over the output
+    instead of one pass per coefficient.
     """
     if q.n > SPECTRUM_GUARD:
         raise TooLarge(f"full spectrum of {q.n} variables exceeds the 2^{SPECTRUM_GUARD} guard "
                        f"(it needs about {spectrum_peak_bytes(q.n) / 2**30:.1f} GiB)")
     dense = as_dense(q)
-    n = q.n
-    n_lo = n // 2
-    n_hi = n - n_lo
+    n_lo = q.n // 2
     dtype = np.int64 if dense.int_exact else np.float64
-    cast = int if dense.int_exact else float
+    linear = np.ascontiguousarray(dense.linear, dtype=dtype)
+    upper = np.triu(dense.couplings, 1)
 
-    linear = np.zeros(n, dtype=dtype)
-    upper_lo = np.zeros((n_lo, n_lo), dtype=dtype)   # strict upper, low half
-    upper_hi = np.zeros((n_hi, n_hi), dtype=dtype)   # strict upper, high half
-    cross = np.zeros((n_hi, n_lo), dtype=dtype)      # couples high to low
-    for (i, j), c in q.coeffs.items():
-        value = cast(c)
-        if i == j:
-            linear[i] += value
-        elif j < n_lo:
-            upper_lo[i, j] += value
-        elif i >= n_lo:
-            upper_hi[i - n_lo, j - n_lo] += value
-        else:
-            cross[j - n_lo, i] += value
+    def half(lo: int, hi: int):
+        # Every state of variables lo..hi-1 and its energy without the rest.
+        states = index_states(np.arange(1 << (hi - lo)), hi - lo).astype(dtype)
+        block = np.ascontiguousarray(upper[lo:hi, lo:hi], dtype=dtype)
+        return states, states @ linear[lo:hi] + np.einsum("ri,ij,rj->r", states, block, states)
 
-    lo_states = (np.arange(1 << n_lo, dtype=np.int64)[:, None] >> np.arange(n_lo)) & 1
-    hi_states = (np.arange(1 << n_hi, dtype=np.int64)[:, None] >> np.arange(n_hi)) & 1
-    lo_states = lo_states.astype(dtype)
-    hi_states = hi_states.astype(dtype)
-
-    e_lo = lo_states @ linear[:n_lo]
-    e_lo += np.einsum("ri,ij,rj->r", lo_states, upper_lo, lo_states)
-    e_hi = hi_states @ linear[n_lo:]
-    e_hi += np.einsum("ri,ij,rj->r", hi_states, upper_hi, hi_states)
-
+    lo_states, e_lo = half(0, n_lo)
+    hi_states, e_hi = half(n_lo, q.n)
+    cross = np.ascontiguousarray(upper[:n_lo, n_lo:].T, dtype=dtype)  # couples high to low
     # state index = hi * 2**n_lo + lo (variable 0 is the LSB)
     energies = (hi_states @ cross) @ lo_states.T
     energies += e_hi[:, None]
     energies += e_lo[None, :]
-    energies += cast(q.offset)
+    energies += int(q.offset) if dense.int_exact else dense.offset
     return energies.reshape(-1)
 
 
@@ -696,7 +683,7 @@ def save_qubo(q: Qubo, path) -> None:
     variant) so bitstrings can be decoded later.  Round-trips exactly.
     """
     lines = [f"{q.n} {q.offset}"]
-    for (i, j), c in q.sorted_items():
+    for (i, j), c in sorted(q.coeffs.items()):
         lines.append(f"{i} {j} {c}")
     Path(path).write_text("\n".join(lines) + "\n")
     if q.varmap is not None:
@@ -751,7 +738,17 @@ def _varmap_doc(q: Qubo) -> dict:
     return doc
 
 
-def _varmap_from_doc(doc: dict) -> tuple[VariableMap, VariantSpec | None]:
+def _varmap_from_doc(doc) -> tuple[VariableMap, VariantSpec | None]:
+    """The variable map and variant of a sidecar; ValueError for a malformed one."""
+    if not isinstance(doc, dict) or type(doc.get("n")) is not int:
+        raise ValueError(f"a sidecar must hold a JSON object with an integer 'n', got {doc!r}")
+    n = doc["n"]
+    for key in ("toolkits", "machines", "decision", "slack"):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"sidecar {key!r} must be a list, got {doc[key]!r}")
+    for e in doc["decision"] + doc["slack"]:
+        if not (isinstance(e, dict) and type(e["index"]) is int and 0 <= e["index"] < n):
+            raise ValueError(f"sidecar entries must be objects indexing [0, {n}), got {e!r}")
     toolkits = tuple(doc["toolkits"])
     machines = tuple(doc["machines"])
     decision = {(e["toolkit"], e["machine"]): e["index"] for e in doc["decision"]}
@@ -760,7 +757,7 @@ def _varmap_from_doc(doc: dict) -> tuple[VariableMap, VariantSpec | None]:
     for e in sorted(doc["slack"], key=lambda e: (e["machine"], e["bit"])):
         weights[e["machine"]].append(e["weight"])
     varmap = VariableMap(
-        n=doc["n"],
+        n=n,
         toolkits=toolkits,
         machines=machines,
         decision_index=decision,
@@ -770,5 +767,7 @@ def _varmap_from_doc(doc: dict) -> tuple[VariableMap, VariantSpec | None]:
     variant = None
     if "variant" in doc:
         v = doc["variant"]
+        if not isinstance(v, dict):
+            raise ValueError(f"sidecar 'variant' must be an object, got {v!r}")
         [variant] = variant_grid(v["kind"], {label: [value] for label, value in v.items()})
     return varmap, variant

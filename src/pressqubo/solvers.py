@@ -29,6 +29,7 @@ from .errors import TooLarge
 from .qubo import (
     DenseQubo,
     Qubo,
+    _check_bits,
     as_dense,
     bits_to_vector,
     dense_energies,
@@ -341,10 +342,8 @@ def bitflip_postprocess(q: Qubo, bits: str) -> str:
     re-checked exactly, so "strictly lower" is exact for any input.
     The result never has higher energy than the input.
     """
-    if len(bits) != q.n or set(bits) - {"0", "1"}:
-        raise ValueError(f"need a 0/1 string of length {q.n}, got {bits!r}")
+    x = bits_to_vector(_check_bits(q, bits)).astype(np.float64)
     dense = as_dense(q)
-    x = bits_to_vector(bits).astype(np.float64)
     current: list[str] | None = None  # lazily materialized for exact rechecks
     for i in range(q.n):
         field_i = dense.linear[i] + dense.couplings[i] @ x

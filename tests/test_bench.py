@@ -228,6 +228,61 @@ class TestSelectBestPenalty:
         assert pq.select_best_penalty(records) == {}
 
 
+def random_records(seed):
+    """Records over 2 instances, every variant kind, 2 solvers x 2 params
+    and 3 seeds, with errors, undefined ratios and built-in ties."""
+    rng = np.random.default_rng(seed)
+    variants = [pq.RawVariant(Fraction(10), LAM_T), pq.RawVariant(Fraction(20), LAM_T),
+                pq.RawVariant(Fraction(20), Fraction(5)), pq.ScaledVariant(Fraction(1, 10)),
+                pq.ScaledVariant(Fraction(1)), pq.RoundedVariant()]
+    records = []
+    for instance_id in ("i1", "i2"):
+        for v, variant in enumerate(variants):
+            for solver in ("random", "sa"):
+                for steps in (10, 20):
+                    for s in range(3):
+                        pv = float(rng.choice([0.0, 0.5, 1.0]))
+                        ratio = None if pv == 0.0 or rng.random() < 0.2 else float(
+                            rng.choice([0.5, 1.0]))
+                        error = None
+                        if rng.random() < 0.15:
+                            pv, ratio, error = None, None, "boom"
+                        # Two raw variants of one configuration score best alike:
+                        # a tie that only the penalty parameters break.
+                        if v in (1, 2) and (instance_id, solver, steps) == ("i1", "sa", 10):
+                            pv, ratio, error = 1.0, 1.0, None
+                        records.append(record(instance_id, variant, solver, {"steps": steps},
+                                              s, pv=pv, ratio=ratio, error=error))
+    rng.shuffle(records)
+    return records
+
+
+class TestBestPenaltyRanksReportedMeans:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pick_is_the_best_metrics_row_of_its_group(self, seed):
+        records = random_records(seed)
+        variants = {pq.qubo.variant_label(r.variant): r.variant for r in records}
+        groups = {}
+        for row in pq.aggregate_metrics(records):
+            if row["percent_valid"] is not None:
+                kind = row["variant"].split("(")[0]
+                key = (row["instance_id"], row["solver"], row["solver_params"], kind)
+                groups.setdefault(key, []).append(row)
+        best = pq.select_best_penalty(records)
+        assert set(best) == set(groups)
+
+        def rank(row):
+            return row["percent_valid"], row["best_cost_ratio"] or 0.0
+
+        ties = 0
+        for key, rows in groups.items():
+            top = max(rank(row) for row in rows)
+            tied = [variants[row["variant"]] for row in rows if rank(row) == top]
+            ties += len(tied) > 1
+            assert best[key] == min(tied, key=pq.qubo.variant_sort_key)
+        assert ties
+
+
 class TestPlanExpansion:
     def test_default_raw_grid(self):
         assert len(expand_variants({"kind": "raw"})) == 9
@@ -674,3 +729,42 @@ class TestCorrelations:
         )
         for row in rows:
             assert -1.0 - 1e-12 <= row["r"] <= 1.0 + 1e-12
+
+    def test_rows_are_pinned_on_hand_built_records(self):
+        raw, rounded = pq.RawVariant(LAM_M, LAM_T), pq.RoundedVariant()
+        # (kind, solver, instance, seed) -> (valid, near-optimal, ratio)
+        values = {
+            (raw, "a", "i1", 0): (0.2, 0.5, 0.8),
+            (raw, "a", "i1", 1): (0.4, 0.5, 0.8),
+            (raw, "a", "i2", 0): (0.6, None, 0.9),
+            (raw, "a", "i3", 0): (0.9, 0.7, 1.0),
+            (raw, "b", "i1", 0): (0.1, 0.4, 0.5),
+            (raw, "b", "i2", 0): (0.5, 0.6, 0.5),  # b's ratios have no variance
+            (raw, "b", "i3", 0): (0.2, 0.1, 0.5),
+            (raw, "c", "i1", 0): (0.3, 0.3, 0.3),
+            (raw, "c", "i4", 0): (0.8, 0.8, 0.8),  # an instance only c has
+            (rounded, "a", "i1", 0): (0.3, None, 0.5),
+            (rounded, "a", "i2", 0): (0.7, None, 0.9),
+            (rounded, "b", "i1", 0): (0.6, None, 0.7),
+            (rounded, "b", "i2", 0): (0.2, None, 0.8),
+        }
+        records = [
+            RunRecord(instance_id, variant, solver, {}, seed, percent_valid=pv,
+                      percent_near_opt=near, best_cost_ratio=ratio)
+            for (variant, solver, instance_id, seed), (pv, near, ratio) in values.items()
+        ]
+        records.append(RunRecord("i2", raw, "a", {}, 1, percent_valid=0.0,
+                                 percent_near_opt=0.0, best_cost_ratio=0.1, error="boom"))
+        rows = series_correlations(records[::-1])
+        assert [(r["variant_kind"], r["metric"], r["solver_a"], r["solver_b"], r["instances"])
+                for r in rows] == [
+            ("raw", "percent_valid", "a", "b", ["i1", "i2", "i3"]),
+            ("raw", "percent_near_opt", "a", "b", ["i1", "i3"]),
+            ("rounded", "percent_valid", "a", "b", ["i1", "i2"]),
+            ("rounded", "best_cost_ratio", "a", "b", ["i1", "i2"]),
+        ]
+        for row, (xs, ys) in zip(rows, [([0.3, 0.6, 0.9], [0.1, 0.5, 0.2]),
+                                        ([0.5, 0.7], [0.4, 0.1]),
+                                        ([0.3, 0.7], [0.6, 0.2]),
+                                        ([0.5, 0.9], [0.7, 0.8])]):
+            assert row["r"] == pytest.approx(np.corrcoef(xs, ys)[0, 1], abs=1e-12)

@@ -329,6 +329,57 @@ class TestMalformedInput:
         assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
         assert "'lt'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["plan", "instance", "sidecar", "report"])
+    def test_malformed_json_is_usage_error(self, qubo_file, tmp_path, capsys, kind):
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps({
+            "instances": ["inst.json"], "variants": [{"kind": "rounded"}],
+            "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}))
+        path, argv = {
+            "plan": (plan_path, ("sweep", plan_path, "-o", tmp_path / "out")),
+            "instance": (tmp_path / "inst.json", ("build", tmp_path / "inst.json", "--variant",
+                                                  "rounded", "-o", tmp_path / "r.coo")),
+            "sidecar": (pq.qubo.sidecar_path(qubo_file),
+                        ("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv")),
+            "report": (tmp_path / "report.json", ("report", tmp_path)),
+        }[kind]
+        path.write_text("{")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("field, value", [
+        ((), []),
+        (("n",), "6"),
+        (("variant",), ["rounded"]),
+        (("toolkits",), "t0"),
+        (("machines",), {"m0": 1}),
+        (("decision",), {"toolkit": "t0"}),
+        (("slack",), 5),
+        (("decision", 0), "x"),
+        (("slack", 0), 7),
+        (("decision", 0, "index"), "0"),
+        (("decision", 0, "index"), 1.5),
+        (("slack", 0, "index"), True),
+        (("slack", 0, "index"), -1),
+        (("decision", 0, "index"), 10**6),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "stats"])
+    def test_malformed_sidecar_shape_is_usage_error(self, qubo_file, tmp_path, capsys,
+                                                    field, value, command):
+        sidecar = pq.qubo.sidecar_path(qubo_file)
+        doc = json.loads(sidecar.read_text())
+        if field:
+            target = doc
+            for key in field[:-1]:
+                target = target[key]
+            target[field[-1]] = value
+        else:
+            doc = value
+        sidecar.write_text(json.dumps(doc))
+        flags = ("--solver", "random", "-o", tmp_path / "s.csv") if command == "solve" else ()
+        assert run(command, qubo_file, *flags) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_repeated_coefficient_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "q.coo"
         path.write_text("2 0\n0 1 -1\n0 0 1\n0 1 5\n")
