@@ -5,10 +5,10 @@ seeds; every combination is one cell.  The sweep runs the cells in
 groups, one job per (instance, variant): the job compiles the QUBO
 once, samples all seeds of each (solver, parameters) pair in one
 registry call, and post-processes and scores each cell's samples, so
-the per-``Qubo`` caches (dense mirror, ramp diagonal) are shared by the
-whole group and annealing runs a pair's seeds in one loop.  Each cell's
-samples are scored against the exhaustive reference optimum with three
-metrics:
+the per-``Qubo`` caches (dense mirror, ramp cost tables) are shared by
+the whole group; annealing runs a pair's seeds in one loop and the ramp
+simulation runs once for them.  Each cell's samples are scored against
+the exhaustive reference optimum with three metrics:
 
 * share of samples decoding to a constraint-satisfying assignment,
 * among the valid ones, the share within 1% of the optimal cost,
@@ -243,7 +243,7 @@ def _run_random(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSe
 
 def _run_lrqaoa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
     sched = lrqaoa.lr_schedule(params["p"], params["delta_gamma"], params["delta_beta"])
-    return [lrqaoa.run_lrqaoa(q, sched, params["shots"], seed) for seed in seeds]
+    return lrqaoa.run_lrqaoa(q, sched, params["shots"], seeds=seeds)
 
 
 def _run_brute(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
@@ -398,8 +398,7 @@ def expand_plan(plan: Mapping) -> list[SweepCell]:
 
 
 def load_plan(path) -> dict:
-    with open(path) as fh:
-        plan = json.load(fh)
+    plan = model.load_json(path)
     if not isinstance(plan, dict):
         raise ValueError("plan must be a JSON object")
     return plan

@@ -154,7 +154,7 @@ def _report_rows(report: dict, key: str, fields: dict[str, type | tuple]) -> lis
 
 def cmd_report(args) -> int:
     report_path = Path(args.directory) / "report.json"
-    report = json.loads(report_path.read_text())
+    report = model.load_json(report_path)
     if not isinstance(report, dict):
         raise ValueError("report.json must hold a JSON object")
     if args.select_best:

@@ -11,14 +11,22 @@ results are comparable across construction variants.
 State layout: amplitude index equals the bitstring value with variable
 0 as the least-significant bit.  Simulation is float64/complex128 and
 guarded at 26 qubits; ``statevector_peak_bytes`` gives the memory a
-simulation holds (state, scratch and diagonal: 40 bytes per amplitude).
+simulation holds at most (40 bytes per amplitude).
 
-``precompute_diagonal`` caches its read-only result on the ``Qubo``
-for the object's lifetime, as ``as_dense`` caches the dense mirror, so
-runs at several depths on one QUBO compute the 2**n spectrum once.
-The peak stays 40 bytes per amplitude: the layers hold the state, the
-scratch and the diagonal; sampling holds the state, the diagonal, the
-squared magnitudes and their cumulative sum.
+The cost layer does not evaluate one exponential per amplitude.  The
+phase ``exp(-i gamma E(x))`` factors over ``cost_split``: a core of
+low bits and contiguous blocks above it that couple only to the core
+and to themselves, such as the decision bits and each machine's slack
+bits of a press map.  ``cost_factors`` holds one small float64 table
+per block, cached read-only on the ``Qubo`` for the object's lifetime
+(as ``as_dense`` caches the dense mirror), so runs at several depths
+on one QUBO build the tables once.  Each layer exponentiates the
+tables and multiplies them into the state through broadcast views.  A
+map that does not split has one factor, the full 2**n diagonal of
+``precompute_diagonal``, which stays the reference; the layers then
+hold the state, the scratch and that diagonal, 40 bytes per amplitude.
+A split map holds 32 bytes per amplitude plus its tables; sampling
+holds the state, the squared magnitudes and their cumulative sum.
 
 ``final_state`` allocates one scratch buffer the size of the state and
 passes it to both layers.  The cost layer forms its phases in it, and
@@ -38,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence, overload
+
 import numpy as np
 
 from .errors import TooLarge
@@ -91,10 +101,11 @@ def statevector_peak_bytes(n: int) -> int:
     """Bytes a simulation of ``n`` qubits holds while its layers run.
 
     The complex128 state, the complex128 scratch buffer the layers
-    share, and the float64 diagonal: 40 bytes per amplitude.  Building
-    the diagonal holds less; sampling afterwards holds as much (the
-    state, the cached diagonal, the squared magnitudes and their
-    cumulative sum).
+    share, and the float64 cost tables: 40 bytes per amplitude, reached
+    when the map does not split and its one table is the full
+    diagonal.  A split map holds 32 bytes per amplitude plus its small
+    tables, and sampling afterwards as much (the state, the squared
+    magnitudes and their cumulative sum).
     """
     return 40 << n
 
@@ -118,7 +129,9 @@ def precompute_diagonal(q: Qubo) -> np.ndarray:
     """Normalized energies of all bitstrings (the diagonal phase profile).
 
     Built on first use and cached on ``q`` like its dense mirror, so
-    every run on ``q`` shares it; the array is therefore read-only.
+    every call on ``q`` shares it; the array is therefore read-only.
+    The simulation itself runs on :func:`cost_factors`; this is the
+    reference they are tested against.
     """
     _check_guard(q.n)
     return _cached(q, "_diagonal", _build_diagonal)
@@ -130,6 +143,99 @@ def _build_diagonal(q: Qubo) -> np.ndarray:
     return diag
 
 
+@dataclass(frozen=True)
+class CostFactor:
+    """One phase table of the cost layer.
+
+    ``table`` holds, for every state of the core bits ``[0, core)`` and
+    the block bits ``[lo, hi)``, the normalized energy terms that touch
+    the block; entry ``block * 2**core + core_bits``.  The first factor
+    also holds the offset and the core-only terms.
+    """
+
+    core: int
+    lo: int
+    hi: int
+    table: np.ndarray
+
+    def state_shape(self, n: int) -> tuple[int, ...]:
+        """The state's axes: bits above the block, the block, the bits
+        between the core and the block, the core."""
+        return (1 << (n - self.hi), 1 << (self.hi - self.lo), 1 << (self.lo - self.core),
+                1 << self.core)
+
+    def table_shape(self) -> tuple[int, ...]:
+        return (1 << (self.hi - self.lo), 1, 1 << self.core)
+
+
+def cost_split(q: Qubo) -> tuple[int, list[tuple[int, int]]]:
+    """The core width ``k`` and the blocks ``[lo, hi)`` that cover ``[k, n)``.
+
+    No coefficient couples two blocks, and each block is as narrow as
+    the couplings allow.  ``k`` minimises the total table size, the sum
+    of ``2**(k + hi - lo)``, the smallest ``k`` on ties.  Adjacent
+    blocks are then merged while the merged table has at most
+    ``2**ceil(n/2)`` entries, which bounds the passes over the state.
+    A map that does not split gives ``k = 0`` and the one block
+    ``[0, n)``.
+    """
+    n = q.n
+    reach = list(range(n))  # the highest variable coupled to i from above
+    for i, j in q.coeffs:
+        reach[i] = max(reach[i], j)
+    best = None
+    for k in range(n):
+        blocks, lo, end = [], k, k
+        for i in range(k, n):
+            end = max(end, reach[i])
+            if end == i:
+                blocks.append((lo, i + 1))
+                lo = i + 1
+        size = sum(1 << (k + hi - lo) for lo, hi in blocks)
+        if best is None or size < best[0]:
+            best = (size, k, blocks)
+    _, k, blocks = best
+    merged = blocks[:1]
+    for lo, hi in blocks[1:]:
+        if k + hi - merged[-1][0] <= (n + 1) // 2:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return k, merged
+
+
+def cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
+    """The phase tables of ``q``'s cost layer, one per block of :func:`cost_split`.
+
+    The product of ``exp(-i gamma table)`` over the factors is the
+    cost layer of :func:`precompute_diagonal`.  Each table is the
+    :func:`full_spectrum` of the normalized terms that touch its block,
+    core bits first and the block bits re-indexed after them, so a map
+    that does not split has one factor whose table is byte-equal to the
+    diagonal.  Built on first use and cached on ``q``; the tables are
+    read-only.
+    """
+    _check_guard(q.n)
+    return _cached(q, "_cost_factors", _build_cost_factors)
+
+
+def _build_cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
+    normed = normalize_qubo(q)
+    core, blocks = cost_split(q)
+    factors = []
+    for pos, (lo, hi) in enumerate(blocks):
+        def place(i: int) -> int:
+            return i if i < core else core + i - lo
+
+        coeffs = {(place(i), place(j)): c for (i, j), c in normed.coeffs.items()
+                  if lo <= j < hi or (pos == 0 and j < core)}
+        sub = Qubo(n=core + hi - lo, coeffs=coeffs, offset=normed.offset if pos == 0 else 0)
+        table = full_spectrum(sub).astype(np.float64)
+        table.setflags(write=False)
+        factors.append(CostFactor(core, lo, hi, table))
+    return tuple(factors)
+
+
 def _scratch_for(sv: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     if scratch is None:
         return np.empty_like(sv)
@@ -138,19 +244,32 @@ def _scratch_for(sv: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     return scratch
 
 
-def apply_cost_layer(sv: np.ndarray, diag: np.ndarray, gamma: float,
-                     scratch: np.ndarray | None = None) -> np.ndarray:
-    """Multiply each amplitude by ``exp(-i * gamma * diag[k])``, in place.
+def apply_cost_layer(sv: np.ndarray, factors: np.ndarray | Sequence[CostFactor],
+                     gamma: float, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Multiply each amplitude by ``exp(-i * gamma * E)``, in place.
 
-    The phases are formed in ``scratch`` (allocated when not given), so
-    a caller that passes one allocates nothing per layer.
+    ``factors`` is a :func:`cost_factors` set, whose tables sum to the
+    normalized energy ``E``, or one full diagonal of ``E``.  Each
+    factor's phases are formed in a prefix of ``scratch`` (allocated
+    when not given) and multiplied into the state through a broadcast
+    view, so a caller that passes one allocates nothing per layer.  A
+    full-length factor takes exactly the steps of ``sv *= exp(-1j *
+    gamma * diag)`` in place.
     """
-    if sv.shape != diag.shape:
-        raise ValueError("statevector and diagonal lengths differ")
-    phase = _scratch_for(sv, scratch)
-    np.multiply(diag, -1j * gamma, out=phase)
-    np.exp(phase, out=phase)
-    sv *= phase
+    n = len(sv).bit_length() - 1
+    if isinstance(factors, np.ndarray):
+        if sv.shape != factors.shape:
+            raise ValueError("statevector and diagonal lengths differ")
+        factors = (CostFactor(0, 0, n, factors),)
+    elif factors[-1].hi != n:
+        raise ValueError(f"cost factors cover {factors[-1].hi} qubits, the statevector {n}")
+    buffer = _scratch_for(sv, scratch)
+    for f in factors:
+        phase = buffer[:len(f.table)]
+        np.multiply(f.table, -1j * gamma, out=phase)
+        np.exp(phase, out=phase)
+        view = sv.reshape(f.state_shape(n))
+        view *= phase.reshape(f.table_shape())
     return sv
 
 
@@ -230,45 +349,55 @@ def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
 
     Both layers share one scratch buffer the size of the state.
     """
-    diag = precompute_diagonal(q)
+    factors = cost_factors(q)
     sv = uniform_state(q.n)
     scratch = np.empty_like(sv)
     for gamma, beta in zip(sched.gammas, sched.betas):
-        apply_cost_layer(sv, diag, gamma, scratch)
+        apply_cost_layer(sv, factors, gamma, scratch)
         apply_mixer_layer(sv, beta, scratch)
     return sv
 
 
-def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, seed: int) -> SampleSet:
+@overload
+def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, seed: int) -> SampleSet: ...
+@overload
+def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, *,
+               seeds: Sequence[int]) -> list[SampleSet]: ...
+
+
+def run_lrqaoa(q, sched, shots, seed=None, seeds=None):
     """Simulate the circuit and sample bitstrings from it.
 
     Energies in the result are evaluated against the un-normalized
     objective.  Sampling is reproducible bit-exactly from the seed.
+
+    With ``seed`` the result is that seed's :class:`SampleSet`.  With
+    ``seeds`` it is a list of one set per seed, in order, equal to
+    separate calls: the circuit is simulated once and every seed draws
+    from the same cumulative distribution.
     """
+    if (seed is None) == (seeds is None):
+        raise TypeError("run_lrqaoa takes either seed or seeds")
+    batch = [seed] if seeds is None else list(seeds)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    if any(s < 0 for s in batch):
+        raise ValueError("seeds must be non-negative")
     sv = final_state(q, sched)
-    probs = np.abs(sv) ** 2
-    cum = np.cumsum(probs)
+    cum = np.cumsum(np.abs(sv) ** 2)
     cum[-1] = 1.0
-    rng = np.random.default_rng([seed])
-    draws = np.searchsorted(cum, rng.random(shots), side="right")
-    indices, counts = np.unique(draws, return_counts=True)
-
-    states = index_states(indices, q.n).astype(np.int8)
-    meta = {
-        "solver": "lrqaoa",
-        "params": {
-            "p": sched.p,
-            "delta_gamma": sched.delta_gamma,
-            "delta_beta": sched.delta_beta,
-            "shots": shots,
-        },
-        "seed": seed,
-    }
-    return sampleset_from_states(as_dense(q), states, counts, meta)
+    dense = as_dense(q)
+    params = {"p": sched.p, "delta_gamma": sched.delta_gamma,
+              "delta_beta": sched.delta_beta, "shots": shots}
+    results = []
+    for s in batch:
+        rng = np.random.default_rng([s])
+        draws = np.searchsorted(cum, rng.random(shots), side="right")
+        indices, counts = np.unique(draws, return_counts=True)
+        states = index_states(indices, q.n).astype(np.int8)
+        meta = {"solver": "lrqaoa", "params": dict(params), "seed": s}
+        results.append(sampleset_from_states(dense, states, counts, meta))
+    return results[0] if seeds is None else results
 
 
 def success_probability(q: Qubo, sched: RampSchedule) -> float:

@@ -404,11 +404,18 @@ def save_instance(inst: Instance, path) -> None:
     Path(path).write_text(json.dumps(instance_to_dict(inst), indent=2) + "\n")
 
 
-def load_instance(path) -> Instance:
+def load_json(path, **kwargs):
+    """The JSON document in ``path``; a syntax error names the file."""
     with open(path) as fh:
-        # parse_float=Fraction keeps decimal literals exact (no binary float hop)
-        doc = json.load(fh, parse_float=Fraction)
-    return instance_from_dict(doc)
+        try:
+            return json.load(fh, **kwargs)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_instance(path) -> Instance:
+    # parse_float=Fraction keeps decimal literals exact (no binary float hop)
+    return instance_from_dict(load_json(path, parse_float=Fraction))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import TooLarge
-from .model import Instance, as_fraction
+from .model import Instance, as_fraction, load_json
 
 # Hard cap on 2**n for full-spectrum computations.
 SPECTRUM_GUARD = 26
@@ -711,7 +711,7 @@ def load_qubo(path) -> Qubo:
     variant = None
     sc = sidecar_path(path)
     if sc.exists():
-        varmap, variant = _varmap_from_doc(json.loads(sc.read_text()))
+        varmap, variant = _varmap_from_doc(load_json(sc))
         if varmap.n != n:
             raise ValueError(f"{sc} lays out {varmap.n} variables, the header of {path} {n}")
     return Qubo(n=n, coeffs=coeffs, offset=offset, varmap=varmap, variant=variant)
@@ -749,6 +749,14 @@ def _varmap_from_doc(doc) -> tuple[VariableMap, VariantSpec | None]:
     for e in doc["decision"] + doc["slack"]:
         if not (isinstance(e, dict) and type(e["index"]) is int and 0 <= e["index"] < n):
             raise ValueError(f"sidecar entries must be objects indexing [0, {n}), got {e!r}")
+    names = (doc["toolkits"] + doc["machines"] + [e["toolkit"] for e in doc["decision"]]
+             + [e["machine"] for e in doc["decision"] + doc["slack"]])
+    bad = [name for name in names if not isinstance(name, str)]
+    if bad:
+        raise ValueError(f"sidecar toolkit and machine names must be strings, got {bad[0]!r}")
+    for e in doc["slack"]:
+        if not (type(e["bit"]) is int and type(e["weight"]) is int):
+            raise ValueError(f"sidecar slack 'bit' and 'weight' must be integers, got {e!r}")
     toolkits = tuple(doc["toolkits"])
     machines = tuple(doc["machines"])
     decision = {(e["toolkit"], e["machine"]): e["index"] for e in doc["decision"]}

@@ -347,6 +347,52 @@ class TestMalformedInput:
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("kind", ["plan", "instance", "sidecar", "report"])
+    def test_malformed_json_error_names_the_file(self, qubo_file, tmp_path, capsys, kind):
+        plan_path = tmp_path / "plan.json"
+        inst_path = tmp_path / "inst.json"
+        plan_path.write_text(json.dumps({
+            "instances": [inst_path.name], "variants": [{"kind": "rounded"}],
+            "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}))
+        path, argv = {
+            "plan": (plan_path, ("sweep", plan_path, "-o", tmp_path / "out")),
+            "instance": (inst_path, ("sweep", plan_path, "-o", tmp_path / "out")),
+            "sidecar": (pq.qubo.sidecar_path(qubo_file),
+                        ("stats", qubo_file)),
+            "report": (tmp_path / "report.json", ("report", tmp_path)),
+        }[kind]
+        path.write_text('{"n": 1,\n')
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "line 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field, value", [
+        (("toolkits", 0), ["t0"]),
+        (("machines", 0), 3),
+        (("decision", 0, "toolkit"), ["t0"]),
+        (("decision", 0, "machine"), {"m": 0}),
+        (("slack", 0, "machine"), None),
+        (("slack", 0, "bit"), "0"),
+        (("slack", 0, "bit"), 0.0),
+        (("slack", 0, "weight"), [1]),
+        (("slack", 0, "weight"), True),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "stats"])
+    def test_sidecar_name_or_number_of_the_wrong_type_is_usage_error(
+            self, qubo_file, tmp_path, capsys, field, value, command):
+        sidecar = pq.qubo.sidecar_path(qubo_file)
+        doc = json.loads(sidecar.read_text())
+        target = doc
+        for key in field[:-1]:
+            target = target[key]
+        target[field[-1]] = value
+        sidecar.write_text(json.dumps(doc))
+        flags = ("--solver", "random", "-o", tmp_path / "s.csv") if command == "solve" else ()
+        assert run(command, qubo_file, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: sidecar") and "Traceback" not in err
+
     @pytest.mark.parametrize("field, value", [
         ((), []),
         (("n",), "6"),

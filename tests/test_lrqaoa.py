@@ -110,21 +110,27 @@ class TestDiagonalCache:
             assert (tmp_path / f"after.coo{suffix}").read_bytes() == before
 
     def test_depths_share_one_spectrum_and_match_fresh_runs(self, monkeypatch):
-        calls = []
-        original = lrqaoa.full_spectrum
+        builds, spectra = [], []
+        build, spectrum = lrqaoa._build_cost_factors, lrqaoa.full_spectrum
 
-        def counting(q):
-            calls.append(q.n)
-            return original(q)
+        def counting_build(q):
+            builds.append(q.n)
+            return build(q)
 
-        monkeypatch.setattr(lrqaoa, "full_spectrum", counting)
+        def counting_spectrum(q):
+            spectra.append(q.n)
+            return spectrum(q)
+
+        monkeypatch.setattr(lrqaoa, "_build_cost_factors", counting_build)
+        monkeypatch.setattr(lrqaoa, "full_spectrum", counting_spectrum)
         q = self.build()
         one = pq.run_lrqaoa(q, pq.lr_schedule(1), shots=400, seed=3)
         two = pq.run_lrqaoa(q, pq.lr_schedule(2), shots=400, seed=3)
-        assert calls == [q.n]
+        assert builds == [q.n]
+        assert spectra == [f.core + f.hi - f.lo for f in lrqaoa.cost_factors(q)]
         assert one == pq.run_lrqaoa(self.build(), pq.lr_schedule(1), shots=400, seed=3)
         assert two == pq.run_lrqaoa(self.build(), pq.lr_schedule(2), shots=400, seed=3)
-        assert len(calls) == 3
+        assert len(builds) == 3
 
 
 class TestLayers:
@@ -228,14 +234,17 @@ class TestFusedKernels:
         q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
         sched = pq.lr_schedule(4)
         fast = pq.run_lrqaoa(q, sched, shots=2000, seed=seed)
+        assert len(lrqaoa.cost_factors(q)) > 1
 
         def cost_reference(sv, diag, gamma, scratch=None):
+            assert diag.shape == sv.shape
             sv *= np.exp(-1j * gamma * diag)
             return sv
 
         def mixer_reference(sv, beta, scratch=None):
             return lrqaoa.mixer_layer_reference(sv, beta)
 
+        monkeypatch.setattr(lrqaoa, "cost_factors", lrqaoa.precompute_diagonal)
         monkeypatch.setattr(lrqaoa, "apply_cost_layer", cost_reference)
         monkeypatch.setattr(lrqaoa, "apply_mixer_layer", mixer_reference)
         slow = pq.run_lrqaoa(q, sched, shots=2000, seed=seed)
@@ -271,6 +280,98 @@ class TestFusedKernels:
         q = Qubo(n=27, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
         with pytest.raises(TooLarge, match=r"about 5\.0 GiB"):
             pq.precompute_diagonal(q)
+
+
+def random_block_qubo(rng, fractions):
+    """A map of a random core and 1-4 blocks that couple only to the core."""
+    core = int(rng.integers(0, 5))
+    widths = [int(w) for w in rng.integers(1, 4, size=int(rng.integers(1, 5)))]
+    n = core + sum(widths)
+
+    def value():
+        num = int(rng.integers(-40, 41))
+        return Fraction(num, int(rng.integers(1, 9))) if fractions else Fraction(num)
+
+    coeffs = {(i, i): value() for i in range(n)}
+    pairs = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    lo = core
+    for w in widths:
+        pairs += [(i, j) for j in range(lo, lo + w) for i in range(j) if i < core or i >= lo]
+        lo += w
+    coeffs.update({pair: value() for pair in pairs if rng.random() < 0.6})
+    return Qubo(n=n, coeffs=coeffs, offset=value())
+
+
+class TestCostFactors:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_factored_layer_matches_the_diagonal(self, seed):
+        rng = np.random.default_rng(seed)
+        q = random_block_qubo(rng, fractions=seed % 2 == 1)
+        core, blocks = lrqaoa.cost_split(q)
+        assert blocks[0][0] == core and blocks[-1][1] == q.n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        block_of = {i: pos for pos, (lo, hi) in enumerate(blocks) for i in range(lo, hi)}
+        assert all(block_of[i] == block_of[j] for i, j in q.coeffs if i >= core)
+        factors = lrqaoa.cost_factors(q)
+        assert [(f.core, f.lo, f.hi) for f in factors] == [(core, lo, hi) for lo, hi in blocks]
+        assert all(len(f.table) == 1 << (f.core + f.hi - f.lo) for f in factors)
+        diag = pq.precompute_diagonal(q)
+        for gamma in (0.45, 0.9, float(rng.uniform(-3, 3))):
+            sv = random_state(rng, q.n)
+            expected = sv * np.exp(-1j * gamma * diag)
+            got = sv.copy()
+            assert pq.apply_cost_layer(got, factors, gamma) is got
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+            got = sv.copy()
+            pq.apply_cost_layer(got, factors, gamma, np.empty_like(sv))
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unsplittable_map_is_the_diagonal_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 6 + seed
+        chain = {(i, i + 1): Fraction(int(rng.integers(1, 30)), 1 + seed % 3)
+                 for i in range(n - 1)}
+        q = Qubo(n=n, coeffs={**chain, (0, 0): Fraction(-7)}, offset=Fraction(5, 3))
+        assert lrqaoa.cost_split(q) == (0, [(0, n)])
+        [factor] = lrqaoa.cost_factors(q)
+        diag = pq.precompute_diagonal(q)
+        assert factor.table.dtype == diag.dtype
+        assert factor.table.tobytes() == diag.tobytes()
+        sv = random_state(rng, n)
+        expected = sv.copy()
+        expected *= np.exp(-1j * 0.7 * diag)
+        scratch = np.empty_like(sv)
+        got = pq.apply_cost_layer(sv.copy(), (factor,), 0.7, scratch)
+        np.testing.assert_array_equal(got, pq.apply_cost_layer(sv.copy(), diag, 0.7, scratch))
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("variant", [pq.RawVariant(10**5, 10**9), pq.ScaledVariant(1),
+                                         pq.RoundedVariant()])
+    def test_press_map_splits_at_the_decision_bits(self, variant, tmp_path):
+        q = pq.build_qubo(pq.bundled_instance("press-03x2"), variant)
+        assert lrqaoa.cost_split(q) == (6, [(6, 14), (14, 22)])
+        # The split reads the coefficients only, so a bare coefficient file gets it too.
+        bare = Qubo(n=q.n, coeffs=q.coeffs, offset=q.offset)
+        assert bare.varmap is None
+        assert lrqaoa.cost_split(bare) == (6, [(6, 14), (14, 22)])
+        assert [len(f.table) for f in lrqaoa.cost_factors(q)] == [2**14, 2**14]
+
+    def test_uncoupled_bits_merge_into_bounded_tables(self):
+        q = Qubo(n=9, coeffs={(i, i): Fraction(i + 1) for i in range(9)}, offset=Fraction(0))
+        assert lrqaoa.cost_split(q) == (0, [(0, 5), (5, 9)])
+
+    def test_factors_are_cached_and_read_only(self):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+        factors = lrqaoa.cost_factors(q)
+        assert lrqaoa.cost_factors(q) is factors
+        with pytest.raises(ValueError):
+            factors[0].table[0] = 0.0
+
+    def test_factors_of_another_size_are_rejected(self):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+        with pytest.raises(ValueError, match="cost factors cover 14 qubits"):
+            pq.apply_cost_layer(pq.uniform_state(15), lrqaoa.cost_factors(q), 0.3)
 
 
 class TestRun:
@@ -317,6 +418,42 @@ class TestRun:
         q = Qubo(n=27, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
         with pytest.raises(TooLarge):
             pq.run_lrqaoa(q, pq.lr_schedule(1), shots=10, seed=0)
+
+
+class TestBatchedRun:
+    def test_seeds_share_one_simulation_and_equal_separate_calls(self, monkeypatch,
+                                                                 tmp_path):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+        params = {"p": 2, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 300}
+        sched = pq.lr_schedule(2, 0.9, 0.6)
+        alone = [pq.run_lrqaoa(q, sched, 300, seed) for seed in (0, 1, 2)]
+        calls = []
+        original = lrqaoa.final_state
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lrqaoa, "final_state", counting)
+        batch = pq.bench.SOLVERS["lrqaoa"].run(q, params, [0, 1, 2])
+        assert len(calls) == 1
+        assert batch == alone
+        for i, (got, expected) in enumerate(zip(batch, alone)):
+            pq.save_sampleset(got, tmp_path / f"batch{i}.csv")
+            pq.save_sampleset(expected, tmp_path / f"alone{i}.csv")
+            assert ((tmp_path / f"batch{i}.csv").read_bytes()
+                    == (tmp_path / f"alone{i}.csv").read_bytes())
+
+    def test_seed_or_seeds(self, tiny):
+        q = pq.build_qubo(tiny, pq.RoundedVariant())
+        sched = pq.lr_schedule(1)
+        with pytest.raises(TypeError):
+            pq.run_lrqaoa(q, sched, 10)
+        with pytest.raises(TypeError):
+            pq.run_lrqaoa(q, sched, 10, 0, seeds=[1])
+        with pytest.raises(ValueError, match="non-negative"):
+            pq.run_lrqaoa(q, sched, 10, seeds=[0, -1])
+        assert pq.run_lrqaoa(q, sched, 10, seeds=[4]) == [pq.run_lrqaoa(q, sched, 10, 4)]
 
 
 class TestSuccessProbability:
