@@ -22,8 +22,8 @@ for name in BENCH_INSTANCE_NAMES:
     q = pq.build_qubo(inst, variant)
     opt = pq.exact_solve(inst).cost
 
-    sa = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=500, seed=0))
-    rnd = pq.random_sample(q, shots=1000, seed=0)
+    [sa] = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=500), seeds=[0])
+    [rnd] = pq.random_sample(q, shots=1000, seeds=[0])
 
     for label, samples in (("sa", sa), ("random", rnd)):
         cleaned = pq.postprocess_sampleset(q, samples)

@@ -35,7 +35,7 @@ for p in (1, 2, 5, 10, 25, 50, 100):
 # number of shots finds the optimum.
 opt = pq.exact_solve(inst).cost
 q = qubos["rounded"]
-samples = pq.run_lrqaoa(q, pq.lr_schedule(1), shots=1000, seed=0)
+[samples] = pq.run_lrqaoa(q, pq.lr_schedule(1), shots=1000, seeds=[0])
 hits = 0
 for bits, mult in samples.iter_bits():
     a = pq.decode(q, bits).as_assignment()

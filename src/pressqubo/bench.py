@@ -36,6 +36,7 @@ import csv
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -228,22 +229,16 @@ class RunRecord:
 # The parameters reach the runners checked (see ``expand_solver_params``)
 # or typed by the CLI's flags, so they are used as given.
 def _run_sa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
-    cfg = solvers.SaConfig(
-        steps=params["steps"],
-        restarts=params["restarts"],
-        t_start=params.get("t_start"),
-        t_end=params.get("t_end"),
-    )
-    return solvers.simulated_anneal(q, cfg, seeds=seeds)
+    return solvers.simulated_anneal(q, solvers.SaConfig(**params), seeds)
 
 
 def _run_random(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
-    return [solvers.random_sample(q, params["shots"], seed) for seed in seeds]
+    return solvers.random_sample(q, params["shots"], seeds)
 
 
 def _run_lrqaoa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
     sched = lrqaoa.lr_schedule(params["p"], params["delta_gamma"], params["delta_beta"])
-    return lrqaoa.run_lrqaoa(q, sched, params["shots"], seeds=seeds)
+    return lrqaoa.run_lrqaoa(q, sched, params["shots"], seeds)
 
 
 def _run_brute(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
@@ -290,10 +285,6 @@ SOLVERS: dict[str, Solver] = {
     "lrqaoa": Solver({"p": 1, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 1000},
                      _run_lrqaoa),
     "brute": Solver({}, _run_brute),
-}
-
-DEFAULT_SOLVER_PARAMS: dict[str, dict[str, object]] = {
-    name: solver.defaults for name, solver in SOLVERS.items()
 }
 
 
@@ -344,7 +335,7 @@ def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
     numbers, and neither may be a boolean.
     """
     name = _require(entry, dict, "a solver entry").get("name")
-    if name not in SOLVERS:
+    if not isinstance(name, str) or name not in SOLVERS:
         raise ValueError(f"unknown solver {name!r}")
     given = _require(entry.get("params", {}), dict, f"params of solver {name!r}")
     unknown = set(given) - SOLVERS[name].keys()
@@ -385,6 +376,8 @@ def expand_plan(plan: Mapping) -> list[SweepCell]:
             raise ValueError(f"plan seeds must be non-negative integers, got {seed!r}")
     cells = []
     for path in plan["instances"]:
+        if not isinstance(path, (str, os.PathLike)):
+            raise ValueError(f"plan instances must be file paths, got {path!r}")
         for variant_entry in plan["variants"]:
             for variant in expand_variants(variant_entry):
                 for solver_entry in plan["solvers"]:

@@ -7,10 +7,10 @@ sampler over a coefficient file, ``sweep`` executes a whole plan,
 circuit-shape numbers.
 
 Exit codes: 0 success, 2 usage or invalid input, 3 size guard
-exceeded, 4 infeasible or undefined result, 5 I/O failure.  All
-randomness is seeded, so repeating a command reproduces its output.
-The ``PRESSQUBO_OUT`` environment variable supplies the default sweep
-output directory.
+exceeded or memory refused, 4 infeasible or undefined result, 5 I/O
+failure.  All randomness is seeded, so repeating a command reproduces
+its output.  The ``PRESSQUBO_OUT`` environment variable supplies the
+default sweep output directory.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TooLarge as exc:
+    except (TooLarge, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except (Infeasible, GenerationFailed) as exc:

@@ -22,11 +22,12 @@ per block, cached read-only on the ``Qubo`` for the object's lifetime
 (as ``as_dense`` caches the dense mirror), so runs at several depths
 on one QUBO build the tables once.  Each layer exponentiates the
 tables and multiplies them into the state through broadcast views.  A
-map that does not split has one factor, the full 2**n diagonal of
-``precompute_diagonal``, which stays the reference; the layers then
-hold the state, the scratch and that diagonal, 40 bytes per amplitude.
-A split map holds 32 bytes per amplitude plus its tables; sampling
-holds the state, the squared magnitudes and their cumulative sum.
+map that does not split has one factor, the full 2**n diagonal, which
+``precompute_diagonal`` also computes as the uncached reference; the
+layers then hold the state, the scratch and that diagonal, 40 bytes
+per amplitude.  A split map holds 32 bytes per amplitude plus its
+tables; sampling holds the state, the squared magnitudes and their
+cumulative sum.
 
 ``final_state`` allocates one scratch buffer the size of the state and
 passes it to both layers.  The cost layer forms its phases in it, and
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, overload
+from typing import Sequence
 
 import numpy as np
 
@@ -128,19 +129,11 @@ def uniform_state(n: int) -> np.ndarray:
 def precompute_diagonal(q: Qubo) -> np.ndarray:
     """Normalized energies of all bitstrings (the diagonal phase profile).
 
-    Built on first use and cached on ``q`` like its dense mirror, so
-    every call on ``q`` shares it; the array is therefore read-only.
-    The simulation itself runs on :func:`cost_factors`; this is the
-    reference they are tested against.
+    The simulation runs on :func:`cost_factors`; this is the reference
+    they are tested against, computed afresh on every call.
     """
     _check_guard(q.n)
-    return _cached(q, "_diagonal", _build_diagonal)
-
-
-def _build_diagonal(q: Qubo) -> np.ndarray:
-    diag = full_spectrum(normalize_qubo(q)).astype(np.float64)
-    diag.setflags(write=False)
-    return diag
+    return full_spectrum(normalize_qubo(q)).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -244,24 +237,20 @@ def _scratch_for(sv: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     return scratch
 
 
-def apply_cost_layer(sv: np.ndarray, factors: np.ndarray | Sequence[CostFactor],
+def apply_cost_layer(sv: np.ndarray, factors: Sequence[CostFactor],
                      gamma: float, scratch: np.ndarray | None = None) -> np.ndarray:
     """Multiply each amplitude by ``exp(-i * gamma * E)``, in place.
 
     ``factors`` is a :func:`cost_factors` set, whose tables sum to the
-    normalized energy ``E``, or one full diagonal of ``E``.  Each
-    factor's phases are formed in a prefix of ``scratch`` (allocated
-    when not given) and multiplied into the state through a broadcast
-    view, so a caller that passes one allocates nothing per layer.  A
-    full-length factor takes exactly the steps of ``sv *= exp(-1j *
-    gamma * diag)`` in place.
+    normalized energy ``E``; the one factor ``CostFactor(0, 0, n,
+    diag)`` applies a full diagonal.  Each factor's phases are formed in
+    a prefix of ``scratch`` (allocated when not given) and multiplied
+    into the state through a broadcast view, so a caller that passes one
+    allocates nothing per layer.  A full-length factor takes exactly the
+    steps of ``sv *= exp(-1j * gamma * diag)`` in place.
     """
     n = len(sv).bit_length() - 1
-    if isinstance(factors, np.ndarray):
-        if sv.shape != factors.shape:
-            raise ValueError("statevector and diagonal lengths differ")
-        factors = (CostFactor(0, 0, n, factors),)
-    elif factors[-1].hi != n:
+    if factors[-1].hi != n:
         raise ValueError(f"cost factors cover {factors[-1].hi} qubits, the statevector {n}")
     buffer = _scratch_for(sv, scratch)
     for f in factors:
@@ -358,30 +347,18 @@ def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
     return sv
 
 
-@overload
-def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, seed: int) -> SampleSet: ...
-@overload
-def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int, *,
-               seeds: Sequence[int]) -> list[SampleSet]: ...
+def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int,
+               seeds: Sequence[int]) -> list[SampleSet]:
+    """Simulate the circuit once and sample ``shots`` bitstrings per seed.
 
-
-def run_lrqaoa(q, sched, shots, seed=None, seeds=None):
-    """Simulate the circuit and sample bitstrings from it.
-
-    Energies in the result are evaluated against the un-normalized
-    objective.  Sampling is reproducible bit-exactly from the seed.
-
-    With ``seed`` the result is that seed's :class:`SampleSet`.  With
-    ``seeds`` it is a list of one set per seed, in order, equal to
-    separate calls: the circuit is simulated once and every seed draws
-    from the same cumulative distribution.
+    Returns one set per seed, in order; every seed draws from the same
+    cumulative distribution, and each draw is reproducible bit-exactly
+    from its seed.  Energies in the result are evaluated against the
+    un-normalized objective.
     """
-    if (seed is None) == (seeds is None):
-        raise TypeError("run_lrqaoa takes either seed or seeds")
-    batch = [seed] if seeds is None else list(seeds)
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if any(s < 0 for s in batch):
+    if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
     sv = final_state(q, sched)
     cum = np.cumsum(np.abs(sv) ** 2)
@@ -390,14 +367,14 @@ def run_lrqaoa(q, sched, shots, seed=None, seeds=None):
     params = {"p": sched.p, "delta_gamma": sched.delta_gamma,
               "delta_beta": sched.delta_beta, "shots": shots}
     results = []
-    for s in batch:
+    for s in seeds:
         rng = np.random.default_rng([s])
         draws = np.searchsorted(cum, rng.random(shots), side="right")
         indices, counts = np.unique(draws, return_counts=True)
         states = index_states(indices, q.n).astype(np.int8)
         meta = {"solver": "lrqaoa", "params": dict(params), "seed": s}
         results.append(sampleset_from_states(dense, states, counts, meta))
-    return results[0] if seeds is None else results
+    return results
 
 
 def success_probability(q: Qubo, sched: RampSchedule) -> float:

@@ -6,12 +6,14 @@ baseline, and an exhaustive minimizer for small problems.  A one-pass
 single-bit-flip improvement step is available as post-processing for
 any sampler's output.
 
-Determinism: every sampler derives all randomness from its seed (each
-annealing restart from ``(seed, restart_index)``), so identical calls
-return identical results regardless of scheduling.  Annealing several
-seeds in one stacked step loop, and reusing the last restart draws for
-an identical next batch, change neither a restart's stream nor its
-arithmetic: each seed's result equals a call for that seed alone.
+Every seeded sampler takes ``seeds`` and returns one set per seed, in
+order.  Determinism: every sampler derives all randomness from its seed
+(each annealing restart from ``(seed, restart_index)``), so identical
+calls return identical results regardless of scheduling.  Annealing
+several seeds in one stacked step loop, and reusing the last restart
+draws for an identical next batch, change neither a restart's stream
+nor its arithmetic: each seed's set equals the set of a call with that
+seed alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence, overload
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,14 +136,11 @@ class SaConfig:
     steps: int = 1280
     t_start: float | None = None
     t_end: float | None = None
-    seed: int = 0
     restarts: int = 500
 
     def __post_init__(self):
         if self.steps < 1 or self.restarts < 1:
             raise ValueError("steps and restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         for t in (self.t_start, self.t_end):
             if t is not None and not (math.isfinite(t) and t > 0):
                 raise ValueError(f"temperatures must be finite and > 0, got {t!r}")
@@ -216,13 +215,7 @@ def _restart_draws(seeds: Sequence[int], restarts: int, n: int,
     return draws
 
 
-@overload
-def simulated_anneal(q: Qubo, cfg: SaConfig, seeds: None = None) -> SampleSet: ...
-@overload
-def simulated_anneal(q: Qubo, cfg: SaConfig, seeds: Sequence[int]) -> list[SampleSet]: ...
-
-
-def simulated_anneal(q, cfg, seeds=None):
+def simulated_anneal(q: Qubo, cfg: SaConfig, seeds: Sequence[int] = (0,)) -> list[SampleSet]:
     """Independent single-bit-flip annealing chains, one per restart.
 
     Each step flips one uniformly random bit; the flip is kept when it
@@ -232,24 +225,22 @@ def simulated_anneal(q, cfg, seeds=None):
     restart's stream is reproducible in isolation.  The final state of
     every restart is recorded.
 
-    Without ``seeds`` the result is the :class:`SampleSet` of
-    ``cfg.seed``.  With ``seeds`` (``cfg.seed`` is then unused) it is a
-    list of one set per seed, in order, equal to separate calls: the
-    restarts of up to ``_BATCH_ROWS // cfg.restarts`` seeds (at least
-    one) run in one step loop, and no row's arithmetic depends on the
-    rows beside it.  :func:`simulated_anneal_reference` is the per-seed
-    kernel this is tested against.
+    Returns one set per seed, in order, each equal to
+    :func:`simulated_anneal_reference` of that seed, the per-seed kernel
+    this is tested against: the restarts of up to
+    ``_BATCH_ROWS // cfg.restarts`` seeds (at least one) run in one step
+    loop, and no row's arithmetic depends on the rows beside it.
     """
-    batch = [cfg.seed] if seeds is None else list(seeds)
-    if any(s < 0 for s in batch):
+    seeds = list(seeds)
+    if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
     dense = as_dense(q)
     temps = cfg._ladder(dense)
     per_batch = max(1, _BATCH_ROWS // cfg.restarts)
     results = []
-    for start in range(0, len(batch), per_batch):
-        results += _anneal_batch(dense, cfg, temps, batch[start:start + per_batch])
-    return results[0] if seeds is None else results
+    for start in range(0, len(seeds), per_batch):
+        results += _anneal_batch(dense, cfg, temps, seeds[start:start + per_batch])
+    return results
 
 
 def _anneal_batch(dense: DenseQubo, cfg: SaConfig, temps: np.ndarray,
@@ -279,9 +270,9 @@ def _anneal_batch(dense: DenseQubo, cfg: SaConfig, temps: np.ndarray,
             for k, seed in enumerate(seeds)]
 
 
-def simulated_anneal_reference(q: Qubo, cfg: SaConfig) -> SampleSet:
-    """:func:`simulated_anneal` of ``cfg.seed``, one restart stream at a
-    time: the reference the stacked kernel is tested against."""
+def simulated_anneal_reference(q: Qubo, cfg: SaConfig, seed: int) -> SampleSet:
+    """The set :func:`simulated_anneal` returns for ``seed``, one restart
+    stream at a time: the reference the stacked kernel is tested against."""
     dense = as_dense(q)
     temps = cfg.temperatures(q)
     R, n, steps = cfg.restarts, q.n, cfg.steps
@@ -290,7 +281,7 @@ def simulated_anneal_reference(q: Qubo, cfg: SaConfig) -> SampleSet:
     flips = np.empty((R, steps), dtype=np.int64)
     uniforms = np.empty((R, steps))
     for r in range(R):
-        rng = np.random.default_rng([cfg.seed, r])
+        rng = np.random.default_rng([seed, r])
         states[r] = rng.integers(0, 2, size=n)
         flips[r] = rng.integers(0, n, size=steps)
         uniforms[r] = rng.random(steps)
@@ -313,21 +304,24 @@ def simulated_anneal_reference(q: Qubo, cfg: SaConfig) -> SampleSet:
             "t_start": float(temps[0]),
             "t_end": float(temps[-1]),
         },
-        "seed": cfg.seed,
+        "seed": seed,
     }
     return sampleset_from_states(dense, states, np.ones(R, dtype=np.int64), meta)
 
 
-def random_sample(q: Qubo, shots: int, seed: int) -> SampleSet:
-    """Uniform random bitstrings with evaluated energies."""
+def random_sample(q: Qubo, shots: int, seeds: Sequence[int]) -> list[SampleSet]:
+    """Uniform random bitstrings with evaluated energies, one set per seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    rng = np.random.default_rng([seed])
-    states = rng.integers(0, 2, size=(shots, q.n), dtype=np.int8)
-    meta = {"solver": "random", "params": {"shots": shots}, "seed": seed}
-    return sampleset_from_states(as_dense(q), states, np.ones(shots, dtype=np.int64), meta)
+    if any(s < 0 for s in seeds):
+        raise ValueError("seeds must be non-negative")
+    dense = as_dense(q)
+    results = []
+    for seed in seeds:
+        states = np.random.default_rng([seed]).integers(0, 2, size=(shots, q.n), dtype=np.int8)
+        meta = {"solver": "random", "params": {"shots": shots}, "seed": seed}
+        results.append(sampleset_from_states(dense, states, np.ones(shots, dtype=np.int64), meta))
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_criterion_04_single_layer_sampling_finds_optimum():
     failures = []
     for variant in (RAW_REFERENCE, pq.ScaledVariant(Fraction(1)), pq.RoundedVariant()):
         q = pq.build_qubo(inst, variant)
-        samples = pq.run_lrqaoa(q, pq.lr_schedule(1, 0.9, 0.6), shots=1000, seed=0)
+        samples = pq.run_lrqaoa(q, pq.lr_schedule(1, 0.9, 0.6), shots=1000, seeds=[0])[0]
         hit = False
         for bits, _ in samples.iter_bits():
             assignment = pq.decode(q, bits).as_assignment()
@@ -156,8 +156,8 @@ def test_criterion_06_annealing_dominates_random_baseline():
         q = pq.build_qubo(inst, RAW_REFERENCE)
         sa_costs, rnd_costs, sa_valid, rnd_valid = [], [], [], []
         for seed in range(20):
-            sa = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=500, seed=seed))
-            rnd = pq.random_sample(q, 1000, seed=seed)
+            sa = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=500), [seed])[0]
+            rnd = pq.random_sample(q, 1000, [seed])[0]
             sa_costs.append(best_valid_cost(sa, inst, q))
             rnd_costs.append(best_valid_cost(rnd, inst, q))
             sa_valid.append(pq.percent_valid(sa, inst, q))

@@ -6,7 +6,6 @@ import pytest
 
 import pressqubo as pq
 from pressqubo.bench import (
-    DEFAULT_SOLVER_PARAMS,
     SOLVERS,
     RunRecord,
     expand_solver_params,
@@ -320,7 +319,7 @@ class TestPlanExpansion:
     def test_solver_defaults(self):
         [(name, params)] = expand_solver_params({"name": "sa"})
         assert name == "sa"
-        assert params == DEFAULT_SOLVER_PARAMS["sa"]
+        assert params == SOLVERS["sa"].defaults
 
     def test_unknown_solver(self):
         with pytest.raises(ValueError):
@@ -337,7 +336,7 @@ class TestPlanExpansion:
 
     def test_optional_annealing_temperatures(self):
         [(_, params)] = expand_solver_params({"name": "sa", "params": {"t_start": 5.0}})
-        assert params == {**DEFAULT_SOLVER_PARAMS["sa"], "t_start": 5.0}
+        assert params == {**SOLVERS["sa"].defaults, "t_start": 5.0}
 
 
 class TestSolverRegistry:
@@ -368,11 +367,11 @@ class TestSolverRegistry:
         # A tracer patches module attributes; the registry must call the patch.
         marker = SampleSet(entries=(), meta={"patched": attr})
 
-        def patched(*args, seeds=None):  # annealing takes all seeds in one call
-            return marker if seeds is None else [marker] * len(seeds)
+        def patched(*args):  # every sampler takes the seeds last
+            return [marker] * len(args[-1])
 
         monkeypatch.setattr(module, attr, patched)
-        runs = SOLVERS[name].run(tiny_qubo, DEFAULT_SOLVER_PARAMS[name], [0, 1])
+        runs = SOLVERS[name].run(tiny_qubo, SOLVERS[name].defaults, [0, 1])
         assert len(runs) == 2 and all(samples is marker for samples in runs)
 
 
@@ -616,9 +615,9 @@ class TestGroupedSweep:
         calls = []
         original = pq.solvers.simulated_anneal
 
-        def counting(q, cfg, seeds=None):
+        def counting(q, cfg, seeds):
             calls.append((q.variant.kind, cfg.steps, cfg.restarts, seeds))
-            return original(q, cfg, seeds=seeds)
+            return original(q, cfg, seeds)
 
         monkeypatch.setattr(pq.solvers, "simulated_anneal", counting)
         assert pq.sweep(plan) == expected
@@ -632,12 +631,12 @@ class TestGroupedSweep:
             seeds=[0, 1, 2]))
         original = pq.solvers.simulated_anneal
 
-        def failing(q, cfg, seeds=None):
-            if seeds is not None and len(seeds) > 1:
+        def failing(q, cfg, seeds):
+            if len(seeds) > 1:
                 raise MemoryError("batch too large")
             if seeds == [1]:
                 raise ValueError("seed 1 fails")
-            return original(q, cfg, seeds=seeds)
+            return original(q, cfg, seeds)
 
         monkeypatch.setattr(pq.solvers, "simulated_anneal", failing)
         records = pq.sweep(plan)

@@ -110,6 +110,18 @@ class TestSolve:
         assert run("build", inst, "--variant", "rounded", "-o", q) == 0
         assert run("solve", q, "--solver", "brute", "-o", tmp_path / "s.csv") == 3
 
+    def test_refused_allocation_exit_code(self, qubo_file, tmp_path, monkeypatch, capsys):
+        # An oversized allocation can succeed lazily where memory is
+        # overcommitted, so the sampler raises the error itself.
+        def refused(*args):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(pq.solvers, "simulated_anneal", refused)
+        out = tmp_path / "s.csv"
+        assert run("solve", qubo_file, "--solver", "sa", "-o", out) == 3
+        assert "Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_postprocess_flag(self, qubo_file, tmp_path):
         out = tmp_path / "samples.csv"
         assert run("solve", qubo_file, "--solver", "random", "--shots", 40,
@@ -229,6 +241,18 @@ def _instances_as_number(plan, inst):
     plan["instances"] = 5
 
 
+def _instance_as_list(plan, inst):
+    plan["instances"] = [["inst.json"]]
+
+
+def _solver_name_as_list(plan, inst):
+    plan["solvers"][0]["name"] = ["random"]
+
+
+def _solver_name_as_object(plan, inst):
+    plan["solvers"][0]["name"] = {"a": 1}
+
+
 def _capacity_as_number(plan, inst):
     inst["capacity"] = 5
 
@@ -239,7 +263,9 @@ def _null_cost(plan, inst):
 
 class TestMalformedInput:
     @pytest.mark.parametrize("corrupt", [_variant_as_string, _instances_as_number,
-                                         _capacity_as_number, _null_cost])
+                                         _instance_as_list, _solver_name_as_list,
+                                         _solver_name_as_object, _capacity_as_number,
+                                         _null_cost])
     def test_malformed_plan_or_instance_is_usage_error(self, instance_file, tmp_path,
                                                         corrupt, capsys):
         inst = json.loads(instance_file.read_text())
@@ -506,7 +532,7 @@ def test_solve_defaults_match_the_sweep_call(tmp_path, name):
     out = tmp_path / "samples.csv"
     assert run("solve", path, "--solver", name, "--seed", 3, "-o", out) == 0
     [(_, params)] = bench.expand_solver_params({"name": name})
-    assert params == bench.DEFAULT_SOLVER_PARAMS[name]
+    assert params == bench.SOLVERS[name].defaults
     [expected] = bench.SOLVERS[name].run(q, params, [3])
     assert pq.load_sampleset(out) == expected
 

@@ -112,7 +112,7 @@ class TestAgainstReference:
         inst = pq.bundled_instance("press-03x2")
         for variant in VARIANTS:
             q = pq.build_qubo(inst, variant)
-            samples = pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=100, seed=1))
+            samples = pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=100), [1])[0]
             assert score_samples(samples, inst, q) == score_samples_reference(samples, inst, q)
 
 

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -97,8 +96,8 @@ class TestBruteForce:
         q = pq.build_qubo(tiny, pq.ScaledVariant(Fraction(1)))
         _, energy = pq.brute_force_qubo(q)
         for samples in (
-            pq.random_sample(q, 200, seed=5),
-            pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=50, seed=5)),
+            pq.random_sample(q, 200, [5])[0],
+            pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=50), [5])[0],
         ):
             assert float(energy) <= samples.best.energy + 1e-9
 
@@ -106,26 +105,26 @@ class TestBruteForce:
 class TestRandomSample:
     def test_counts(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        samples = pq.random_sample(q, 1000, seed=1)
+        samples = pq.random_sample(q, 1000, [1])[0]
         assert samples.total == 1000
 
     def test_single_variable_strings(self):
         q = Qubo(n=1, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
-        samples = pq.random_sample(q, 4, seed=9)
+        samples = pq.random_sample(q, 4, [9])[0]
         assert {e.bits for e in samples.entries} <= {"0", "1"}
 
     def test_deterministic(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        assert pq.random_sample(q, 100, seed=3) == pq.random_sample(q, 100, seed=3)
+        assert pq.random_sample(q, 100, [3])[0] == pq.random_sample(q, 100, [3])[0]
 
     def test_energies_match_exact_evaluation(self, tiny):
         q = pq.build_qubo(tiny, pq.ScaledVariant(Fraction(1)))
-        for entry in pq.random_sample(q, 50, seed=2).entries:
+        for entry in pq.random_sample(q, 50, [2])[0].entries:
             assert entry.energy == pytest.approx(float(pq.qubo_energy(q, entry.bits)), rel=1e-12)
 
     def test_sorted_and_merged(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        samples = pq.random_sample(q, 500, seed=7)
+        samples = pq.random_sample(q, 500, [7])[0]
         keys = [(e.energy, e.bits) for e in samples.entries]
         assert keys == sorted(keys)
         assert len({e.bits for e in samples.entries}) == len(samples.entries)
@@ -135,25 +134,25 @@ class TestSimulatedAnneal:
     def test_finds_global_minimum_on_tiny(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
         best_bits, best_energy = pq.brute_force_qubo(q)
-        samples = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=100, seed=3))
+        samples = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=100), [3])[0]
         assert samples.best.bits == best_bits
         assert samples.best.energy == float(best_energy)
 
     def test_deterministic(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        cfg = pq.SaConfig(steps=300, restarts=40, seed=11)
-        assert pq.simulated_anneal(q, cfg) == pq.simulated_anneal(q, cfg)
+        cfg = pq.SaConfig(steps=300, restarts=40)
+        assert pq.simulated_anneal(q, cfg, [11]) == pq.simulated_anneal(q, cfg, [11])
 
     def test_zero_energy_flips_always_accepted(self):
         # zero objective: every flip has dE = 0 and must be taken, so each
         # chain ends at its start XOR all its flips
         n, steps = 5, 17
         q = Qubo(n=n, coeffs={}, offset=Fraction(3))
-        cfg = pq.SaConfig(steps=steps, restarts=3, seed=21, t_start=1.0, t_end=0.5)
-        samples = pq.simulated_anneal(q, cfg)
+        cfg = pq.SaConfig(steps=steps, restarts=3, t_start=1.0, t_end=0.5)
+        [samples] = pq.simulated_anneal(q, cfg, [21])
         expected = {}
         for r in range(cfg.restarts):
-            rng = np.random.default_rng([cfg.seed, r])
+            rng = np.random.default_rng([21, r])
             state = rng.integers(0, 2, size=n)
             for i in rng.integers(0, n, size=steps):
                 state[i] ^= 1
@@ -164,7 +163,7 @@ class TestSimulatedAnneal:
 
     def test_restart_count_respected(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        samples = pq.simulated_anneal(q, pq.SaConfig(steps=10, restarts=77, seed=0))
+        samples = pq.simulated_anneal(q, pq.SaConfig(steps=10, restarts=77), [0])[0]
         assert samples.total == 77
 
     def test_config_validation(self):
@@ -173,7 +172,7 @@ class TestSimulatedAnneal:
         with pytest.raises(ValueError):
             pq.SaConfig(restarts=0)
         with pytest.raises(ValueError):
-            pq.SaConfig(seed=-1)
+            pq.simulated_anneal(Qubo(n=1, coeffs={}, offset=Fraction(0)), pq.SaConfig(), [-1])
         with pytest.raises(ValueError):
             pq.SaConfig(t_start=1.0, t_end=2.0)
 
@@ -216,8 +215,8 @@ class TestSimulatedAnneal:
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
         sa_best, rnd_best = [], []
         for seed in range(20):
-            sa = pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=100, seed=seed))
-            rnd = pq.random_sample(q, 100, seed=seed)
+            sa = pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=100), [seed])[0]
+            rnd = pq.random_sample(q, 100, [seed])[0]
             sa_best.append(sa.best.energy)
             rnd_best.append(rnd.best.energy)
         assert np.median(sa_best) <= np.median(rnd_best)
@@ -229,8 +228,8 @@ class TestSimulatedAnneal:
         q = pq.build_qubo(inst, pq.RawVariant(Fraction(10**5), Fraction(10**9)))
         sa_best, rnd_best = [], []
         for seed in range(20):
-            sa = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=100, seed=seed))
-            rnd = pq.random_sample(q, 100, seed=seed)
+            sa = pq.simulated_anneal(q, pq.SaConfig(steps=1280, restarts=100), [seed])[0]
+            rnd = pq.random_sample(q, 100, [seed])[0]
             sa_best.append(sa.best.energy)
             rnd_best.append(rnd.best.energy)
         assert np.median(sa_best) <= np.median(rnd_best)
@@ -238,7 +237,7 @@ class TestSimulatedAnneal:
 
 def stacked_and_alone(q, cfg, seeds):
     return (pq.simulated_anneal(q, cfg, seeds=seeds),
-            [simulated_anneal_reference(q, replace(cfg, seed=k)) for k in seeds])
+            [simulated_anneal_reference(q, cfg, k) for k in seeds])
 
 
 class TestStackedAnneal:
@@ -261,7 +260,7 @@ class TestStackedAnneal:
         cfg = pq.SaConfig(steps=200, restarts=40, t_start=50.0, t_end=0.5)
         stacked, alone = stacked_and_alone(q, cfg, [4, 0, 9])
         assert stacked == alone
-        assert pq.simulated_anneal(q, replace(cfg, seed=9)) == alone[2]
+        assert pq.simulated_anneal(q, cfg, [9]) == [alone[2]]
 
     def test_more_than_256_variables(self):
         rng = np.random.default_rng(5)
@@ -382,7 +381,7 @@ class TestBitflipPostprocess:
 
     def test_postprocess_sampleset_preserves_total(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        samples = pq.random_sample(q, 200, seed=4)
+        samples = pq.random_sample(q, 200, [4])[0]
         cleaned = pq.postprocess_sampleset(q, samples)
         assert cleaned.total == samples.total
         assert cleaned.best.energy <= samples.best.energy
@@ -487,7 +486,7 @@ class TestBatchedPostprocess:
         for variant in (pq.RawVariant(Fraction(10**5), Fraction(10**9)),
                         pq.ScaledVariant(Fraction(1)), pq.RoundedVariant()):
             q = pq.build_qubo(inst, variant)
-            samples = pq.simulated_anneal(q, pq.SaConfig(seed=0))
+            samples = pq.simulated_anneal(q, pq.SaConfig(), [0])[0]
             assert_batched_matches_reference(q, [bits for bits, _ in samples.iter_bits()])
             cleaned = pq.postprocess_sampleset(q, samples)
             assert {e.bits: e.multiplicity for e in cleaned.entries} == \
@@ -505,7 +504,7 @@ class TestBatchedPostprocess:
 class TestSampleSetIO:
     def test_roundtrip(self, tiny, tmp_path):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        samples = pq.simulated_anneal(q, pq.SaConfig(steps=50, restarts=20, seed=6))
+        samples = pq.simulated_anneal(q, pq.SaConfig(steps=50, restarts=20), [6])[0]
         path = tmp_path / "samples.csv"
         pq.save_sampleset(samples, path)
         assert pq.load_sampleset(path) == samples
@@ -513,7 +512,7 @@ class TestSampleSetIO:
     def test_schema(self, tiny, tmp_path):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
         path = tmp_path / "samples.csv"
-        pq.save_sampleset(pq.random_sample(q, 10, seed=0), path)
+        pq.save_sampleset(pq.random_sample(q, 10, [0])[0], path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# meta: ")
         assert lines[1] == "bits,energy,multiplicity"
