@@ -242,6 +242,8 @@ def _run_lrqaoa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSe
 
 
 def _run_brute(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
+    if any(s < 0 for s in seeds):
+        raise ValueError("seeds must be non-negative")
     bits, _ = solvers.brute_force_qubo(q)  # the same minimum for every seed
     state = qubo.bits_to_vector(bits)[None, :]
     return [solvers.sampleset_from_states(qubo.as_dense(q), state, [1],

@@ -38,12 +38,12 @@ _ENUM_CHUNK = 1 << 20
 def as_fraction(value) -> Fraction:
     """An exact rational from a Fraction, int, float (by its repr) or string.
 
-    Raises ValueError for anything else, including a string with a zero
-    denominator such as ``"1/0"``.
+    Raises ValueError for anything else, including a boolean and a string
+    with a zero denominator such as ``"1/0"``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, float):
         return Fraction(str(value))

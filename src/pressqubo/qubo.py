@@ -21,7 +21,9 @@ the slack can take every value in ``{0..h}`` and nothing more.
 Variable layout is fixed: decision bits first in toolkit-major order,
 then slack bits machine by machine with digits ascending.  A bitstring
 is written with position ``i`` holding variable ``i`` (so its integer
-value reads variable 0 as the least-significant bit).
+value reads variable 0 as the least-significant bit).  :class:`VariableMap`
+derives it from the names and slack weights; :func:`_varmap_from_doc`
+enforces it, accepting only the sidecar :func:`save_qubo` would write.
 
 All coefficients are exact rationals; a float64 mirror for the hot
 numeric kernels lives alongside, with a rigorous error bound so exact
@@ -40,7 +42,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import TooLarge
-from .model import Instance, as_fraction, load_json
+from .model import Assignment, Instance, as_fraction, load_json
 
 # Hard cap on 2**n for full-spectrum computations.
 SPECTRUM_GUARD = 26
@@ -197,40 +199,33 @@ def value_range(coefficients: Sequence[Fraction]) -> Fraction:
 class VariableMap:
     """Fixed index layout: decision bits, then slack bits.
 
-    ``slack_weights`` carries the digit weight of every slack bit so a
-    bitstring can be decoded without the originating instance.
+    ``slack_weights`` carries the digit weight of every slack bit of each
+    machine, so a bitstring can be decoded without the originating
+    instance.  The layout itself is derived on construction, never
+    stored: ``n``, ``decision_index[t, m]`` and ``slack_index[m, j]``
+    follow from the names and the number of each machine's slack digits.
     """
 
-    n: int
     toolkits: tuple[str, ...]
     machines: tuple[str, ...]
-    decision_index: Mapping[tuple[str, str], int]
-    slack_index: Mapping[tuple[str, int], int]
     slack_weights: Mapping[str, tuple[int, ...]]
+
+    def __post_init__(self):
+        pairs = [(t, m) for t in self.toolkits for m in self.machines]
+        digits = [(m, j) for m in self.machines for j in range(len(self.slack_weights[m]))]
+        decision = {key: i for i, key in enumerate(pairs)}
+        if not pairs or len(decision) < len(pairs) or not all(
+                isinstance(name, str) for name in self.toolkits + self.machines):
+            raise ValueError("toolkits and machines need distinct string names")
+        object.__setattr__(self, "decision_index", decision)
+        object.__setattr__(self, "slack_index",
+                           {key: i for i, key in enumerate(digits, len(pairs))})
+        object.__setattr__(self, "n", len(pairs) + len(digits))
 
     @classmethod
     def for_instance(cls, inst: Instance) -> "VariableMap":
-        decision = {}
-        for i, t in enumerate(inst.toolkits):
-            for j, m in enumerate(inst.machines):
-                decision[t, m] = i * inst.n_machines + j
-        slack = {}
-        weights = {}
-        idx = inst.n_toolkits * inst.n_machines
-        for m in inst.machines:
-            coeffs = slack_coefficients(_as_int(inst.capacity[m], "capacity"))
-            weights[m] = coeffs
-            for j in range(len(coeffs)):
-                slack[m, j] = idx
-                idx += 1
-        return cls(
-            n=idx,
-            toolkits=inst.toolkits,
-            machines=inst.machines,
-            decision_index=decision,
-            slack_index=slack,
-            slack_weights=weights,
-        )
+        return cls(inst.toolkits, inst.machines,
+                   {m: slack_coefficients(inst.capacity[m]) for m in inst.machines})
 
 
 @dataclass(frozen=True)
@@ -271,13 +266,10 @@ class DecodedSample:
 
     candidate: Mapping[str, frozenset[str]]
     slack: Mapping[str, int]
-    raw_bits: str
 
     def as_assignment(self):
         """The candidate as an Assignment, or None if any toolkit does not
         have exactly one machine selected."""
-        from .model import Assignment
-
         if any(len(ms) != 1 for ms in self.candidate.values()):
             return None
         return Assignment({t: next(iter(ms)) for t, ms in self.candidate.items()})
@@ -420,7 +412,7 @@ def decode(q: Qubo, bits: str) -> DecodedSample:
         )
         for m in vm.machines
     }
-    return DecodedSample(candidate=candidate, slack=slack, raw_bits=bits)
+    return DecodedSample(candidate=candidate, slack=slack)
 
 
 def encode_assignment(q: Qubo, choice: Mapping[str, str],
@@ -687,7 +679,8 @@ def save_qubo(q: Qubo, path) -> None:
         lines.append(f"{i} {j} {c}")
     Path(path).write_text("\n".join(lines) + "\n")
     if q.varmap is not None:
-        sidecar_path(path).write_text(json.dumps(_varmap_doc(q), indent=2) + "\n")
+        doc = _varmap_doc(q.varmap, q.variant)
+        sidecar_path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def load_qubo(path) -> Qubo:
@@ -711,71 +704,68 @@ def load_qubo(path) -> Qubo:
     variant = None
     sc = sidecar_path(path)
     if sc.exists():
-        varmap, variant = _varmap_from_doc(load_json(sc))
+        varmap, variant = _varmap_from_doc(load_json(sc), sc)
         if varmap.n != n:
-            raise ValueError(f"{sc} lays out {varmap.n} variables, the header of {path} {n}")
+            raise ValueError(f"sidecar {sc} lays out {varmap.n} variables, "
+                             f"the header of {path} {n}")
     return Qubo(n=n, coeffs=coeffs, offset=offset, varmap=varmap, variant=variant)
 
 
-def _varmap_doc(q: Qubo) -> dict:
-    vm = q.varmap
+def _varmap_doc(vm: VariableMap, variant: VariantSpec | None) -> dict:
     doc = {
         "n": vm.n,
         "toolkits": list(vm.toolkits),
         "machines": list(vm.machines),
-        "decision": [
-            {"toolkit": t, "machine": m, "index": idx}
-            for (t, m), idx in sorted(vm.decision_index.items(), key=lambda kv: kv[1])
-        ],
-        "slack": [
-            {"machine": m, "bit": j, "index": idx, "weight": vm.slack_weights[m][j]}
-            for (m, j), idx in sorted(vm.slack_index.items(), key=lambda kv: kv[1])
-        ],
+        "decision": [{"toolkit": t, "machine": m, "index": idx}
+                     for (t, m), idx in vm.decision_index.items()],
+        "slack": [{"machine": m, "bit": j, "index": idx, "weight": vm.slack_weights[m][j]}
+                  for (m, j), idx in vm.slack_index.items()],
     }
-    if q.variant is not None:
-        doc["variant"] = {"kind": q.variant.kind,
-                          **{k: str(v) for k, v in q.variant.params()}}
+    if variant is not None:
+        doc["variant"] = {"kind": variant.kind, **{k: str(v) for k, v in variant.params()}}
     return doc
 
 
-def _varmap_from_doc(doc) -> tuple[VariableMap, VariantSpec | None]:
-    """The variable map and variant of a sidecar; ValueError for a malformed one."""
-    if not isinstance(doc, dict) or type(doc.get("n")) is not int:
-        raise ValueError(f"a sidecar must hold a JSON object with an integer 'n', got {doc!r}")
-    n = doc["n"]
-    for key in ("toolkits", "machines", "decision", "slack"):
-        if not isinstance(doc[key], list):
-            raise ValueError(f"sidecar {key!r} must be a list, got {doc[key]!r}")
-    for e in doc["decision"] + doc["slack"]:
-        if not (isinstance(e, dict) and type(e["index"]) is int and 0 <= e["index"] < n):
-            raise ValueError(f"sidecar entries must be objects indexing [0, {n}), got {e!r}")
-    names = (doc["toolkits"] + doc["machines"] + [e["toolkit"] for e in doc["decision"]]
-             + [e["machine"] for e in doc["decision"] + doc["slack"]])
-    bad = [name for name in names if not isinstance(name, str)]
-    if bad:
-        raise ValueError(f"sidecar toolkit and machine names must be strings, got {bad[0]!r}")
-    for e in doc["slack"]:
-        if not (type(e["bit"]) is int and type(e["weight"]) is int):
-            raise ValueError(f"sidecar slack 'bit' and 'weight' must be integers, got {e!r}")
-    toolkits = tuple(doc["toolkits"])
-    machines = tuple(doc["machines"])
-    decision = {(e["toolkit"], e["machine"]): e["index"] for e in doc["decision"]}
-    slack = {(e["machine"], e["bit"]): e["index"] for e in doc["slack"]}
-    weights: dict[str, list[int]] = {m: [] for m in machines}
-    for e in sorted(doc["slack"], key=lambda e: (e["machine"], e["bit"])):
-        weights[e["machine"]].append(e["weight"])
-    varmap = VariableMap(
-        n=n,
-        toolkits=toolkits,
-        machines=machines,
-        decision_index=decision,
-        slack_index=slack,
-        slack_weights={m: tuple(w) for m, w in weights.items()},
-    )
-    variant = None
-    if "variant" in doc:
-        v = doc["variant"]
-        if not isinstance(v, dict):
-            raise ValueError(f"sidecar 'variant' must be an object, got {v!r}")
-        [variant] = variant_grid(v["kind"], {label: [value] for label, value in v.items()})
+def _varmap_from_doc(doc, path) -> tuple[VariableMap, VariantSpec | None]:
+    """The variable map and variant of the sidecar ``doc`` read from ``path``.
+
+    Only the names, each machine's slack weights (their sum is its
+    capacity) and the variant are read.  The file is accepted only when
+    it is exactly what :func:`save_qubo` writes for them; ValueError
+    otherwise.
+    """
+    try:
+        capacity = {}
+        for e in doc["slack"]:
+            capacity[e["machine"]] = capacity.get(e["machine"], 0) + e["weight"]
+        varmap = VariableMap(tuple(doc["toolkits"]), tuple(doc["machines"]),
+                             {m: slack_coefficients(capacity.get(m, 0)) for m in doc["machines"]})
+        variant = None
+        if "variant" in doc:
+            v = doc["variant"]
+            [variant] = variant_grid(v["kind"], {label: [value] for label, value in v.items()})
+        rebuilt = _varmap_doc(varmap, variant)
+        same = json.dumps(doc, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
+    except KeyError as exc:
+        raise ValueError(f"sidecar {path}: lacks {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"sidecar {path}: {exc}") from None
+    if not same:
+        raise ValueError(f"sidecar {path}: field {_first_difference(doc, rebuilt)!r} is not "
+                         "what build writes for these names, slack weights and variant")
     return varmap, variant
+
+
+def _first_difference(got, want, where: str = "") -> str:
+    """Path of the first field, in sorted-key order, where the JSON values
+    ``got`` and ``want`` differ; they must differ type-exactly."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        if got.keys() != want.keys():
+            return f"{where}.{min(got.keys() ^ want.keys())}".lstrip(".")
+        pairs = [(f"{where}.{k}".lstrip("."), got[k], want[k]) for k in sorted(got)]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        pairs = [(f"{where}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return where
+    return next(_first_difference(g, w, path) for path, g, w in pairs
+                if json.dumps(g, sort_keys=True) != json.dumps(w, sort_keys=True))

@@ -374,6 +374,11 @@ class TestSolverRegistry:
         runs = SOLVERS[name].run(tiny_qubo, SOLVERS[name].defaults, [0, 1])
         assert len(runs) == 2 and all(samples is marker for samples in runs)
 
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_negative_seed_is_refused(self, tiny_qubo, name):
+        with pytest.raises(ValueError, match="seeds must be non-negative"):
+            SOLVERS[name].run(tiny_qubo, SOLVERS[name].defaults, [0, -1])
+
 
 def write_plan(tmp_path, tiny, **overrides):
     inst_path = tmp_path / "tiny.json"

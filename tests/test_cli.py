@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -261,11 +262,53 @@ def _null_cost(plan, inst):
     inst["cost"][0][0] = None
 
 
+def _true_cost(plan, inst):
+    inst["cost"][0][0] = True
+
+
+def _true_capacity(plan, inst):
+    inst["capacity"][1] = True
+
+
+def _second_decision_at_zero(doc):
+    doc["decision"][1]["index"] = 0
+
+
+def _slack_weights_7_1(doc):
+    [first, second] = [e for e in doc["slack"] if e["machine"] == doc["machines"][0]]
+    first["weight"], second["weight"] = 7, 1
+
+
+def _scaled_with_boolean(doc):
+    doc["variant"] = {"kind": "scaled", "ls": True}
+
+
+def _unknown_variant_key(doc):
+    doc["variant"] = {"kind": "rounded", "lm": "5"}
+
+
+def _permuted_slack_indices(doc):
+    doc["slack"][0]["index"], doc["slack"][1]["index"] = (doc["slack"][1]["index"],
+                                                          doc["slack"][0]["index"])
+
+
+def _reordered_decision_entries(doc):
+    doc["decision"][:2] = doc["decision"][1::-1]
+
+
+def _lm_as_exponent(doc):
+    doc["variant"]["lm"] = "1e3"
+
+
+def _without_toolkits(doc):
+    del doc["toolkits"]
+
+
 class TestMalformedInput:
     @pytest.mark.parametrize("corrupt", [_variant_as_string, _instances_as_number,
                                          _instance_as_list, _solver_name_as_list,
                                          _solver_name_as_object, _capacity_as_number,
-                                         _null_cost])
+                                         _null_cost, _true_cost, _true_capacity])
     def test_malformed_plan_or_instance_is_usage_error(self, instance_file, tmp_path,
                                                         corrupt, capsys):
         inst = json.loads(instance_file.read_text())
@@ -451,6 +494,36 @@ class TestMalformedInput:
         flags = ("--solver", "random", "-o", tmp_path / "s.csv") if command == "solve" else ()
         assert run(command, qubo_file, *flags) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("variant, corrupt, named", [
+        (("rounded",), _second_decision_at_zero, "'decision[1].index'"),
+        (("rounded",), _slack_weights_7_1, "'n'"),
+        (("rounded",), _scaled_with_boolean, "True"),
+        (("rounded",), _unknown_variant_key, "'variant.lm'"),
+        (("rounded",), _permuted_slack_indices, "'slack[0].index'"),
+        (("rounded",), _reordered_decision_entries, "'decision[0].index'"),
+        (("rounded",), _without_toolkits, "'toolkits'"),
+        (("raw", "--lm", "1e3", "--lt", "1e7"), _lm_as_exponent, "'variant.lm'"),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "stats"])
+    def test_sidecar_that_build_would_not_write_is_usage_error(
+            self, tmp_path, capsys, variant, corrupt, named, command):
+        inst, path = tmp_path / "inst.json", tmp_path / "q.coo"
+        assert run("gen", "--toolkits", 2, "--machines", 2, "--capacity-bits", 2,
+                   "--seed", 1, "-o", inst) == 0
+        assert run("build", inst, "--variant", *variant, "-o", path) == 0
+        sidecar = pq.qubo.sidecar_path(path)
+        doc = json.loads(sidecar.read_text())
+        corrupt(doc)
+        sidecar.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^" + re.escape(f"sidecar {sidecar}: ")):
+            pq.load_qubo(path)
+        capsys.readouterr()
+        flags = ("--solver", "random", "-o", tmp_path / "s.csv") if command == "solve" else ()
+        assert run(command, path, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sidecar {sidecar}: ") and "Traceback" not in err
+        assert named in err
 
     def test_repeated_coefficient_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "q.coo"

@@ -450,6 +450,24 @@ class TestFlipDelta:
             assert flip_delta(q, i, x) == pq.qubo_energy(q, flipped) - pq.qubo_energy(q, bits)
 
 
+class TestVariableMap:
+    def test_layout_is_derived_from_names_and_slack_weights(self):
+        vm = pq.VariableMap(("a", "b"), ("x", "y"), {"x": (1, 2), "y": ()})
+        assert vm.n == 6
+        assert vm.decision_index == {("a", "x"): 0, ("a", "y"): 1, ("b", "x"): 2, ("b", "y"): 3}
+        assert vm.slack_index == {("x", 0): 4, ("x", 1): 5}
+
+    @pytest.mark.parametrize("toolkits, machines", [
+        (("a", "a"), ("x",)),
+        (("a",), ("x", "x")),
+        ((), ("x",)),
+        ((1,), ("x",)),
+    ])
+    def test_repeated_empty_or_non_string_names_are_refused(self, toolkits, machines):
+        with pytest.raises(ValueError, match="distinct string names"):
+            pq.VariableMap(toolkits, machines, dict.fromkeys(machines, ()))
+
+
 class TestDecode:
     def test_direct_index_map(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
@@ -553,6 +571,16 @@ class TestQuboIO:
             assert loaded.offset == q.offset
             assert loaded.varmap == q.varmap
             assert loaded.variant == q.variant
+
+    @pytest.mark.parametrize("name", sorted(pq.model.BUNDLED_SHAPES))
+    def test_roundtrip_every_bundled_instance_and_variant(self, name, tmp_path):
+        inst = pq.bundled_instance(name)
+        off_grid = (pq.RawVariant(7, 123456), pq.ScaledVariant(Fraction(3, 7)))
+        for k, variant in enumerate(RAW_GRID + SCALED_GRID + ROUNDED_GRID + off_grid):
+            q = pq.build_qubo(inst, variant)
+            path = tmp_path / f"{k}.coo"
+            pq.save_qubo(q, path)
+            assert pq.load_qubo(path) == q  # n, coefficients, offset, varmap, variant
 
     def test_loads_without_sidecar(self, tmp_path):
         path = tmp_path / "bare.coo"
