@@ -36,11 +36,7 @@ for p in (1, 2, 5, 10, 25, 50, 100):
 opt = pq.exact_solve(inst).cost
 q = qubos["rounded"]
 [samples] = pq.run_lrqaoa(q, pq.lr_schedule(1), shots=1000, seeds=[0])
-hits = 0
-for bits, mult in samples.iter_bits():
-    a = pq.decode(q, bits).as_assignment()
-    if a and pq.validate_assignment(inst, a).feasible and pq.solution_cost(inst, a) == opt:
-        hits += mult
+hits = sum(m for m, cost in pq.score_samples(samples, inst, q).valid if cost == opt)
 print(f"\n1 layer, 1000 shots (rounded): {hits} shots hit an optimal assignment")
 
 print("\nlogical circuit shape (rounded):")

@@ -71,12 +71,10 @@ from .lrqaoa import (
 from .bench import (
     RunRecord,
     aggregate_metrics,
-    best_cost_ratio,
     expand_plan,
     export_report,
     pearson_r,
-    percent_near_opt,
-    percent_valid,
+    score_samples,
     select_best_penalty,
     series_correlations,
     sweep,

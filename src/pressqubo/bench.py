@@ -1,8 +1,9 @@
 """Experiment grid execution and scoring.
 
 A sweep plan names instances, construction variants, solvers, and
-seeds; every combination is one cell.  The sweep runs the cells in
-groups, one job per (instance, variant): the job compiles the QUBO
+seeds; every combination is one cell, and a plan that yields the same
+cell twice is rejected before any cell runs.  The sweep runs the
+cells in groups, one job per (instance, variant): the job compiles the QUBO
 once, samples all seeds of each (solver, parameters) pair in one
 registry call, and post-processes and scores each cell's samples, so
 the per-``Qubo`` caches (dense mirror, ramp cost tables) are shared by
@@ -19,7 +20,9 @@ valid sample at all; folding them to 0 would conflate "found nothing
 valid" with "found only poor solutions".
 
 ``score_samples`` scores all entries of a sample set in one exact
-integer pass over the instance's common-denominator int64 arrays.
+integer pass over the instance's common-denominator int64 arrays; the
+three metrics are methods of the ``ScoredSamples`` it returns, so a
+caller scores a set once and reads every metric from that result.
 ``score_samples_reference`` keeps the per-entry decode, validate and
 price loop in Fractions; it is what the fast pass is tested against,
 and it scores whenever the fast pass cannot (data too large for int64,
@@ -80,17 +83,24 @@ class ScoredSamples:
         return min((c for _, c in self.valid), default=None)
 
     def percent_valid(self) -> float:
+        """Multiplicity-weighted share of samples decoding to feasible
+        assignments; ValueError for an empty set."""
         if not self.total:
             raise ValueError("empty sample set")
         return self.n_valid / self.total
 
     def percent_near_opt(self, opt_cost: Fraction) -> float | None:
+        """Share of *valid* samples within ``NEAR_OPT_TOLERANCE`` (1%) of
+        the optimal cost; None when there is no valid sample (the share
+        conditions on validity)."""
         if not self.valid:
             return None
         bound = (1 + NEAR_OPT_TOLERANCE) * Fraction(opt_cost)
         return sum(m for m, c in self.valid if c <= bound) / self.n_valid
 
     def best_cost_ratio(self, opt_cost: Fraction) -> Fraction | None:
+        """Optimal cost over the lowest valid cost, in (0, 1]; None when
+        there is no valid sample."""
         best = self.best_valid_cost()
         if best is None:
             return None
@@ -142,34 +152,6 @@ def score_samples_reference(samples: SampleSet, inst: Instance, q: Qubo) -> Scor
         if assignment is not None and model.validate_assignment(inst, assignment).feasible:
             valid.append((mult, model.solution_cost(inst, assignment)))
     return ScoredSamples(total=samples.total, valid=tuple(valid))
-
-
-def percent_valid(samples: SampleSet, inst: Instance, q: Qubo) -> float:
-    """Multiplicity-weighted share of samples decoding to feasible
-    assignments."""
-    return score_samples(samples, inst, q).percent_valid()
-
-
-def percent_near_opt(
-    samples: SampleSet, inst: Instance, q: Qubo, opt_cost: Fraction
-) -> float | None:
-    """Share of *valid* samples within ``NEAR_OPT_TOLERANCE`` (1%) of
-    the optimal cost.
-
-    None when there is no valid sample (the ratio conditions on
-    validity).
-    """
-    return score_samples(samples, inst, q).percent_near_opt(opt_cost)
-
-
-def best_cost_ratio(
-    samples: SampleSet, inst: Instance, q: Qubo, opt_cost: Fraction
-) -> Fraction | None:
-    """Optimal cost over the lowest valid sampled cost, in (0, 1].
-
-    None when there is no valid sample.
-    """
-    return score_samples(samples, inst, q).best_cost_ratio(opt_cost)
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -226,8 +208,8 @@ class RunRecord:
 # Solver registry
 # ---------------------------------------------------------------------------
 
-# The parameters reach the runners checked (see ``expand_solver_params``)
-# or typed by the CLI's flags, so they are used as given.
+# The parameters reach the runners checked by ``expand_solver_params``
+# (the sweep's and the CLI's alike), so they are used as given.
 def _run_sa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
     return solvers.simulated_anneal(q, solvers.SaConfig(**params), seeds)
 
@@ -505,7 +487,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     workers, the largest groups are split so every worker gets a job;
     when there are still fewer jobs than workers, the pool has one
     process per job, and one job runs in this process.
-    Cells fail individually without
+    A plan that yields two cells of one grid key (a repeated seed,
+    entry or instance id, or two spellings of one penalty value) raises
+    ValueError before any cell runs.  Cells fail individually without
     aborting the sweep; when an instance has no reference solution
     (it is infeasible or too large to enumerate), each of its cells
     gets an error record.
@@ -518,14 +502,22 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     references: dict[str, Solution] = {}
     failures: dict[str, str] = {}
     for cell in cells:
-        path = cell.instance_path
-        if path not in instances:
-            inst = model.sanitize_instance(model.load_instance(root / path))
-            instances[path] = inst
-            try:
-                references[path] = model.exact_solve(inst)
-            except PressQuboError as exc:  # Infeasible or TooLarge: fail its cells only
-                failures[path] = f"{type(exc).__name__}: {exc}"
+        if cell.instance_path not in instances:
+            instances[cell.instance_path] = model.sanitize_instance(
+                model.load_instance(root / cell.instance_path))
+    seen = set()
+    for c in cells:
+        key = RunRecord(**_record_base(c, instances[c.instance_path])).grid_key()
+        if key in seen:
+            raise ValueError(f"plan repeats the cell: instance {key[0]!r}, variant "
+                             f"{variant_label(c.variant)}, solver {c.solver!r}, "
+                             f"params {key[3]!r}, seed {c.seed}")
+        seen.add(key)
+    for path, inst in instances.items():
+        try:
+            references[path] = model.exact_solve(inst)
+        except PressQuboError as exc:  # Infeasible or TooLarge: fail its cells only
+            failures[path] = f"{type(exc).__name__}: {exc}"
     records = [RunRecord(**_record_base(c, instances[c.instance_path]),
                          error=failures[c.instance_path])
                for c in cells if c.instance_path in failures]

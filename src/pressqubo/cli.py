@@ -92,19 +92,16 @@ SOLVE_FLAGS: dict[str, type] = {key: solver.kind(key) for solver in bench.SOLVER
 
 
 def cmd_solve(args) -> int:
-    solver = bench.SOLVERS[args.solver]
     # Unset flags keep the registry defaults.
     given = {k: getattr(args, k) for k in SOLVE_FLAGS if getattr(args, k) is not None}
-    foreign = sorted(set(given) - solver.keys())
+    foreign = sorted(set(given) - bench.SOLVERS[args.solver].keys())
     if foreign:
         named = ", ".join("--" + k.replace("_", "-") for k in foreign)
         raise ValueError(f"solver {args.solver!r} does not take {named}")
-    for key, value in sorted(given.items()):
-        bench._check_solver_param(args.solver, key, value)
-    if args.seed < 0:
-        raise ValueError(f"seeds must be non-negative integers, got {args.seed!r}")
+    # The plan's defaults merge and value check; the runner checks the seed.
+    [(_, params)] = bench.expand_solver_params({"name": args.solver, "params": given})
     q = qubo.load_qubo(args.qubo)
-    [samples] = solver.run(q, {**solver.defaults, **given}, [args.seed])
+    [samples] = bench.SOLVERS[args.solver].run(q, params, [args.seed])
     if args.postprocess:
         samples = solvers.postprocess_sampleset(q, samples)
     solvers.save_sampleset(samples, args.output)

@@ -160,8 +160,8 @@ def test_criterion_06_annealing_dominates_random_baseline():
             rnd = pq.random_sample(q, 1000, [seed])[0]
             sa_costs.append(best_valid_cost(sa, inst, q))
             rnd_costs.append(best_valid_cost(rnd, inst, q))
-            sa_valid.append(pq.percent_valid(sa, inst, q))
-            rnd_valid.append(pq.percent_valid(rnd, inst, q))
+            sa_valid.append(pq.score_samples(sa, inst, q).percent_valid())
+            rnd_valid.append(pq.score_samples(rnd, inst, q).percent_valid())
         if not np.median(sa_costs) <= np.median(rnd_costs):
             failures.append(f"{name}: SA median best valid cost above random baseline")
         if not np.median(sa_valid) >= np.median(rnd_valid):
@@ -234,8 +234,9 @@ def test_criterion_09_metric_identities(tiny):
             entries=tuple(SampleEntry(b, 0.0, m) for b, m in sorted(counts.items())),
             meta={},
         )
-        pv = pq.percent_valid(samples, tiny, q)
-        pno = pq.percent_near_opt(samples, tiny, q, opt)
+        scored = pq.score_samples(samples, tiny, q)
+        pv = scored.percent_valid()
+        pno = scored.percent_near_opt(opt)
         direct = 0
         total = 0
         for bits, mult in samples.iter_bits():

@@ -1,3 +1,4 @@
+import inspect
 import json
 from fractions import Fraction
 
@@ -37,77 +38,79 @@ class TestPercentValid:
     def test_all_optimal(self, tiny, tiny_qubo):
         bits = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
         samples = sampleset((bits, 2.0, 10))
-        assert pq.percent_valid(samples, tiny, tiny_qubo) == 1.0
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_valid() == 1.0
 
     def test_all_zeros_invalid(self, tiny, tiny_qubo):
         samples = sampleset(("0" * tiny_qubo.n, 0.0, 5))
-        assert pq.percent_valid(samples, tiny, tiny_qubo) == 0.0
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_valid() == 0.0
 
     def test_half(self, tiny, tiny_qubo):
         good = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
         samples = sampleset((good, 2.0, 1), ("0" * tiny_qubo.n, 0.0, 1))
-        assert pq.percent_valid(samples, tiny, tiny_qubo) == 0.5
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_valid() == 0.5
 
     def test_multiplicity_weighting(self, tiny, tiny_qubo):
         good = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
         samples = sampleset((good, 2.0, 3), ("0" * tiny_qubo.n, 0.0, 1))
-        assert pq.percent_valid(samples, tiny, tiny_qubo) == 0.75
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_valid() == 0.75
 
     def test_capacity_violation_is_invalid(self, tiny, tiny_qubo):
         bits = pq.encode_assignment(tiny_qubo, {"t1": "m1", "t2": "m1"})
         samples = sampleset((bits, 0.0, 1))
-        assert pq.percent_valid(samples, tiny, tiny_qubo) == 0.0
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_valid() == 0.0
 
     def test_empty_rejected(self, tiny, tiny_qubo):
         with pytest.raises(ValueError):
-            pq.percent_valid(SampleSet(entries=()), tiny, tiny_qubo)
+            pq.score_samples(SampleSet(entries=()), tiny, tiny_qubo).percent_valid()
 
 
 class TestNearOptimalShare:
     def test_all_at_optimum(self, tiny, tiny_qubo):
         bits = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
         samples = sampleset((bits, 2.0, 4))
-        assert pq.percent_near_opt(samples, tiny, tiny_qubo, Fraction(2)) == 1.0
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_near_opt(Fraction(2)) == 1.0
 
     def test_undefined_without_valid_samples(self, tiny, tiny_qubo):
         samples = sampleset(("0" * tiny_qubo.n, 0.0, 4))
-        assert pq.percent_near_opt(samples, tiny, tiny_qubo, Fraction(2)) is None
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_near_opt(Fraction(2)) is None
 
     def test_costs_at_opt_and_double(self, tiny, tiny_qubo):
         opt = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})    # cost 2
         worse = encoded(tiny, tiny_qubo, {"t1": "m2", "t2": "m1"})  # cost 4
         samples = sampleset((opt, 2.0, 1), (worse, 4.0, 1))
-        assert pq.percent_near_opt(samples, tiny, tiny_qubo, Fraction(2)) == 0.5
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_near_opt(Fraction(2)) == 0.5
 
     def test_tolerance_boundary_inclusive(self, tiny, tiny_qubo):
         worse = encoded(tiny, tiny_qubo, {"t1": "m2", "t2": "m1"})  # cost 4
         samples = sampleset((worse, 4.0, 1))
-        assert pq.percent_near_opt(samples, tiny, tiny_qubo, Fraction(4)) == 1.0
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_near_opt(Fraction(4)) == 1.0
         # 4 exactly equals 1% above 400/101
-        assert pq.percent_near_opt(
-            samples, tiny, tiny_qubo, Fraction(400, 101)
+        assert pq.score_samples(samples, tiny, tiny_qubo).percent_near_opt(
+            Fraction(400, 101)
         ) == 1.0
 
 
 class TestBestCostRatio:
     def test_at_optimum(self, tiny, tiny_qubo):
         bits = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
-        assert pq.best_cost_ratio(sampleset((bits, 2.0, 1)), tiny, tiny_qubo, Fraction(2)) == 1
+        scored = pq.score_samples(sampleset((bits, 2.0, 1)), tiny, tiny_qubo)
+        assert scored.best_cost_ratio(Fraction(2)) == 1
 
     def test_double_cost_gives_half(self, tiny, tiny_qubo):
         worse = encoded(tiny, tiny_qubo, {"t1": "m2", "t2": "m1"})
-        ratio = pq.best_cost_ratio(sampleset((worse, 4.0, 1)), tiny, tiny_qubo, Fraction(2))
+        scored = pq.score_samples(sampleset((worse, 4.0, 1)), tiny, tiny_qubo)
+        ratio = scored.best_cost_ratio(Fraction(2))
         assert ratio == Fraction(1, 2)
 
     def test_undefined_without_valid(self, tiny, tiny_qubo):
         samples = sampleset(("0" * tiny_qubo.n, 0.0, 1))
-        assert pq.best_cost_ratio(samples, tiny, tiny_qubo, Fraction(2)) is None
+        assert pq.score_samples(samples, tiny, tiny_qubo).best_cost_ratio(Fraction(2)) is None
 
     def test_uses_lowest_valid(self, tiny, tiny_qubo):
         opt = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
         worse = encoded(tiny, tiny_qubo, {"t1": "m2", "t2": "m1"})
         samples = sampleset((opt, 2.0, 1), (worse, 4.0, 9))
-        assert pq.best_cost_ratio(samples, tiny, tiny_qubo, Fraction(2)) == 1
+        assert pq.score_samples(samples, tiny, tiny_qubo).best_cost_ratio(Fraction(2)) == 1
 
 
 class TestPermutationInvariance:
@@ -115,17 +118,11 @@ class TestPermutationInvariance:
         opt = encoded(tiny, tiny_qubo, {"t1": "m1", "t2": "m2"})
         worse = encoded(tiny, tiny_qubo, {"t1": "m2", "t2": "m1"})
         entries = [(opt, 2.0, 2), (worse, 4.0, 3), ("0" * tiny_qubo.n, 0.0, 5)]
-        forward = sampleset(*entries)
-        backward = sampleset(*entries[::-1])
-        assert pq.percent_valid(forward, tiny, tiny_qubo) == pq.percent_valid(
-            backward, tiny, tiny_qubo
-        )
-        assert pq.percent_near_opt(forward, tiny, tiny_qubo, Fraction(2)) == (
-            pq.percent_near_opt(backward, tiny, tiny_qubo, Fraction(2))
-        )
-        assert pq.best_cost_ratio(forward, tiny, tiny_qubo, Fraction(2)) == (
-            pq.best_cost_ratio(backward, tiny, tiny_qubo, Fraction(2))
-        )
+        forward = pq.score_samples(sampleset(*entries), tiny, tiny_qubo)
+        backward = pq.score_samples(sampleset(*entries[::-1]), tiny, tiny_qubo)
+        assert forward.percent_valid() == backward.percent_valid()
+        assert forward.percent_near_opt(Fraction(2)) == backward.percent_near_opt(Fraction(2))
+        assert forward.best_cost_ratio(Fraction(2)) == backward.best_cost_ratio(Fraction(2))
 
 
 class TestMultiplicationIdentity:
@@ -138,8 +135,9 @@ class TestMultiplicationIdentity:
                 bits = "".join(str(b) for b in row)
                 entries[bits] = entries.get(bits, 0) + 1
             samples = sampleset(*[(b, 0.0, m) for b, m in entries.items()])
-            pv = pq.percent_valid(samples, tiny, tiny_qubo)
-            pno = pq.percent_near_opt(samples, tiny, tiny_qubo, Fraction(2))
+            scored = pq.score_samples(samples, tiny, tiny_qubo)
+            pv = scored.percent_valid()
+            pno = scored.percent_near_opt(Fraction(2))
             direct = 0
             total = 0
             for bits, mult in samples.iter_bits():
@@ -378,6 +376,14 @@ class TestSolverRegistry:
     def test_negative_seed_is_refused(self, tiny_qubo, name):
         with pytest.raises(ValueError, match="seeds must be non-negative"):
             SOLVERS[name].run(tiny_qubo, SOLVERS[name].defaults, [0, -1])
+
+    def test_defaults_match_the_sampler_signatures(self):
+        # The registry declares its defaults apart from the samplers' own.
+        cfg = pq.SaConfig()
+        assert SOLVERS["sa"].defaults == {"steps": cfg.steps, "restarts": cfg.restarts}
+        ramp = inspect.signature(pq.lr_schedule).parameters
+        for key in ("delta_gamma", "delta_beta"):
+            assert SOLVERS["lrqaoa"].defaults[key] == ramp[key].default
 
 
 def write_plan(tmp_path, tiny, **overrides):

@@ -374,6 +374,27 @@ class TestMalformedInput:
         assert repr(next(iter(params))) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("repeat", [
+        {"seeds": [0, 0]},
+        {"variants": [{"kind": "rounded"}, {"kind": "rounded"}]},
+        {"solvers": [{"name": "random", "params": {"shots": 5}}] * 2},
+        {"solvers": [{"name": "random", "params": {"shots": [5, 5]}}]},
+        {"variants": [{"kind": "raw", "lm": ["1000", "1e3"], "lt": ["1e7"]}]},
+        {"instances": ["inst.json", "copy.json"]},
+    ], ids=["seed", "variant", "solver", "shots", "lm", "instance-id"])
+    def test_plan_repeating_a_cell_stops_the_sweep(self, instance_file, tmp_path, repeat,
+                                                   capsys):
+        (tmp_path / "copy.json").write_text(instance_file.read_text())  # the same id
+        plan = {"instances": ["inst.json"], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0],
+                **repeat}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "repeats the cell" in err and "shots=5" in err and "seed 0" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("workers", [0, -2])
     def test_workers_below_one_is_usage_error(self, instance_file, tmp_path, workers):
         plan = {"instances": [str(instance_file)], "variants": [{"kind": "rounded"}],
