@@ -488,8 +488,8 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     when there are still fewer jobs than workers, the pool has one
     process per job, and one job runs in this process.
     A plan that yields two cells of one grid key (a repeated seed,
-    entry or instance id, or two spellings of one penalty value) raises
-    ValueError before any cell runs.  Cells fail individually without
+    entry or instance id, or two spellings of one penalty value or
+    solver parameter value) raises ValueError before any cell runs.  Cells fail individually without
     aborting the sweep; when an instance has no reference solution
     (it is infeasible or too large to enumerate), each of its cells
     gets an error record.
@@ -508,11 +508,16 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     seen = set()
     for c in cells:
         key = RunRecord(**_record_base(c, instances[c.instance_path])).grid_key()
-        if key in seen:
+        # Compare parameter values, not their labels: 1 and 1.0 are one slope.
+        kind = SOLVERS[c.solver].kind
+        values = tuple((k, float(v) if kind(k) is float else v)
+                       for k, v in sorted(c.solver_params.items()))
+        cell = (*key[:3], values, key[4])
+        if cell in seen:
             raise ValueError(f"plan repeats the cell: instance {key[0]!r}, variant "
                              f"{variant_label(c.variant)}, solver {c.solver!r}, "
                              f"params {key[3]!r}, seed {c.seed}")
-        seen.add(key)
+        seen.add(cell)
     for path, inst in instances.items():
         try:
             references[path] = model.exact_solve(inst)

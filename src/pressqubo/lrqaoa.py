@@ -38,6 +38,20 @@ manner of gate fusion in state-vector simulators such as qsim.
 ``mixer_layer_reference`` keeps the one-qubit-at-a-time loop that the
 fused kernel is tested against.
 
+The first layer is closed-form.  After the uniform state and the first
+cost layer, each amplitude is ``2**(-n/2)`` times the product of the
+factors' phases, so for every value of the core bits the state is a
+product over the blocks, and the mixer's rotations of a block's qubits
+act on that block's table alone.  ``final_state`` therefore
+exponentiates the tables in the scratch buffer, rotates each table's
+block qubits there, writes the tables' broadcast product into the
+state once and rotates only the core qubits ``[0, core)`` on the full
+state; a map that does not split has no core, and its one table is
+the full state.  Layers 2 to p run the cost and mixer layers on the
+full state.  ``final_state_reference`` runs every layer as the uniform
+state, the full diagonal's phases and ``mixer_layer_reference``, the
+path the fast one is tested against.
+
 The module also exposes logical circuit-shape metrics (interaction
 counts and a greedy-edge-coloring depth estimate) used for scaling
 analyses.
@@ -277,6 +291,34 @@ def _mixer_groups(n: int) -> list[int]:
     return [base + 1] * extra + [base] * (count - extra)
 
 
+def _rotate_qubits(vec: np.ndarray, beta: float, lo: int, hi: int,
+                   other: np.ndarray) -> np.ndarray:
+    """Rotate qubits ``[lo, hi)`` of ``vec`` around X by ``-2 * beta``, in place.
+
+    The fused kernel of :func:`apply_mixer_layer`: each group of up to
+    ``MIXER_GROUP_QUBITS`` contiguous qubits is applied as one dense
+    Kronecker-power matrix, reading from ``vec`` or ``other`` (an array
+    of the same length) and writing to the other.
+    """
+    n = len(vec).bit_length() - 1
+    rot = np.array([[np.cos(beta), 1j * np.sin(beta)],
+                    [1j * np.sin(beta), np.cos(beta)]])
+    src, dst = vec, other
+    for k in _mixer_groups(hi - lo):
+        # The Kronecker power of a symmetric matrix is symmetric, so it
+        # acts on the group's axis without a transpose.
+        fused = rot
+        for _ in range(k - 1):
+            fused = np.kron(fused, rot)
+        shape = (1 << (n - lo - k), 1 << k, 1 << lo)
+        np.matmul(fused, src.reshape(shape), out=dst.reshape(shape))
+        src, dst = dst, src
+        lo += k
+    if src is not vec:
+        vec[:] = src
+    return vec
+
+
 def apply_mixer_layer(sv: np.ndarray, beta: float,
                       scratch: np.ndarray | None = None) -> np.ndarray:
     """Rotate every qubit around X by ``-2 * beta``, in place.
@@ -298,24 +340,7 @@ def apply_mixer_layer(sv: np.ndarray, beta: float,
     n = int(np.log2(len(sv)))
     if 1 << n != len(sv):
         raise ValueError("statevector length must be a power of two")
-    other = _scratch_for(sv, scratch)
-    rot = np.array([[np.cos(beta), 1j * np.sin(beta)],
-                    [1j * np.sin(beta), np.cos(beta)]])
-    src, dst = sv, other
-    low = 0
-    for k in _mixer_groups(n):
-        # The Kronecker power of a symmetric matrix is symmetric, so it
-        # acts on the group's axis without a transpose.
-        fused = rot
-        for _ in range(k - 1):
-            fused = np.kron(fused, rot)
-        shape = (1 << (n - low - k), 1 << k, 1 << low)
-        np.matmul(fused, src.reshape(shape), out=dst.reshape(shape))
-        src, dst = dst, src
-        low += k
-    if src is not sv:
-        sv[:] = src
-    return sv
+    return _rotate_qubits(sv, beta, 0, n, _scratch_for(sv, scratch))
 
 
 def mixer_layer_reference(sv: np.ndarray, beta: float) -> np.ndarray:
@@ -333,17 +358,79 @@ def mixer_layer_reference(sv: np.ndarray, beta: float) -> np.ndarray:
     return sv
 
 
+def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
+                 beta: float, scratch: np.ndarray) -> np.ndarray:
+    """Write the state after the first cost and mixer layers into ``sv``.
+
+    After the uniform state and the first cost layer the amplitude of
+    core bits ``c`` and block bits ``x_f`` is ``2**(-n/2)`` times the
+    product of ``exp(-i gamma T_f[x_f, c])`` over the factors, so the
+    mixer's rotations of a block's qubits act on its table alone.  The
+    tables are exponentiated side by side in ``scratch`` (they hold at
+    most ``2**n`` entries together), the first takes the amplitude, and
+    each table's block qubits are rotated with a prefix of ``sv`` as
+    the other buffer.  Their broadcast product is then written into
+    ``sv`` once, and only the core qubits ``[0, core)`` are rotated on
+    the full state.
+    """
+    n = len(sv).bit_length() - 1
+    core = factors[0].core
+    # The state's axes: the blocks, highest first, then the core.
+    axes = [1 << (f.hi - f.lo) for f in reversed(factors)] + [1 << core]
+    views, start = [], 0
+    for pos, f in enumerate(factors):
+        table = scratch[start:start + len(f.table)]
+        start += len(table)
+        np.multiply(f.table, -1j * gamma, out=table)
+        np.exp(table, out=table)
+        if pos == 0:
+            table *= (1 << n) ** -0.5
+        _rotate_qubits(table, beta, core, core + f.hi - f.lo, sv[:len(table)])
+        shape = [1] * len(axes)
+        shape[-2 - pos], shape[-1] = axes[-2 - pos], axes[-1]
+        views.append(table.reshape(shape))
+    out = sv.reshape(axes)
+    if len(views) == 1:
+        np.copyto(out, views[0])
+    else:
+        np.multiply(views[0], views[1], out=out)
+    for view in views[2:]:
+        out *= view
+    return _rotate_qubits(sv, beta, 0, core, scratch)
+
+
 def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
     """Statevector after all layers, starting from the uniform state.
 
-    Both layers share one scratch buffer the size of the state.
+    The first layer is closed-form: the block qubits of every
+    :func:`cost_factors` table are mixed in the table, and only the
+    ``cost_split`` core qubits are mixed on the full state (none on a
+    map that does not split, whose one block is every qubit).  Layers
+    2 to p apply the cost and mixer layers to the full state.  All
+    layers share one scratch buffer the size of the state.
+    :func:`final_state_reference` is the layer-by-layer path this must
+    agree with.
     """
+    if not sched.gammas:
+        raise ValueError("layer count must be >= 1")
     factors = cost_factors(q)
-    sv = uniform_state(q.n)
+    sv = np.empty(1 << q.n, dtype=np.complex128)
     scratch = np.empty_like(sv)
-    for gamma, beta in zip(sched.gammas, sched.betas):
+    _first_layer(sv, factors, sched.gammas[0], sched.betas[0], scratch)
+    for gamma, beta in zip(sched.gammas[1:], sched.betas[1:]):
         apply_cost_layer(sv, factors, gamma, scratch)
         apply_mixer_layer(sv, beta, scratch)
+    return sv
+
+
+def final_state_reference(q: Qubo, sched: RampSchedule) -> np.ndarray:
+    """Layer-by-layer form of :func:`final_state`: the uniform state,
+    then per layer the full diagonal's phases and the one-qubit mixer."""
+    sv = uniform_state(q.n)
+    diag = precompute_diagonal(q)
+    for gamma, beta in zip(sched.gammas, sched.betas):
+        sv *= np.exp(-1j * gamma * diag)
+        mixer_layer_reference(sv, beta)
     return sv
 
 

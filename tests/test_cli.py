@@ -381,7 +381,8 @@ class TestMalformedInput:
         {"solvers": [{"name": "random", "params": {"shots": [5, 5]}}]},
         {"variants": [{"kind": "raw", "lm": ["1000", "1e3"], "lt": ["1e7"]}]},
         {"instances": ["inst.json", "copy.json"]},
-    ], ids=["seed", "variant", "solver", "shots", "lm", "instance-id"])
+        {"solvers": [{"name": "lrqaoa", "params": {"shots": 5, "delta_gamma": [1, 1.0]}}]},
+    ], ids=["seed", "variant", "solver", "shots", "lm", "instance-id", "delta_gamma"])
     def test_plan_repeating_a_cell_stops_the_sweep(self, instance_file, tmp_path, repeat,
                                                    capsys):
         (tmp_path / "copy.json").write_text(instance_file.read_text())  # the same id

@@ -230,18 +230,7 @@ class TestFusedKernels:
         sched = pq.lr_schedule(4)
         fast = pq.run_lrqaoa(q, sched, shots=2000, seeds=[seed])[0]
         assert len(lrqaoa.cost_factors(q)) > 1
-
-        def cost_reference(sv, diag, gamma, scratch=None):
-            assert diag.shape == sv.shape
-            sv *= np.exp(-1j * gamma * diag)
-            return sv
-
-        def mixer_reference(sv, beta, scratch=None):
-            return lrqaoa.mixer_layer_reference(sv, beta)
-
-        monkeypatch.setattr(lrqaoa, "cost_factors", lrqaoa.precompute_diagonal)
-        monkeypatch.setattr(lrqaoa, "apply_cost_layer", cost_reference)
-        monkeypatch.setattr(lrqaoa, "apply_mixer_layer", mixer_reference)
+        monkeypatch.setattr(lrqaoa, "final_state", lrqaoa.final_state_reference)
         slow = pq.run_lrqaoa(q, sched, shots=2000, seeds=[seed])[0]
         assert fast == slow
 
@@ -368,6 +357,87 @@ class TestCostFactors:
         q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
         with pytest.raises(ValueError, match="cost factors cover 14 qubits"):
             pq.apply_cost_layer(pq.uniform_state(15), lrqaoa.cost_factors(q), 0.3)
+
+
+def chain_qubo(rng, n):
+    """A chain of couplings over all ``n`` bits, which does not split."""
+    chain = {(i, i + 1): Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 4)))
+             for i in range(n - 1)}
+    return Qubo(n=n, coeffs={**chain, (0, 0): Fraction(-7)}, offset=Fraction(5, 3))
+
+
+def split_qubo(core, widths):
+    """A map of ``core`` low bits and blocks of ``widths`` coupled to the core only."""
+    n = core + sum(widths)
+    coeffs = {(i, i): Fraction(i + 1) for i in range(n)}
+    lo = core
+    for w in widths:
+        coeffs.update({(i, j): Fraction(i - j, 3) for j in range(lo, lo + w)
+                       for i in range(j) if i < core or i >= lo})
+        lo += w
+    return Qubo(n=n, coeffs=coeffs, offset=Fraction(2))
+
+
+class TestFirstLayer:
+    """The closed-form first layer against the layer-by-layer reference."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_block_maps_match_the_reference(self, seed, p):
+        rng = np.random.default_rng(1000 + seed)
+        q = random_block_qubo(rng, fractions=seed % 2 == 1)
+        sched = pq.lr_schedule(p, float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.2, 2.0)))
+        np.testing.assert_allclose(final_state(q, sched), lrqaoa.final_state_reference(q, sched),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_unsplit_chain_matches_the_reference(self, p):
+        q = chain_qubo(np.random.default_rng(p), 9)
+        assert lrqaoa.cost_split(q) == (0, [(0, 9)])
+        sched = pq.lr_schedule(p)
+        np.testing.assert_allclose(final_state(q, sched), lrqaoa.final_state_reference(q, sched),
+                                   rtol=0, atol=1e-12)
+
+    def test_press_map_mixes_only_the_core_on_the_state(self, monkeypatch):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+        ranges = []
+        rotate = lrqaoa._rotate_qubits
+
+        def recording(vec, beta, lo, hi, other):
+            ranges.append((len(vec), lo, hi))
+            return rotate(vec, beta, lo, hi, other)
+
+        monkeypatch.setattr(lrqaoa, "_rotate_qubits", recording)
+        final_state(q, pq.lr_schedule(1))
+        core, blocks = lrqaoa.cost_split(q)
+        assert core > 0 and len(blocks) > 1
+        assert ranges == [(1 << (core + hi - lo), core, core + hi - lo) for lo, hi in blocks] + [
+            (1 << q.n, 0, core)]
+
+    @pytest.mark.parametrize("q", [split_qubo(4, [6, 6]), chain_qubo(np.random.default_rng(0), 16)],
+                             ids=["split", "unsplit"])
+    def test_first_layer_holds_no_third_state(self, q):
+        n = q.n
+        assert n == 16
+        tables = sum(f.table.nbytes for f in lrqaoa.cost_factors(q))
+        state = 16 << n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            final_state(q, pq.lr_schedule(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The state and the scratch; beside them only small arrays and
+        # numpy's casting buffers of a fixed 8192 elements.
+        assert peak - base < 2 * state + state // 2
+        assert 2 * state + tables <= lrqaoa.statevector_peak_bytes(n)
+
+    def test_schedule_without_layers_is_rejected(self, tiny):
+        q = pq.build_qubo(tiny, pq.RoundedVariant())
+        with pytest.raises(ValueError, match="layer count"):
+            final_state(q, RampSchedule(p=0, delta_gamma=0.9, delta_beta=0.6, gammas=(),
+                                        betas=()))
 
 
 class TestRun:
