@@ -155,7 +155,7 @@ def score_samples_reference(samples: SampleSet, inst: Instance, q: Qubo) -> Scor
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Product-moment correlation coefficient."""
+    """Product-moment correlation coefficient, clamped to [-1, 1] against rounding."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
@@ -166,7 +166,7 @@ def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
     vy = float(dy @ dy)
     if vx == 0.0 or vy == 0.0:
         raise ValueError("correlation undefined for a zero-variance series")
-    return float(dx @ dy) / (vx * vy) ** 0.5
+    return min(1.0, max(-1.0, float(dx @ dy) / (vx * vy) ** 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,8 @@ map that does not split has one factor, the full 2**n diagonal, which
 ``precompute_diagonal`` also computes as the uncached reference; the
 layers then hold the state, the scratch and that diagonal, 40 bytes
 per amplitude.  A split map holds 32 bytes per amplitude plus its
-tables; sampling holds the state, the squared magnitudes and their
-cumulative sum.
+tables; sampling holds the state and one float64 array, the squared
+magnitudes summed cumulatively in place.
 
 ``final_state`` allocates one scratch buffer the size of the state and
 passes it to both layers.  The cost layer forms its phases in it, and
@@ -36,7 +36,10 @@ the mixer fuses the one-qubit X rotations: it applies groups of up to
 matrix each, alternating between the state and the scratch, in the
 manner of gate fusion in state-vector simulators such as qsim.
 ``mixer_layer_reference`` keeps the one-qubit-at-a-time loop that the
-fused kernel is tested against.
+fused kernel is tested against.  A group that starts at qubit 0 is
+one 2-D GEMM, ``(2**(n-k), 2**k) @ fused``; a higher group is a
+batched product whose inner axis is ``2**lo`` wide, which is slow
+while that axis is narrow.
 
 The first layer is closed-form.  After the uniform state and the first
 cost layer, each amplitude is ``2**(-n/2)`` times the product of the
@@ -44,11 +47,13 @@ factors' phases, so for every value of the core bits the state is a
 product over the blocks, and the mixer's rotations of a block's qubits
 act on that block's table alone.  ``final_state`` therefore
 exponentiates the tables in the scratch buffer, rotates each table's
-block qubits there, writes the tables' broadcast product into the
-state once and rotates only the core qubits ``[0, core)`` on the full
-state; a map that does not split has no core, and its one table is
-the full state.  Layers 2 to p run the cost and mixer layers on the
-full state.  ``final_state_reference`` runs every layer as the uniform
+block qubits there, and writes the tables' product into the state in
+one pass of small GEMMs that also rotate the core's lowest qubits.
+Only the rest of the core is rotated on the full state, none on
+``press-03x2``, whose core has 6 qubits; a map that does not split
+has no core, and its one table is the full state.  The state may end
+in the scratch buffer, which then takes the state's role.  Layers 2
+to p run the cost and mixer layers on the full state.  ``final_state_reference`` runs every layer as the uniform
 state, the full diagonal's phases and ``mixer_layer_reference``, the
 path the fast one is tested against.
 
@@ -59,6 +64,8 @@ analyses.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,6 +80,11 @@ from .solvers import SampleSet, sampleset_from_states
 STATEVECTOR_GUARD = 26
 # Qubits per fused mixer group; 4 was fastest at 22 qubits on one BLAS thread.
 MIXER_GROUP_QUBITS = 4
+# Most core qubits the first layer rotates inside its product write; a
+# wider GEMM costs more arithmetic than the pass over the state it saves.
+FIRST_LAYER_FUSED_QUBITS = 6
+# Entries of the first layer's temporary, unless the first table is larger.
+_FUSED_TEMP_ENTRIES = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +131,9 @@ def statevector_peak_bytes(n: int) -> int:
     share, and the float64 cost tables: 40 bytes per amplitude, reached
     when the map does not split and its one table is the full
     diagonal.  A split map holds 32 bytes per amplitude plus its small
-    tables, and sampling afterwards as much (the state, the squared
-    magnitudes and their cumulative sum).
+    tables and the first layer's temporary, and sampling afterwards 24
+    (the state, and the squared magnitudes summed cumulatively in
+    place).
     """
     return 40 << n
 
@@ -276,47 +289,65 @@ def apply_cost_layer(sv: np.ndarray, factors: Sequence[CostFactor],
     return sv
 
 
-def _mixer_groups(n: int) -> list[int]:
+def _mixer_groups(n: int, even: bool = True) -> list[int]:
     """Contiguous qubit group sizes for the fused mixer, low qubits first.
 
-    At most ``MIXER_GROUP_QUBITS`` per group and, from two qubits on,
-    an even number of groups, so the ping-pong between the state and
-    the scratch buffer ends in the state.
+    At most ``MIXER_GROUP_QUBITS`` per group, as few groups as that
+    allows and, when ``even`` and from two qubits on, an even number of
+    them, so the ping-pong between the state and the scratch buffer ends
+    in the array it started from.
     """
-    if n < 2:
-        return [n] if n else []
+    if n < 1:
+        return []
     count = -(-n // MIXER_GROUP_QUBITS)
-    count += count % 2
+    if even and n > 1:
+        count += count % 2
     base, extra = divmod(n, count)
     return [base + 1] * extra + [base] * (count - extra)
 
 
+def _rotation_power(beta: float, k: int) -> np.ndarray:
+    """The ``k``-fold Kronecker power of the one-qubit X rotation by ``-2 * beta``.
+
+    It is symmetric, so it acts on a group's axis from either side
+    without a transpose.
+    """
+    rot = np.array([[np.cos(beta), 1j * np.sin(beta)],
+                    [1j * np.sin(beta), np.cos(beta)]])
+    return functools.reduce(np.kron, [rot] * k, np.ones((1, 1)))
+
+
 def _rotate_qubits(vec: np.ndarray, beta: float, lo: int, hi: int,
-                   other: np.ndarray) -> np.ndarray:
-    """Rotate qubits ``[lo, hi)`` of ``vec`` around X by ``-2 * beta``, in place.
+                   other: np.ndarray, in_place: bool = True) -> np.ndarray:
+    """Rotate qubits ``[lo, hi)`` of ``vec`` around X by ``-2 * beta``.
 
     The fused kernel of :func:`apply_mixer_layer`: each group of up to
     ``MIXER_GROUP_QUBITS`` contiguous qubits is applied as one dense
     Kronecker-power matrix, reading from ``vec`` or ``other`` (an array
-    of the same length) and writing to the other.
+    of the same length) and writing to the other.  A group that starts
+    at qubit 0 is one 2-D GEMM, ``(2**(n-k), 2**k) @ fused``; a higher
+    group is a batched product over the bits above it, whose inner axis
+    is ``2**lo`` wide.
+
+    Returns the array that holds the result: ``vec`` when ``in_place``,
+    otherwise whichever of the two the last group wrote, which saves a
+    group or a copy where the group count is odd.
     """
     n = len(vec).bit_length() - 1
-    rot = np.array([[np.cos(beta), 1j * np.sin(beta)],
-                    [1j * np.sin(beta), np.cos(beta)]])
     src, dst = vec, other
-    for k in _mixer_groups(hi - lo):
-        # The Kronecker power of a symmetric matrix is symmetric, so it
-        # acts on the group's axis without a transpose.
-        fused = rot
-        for _ in range(k - 1):
-            fused = np.kron(fused, rot)
-        shape = (1 << (n - lo - k), 1 << k, 1 << lo)
-        np.matmul(fused, src.reshape(shape), out=dst.reshape(shape))
+    for k in _mixer_groups(hi - lo, even=in_place):
+        fused = _rotation_power(beta, k)
+        if lo == 0:
+            np.matmul(src.reshape(-1, 1 << k), fused, out=dst.reshape(-1, 1 << k))
+        else:
+            shape = (1 << (n - lo - k), 1 << k, 1 << lo)
+            np.matmul(fused, src.reshape(shape), out=dst.reshape(shape))
         src, dst = dst, src
         lo += k
-    if src is not vec:
+    if in_place and src is not vec:
         vec[:] = src
-    return vec
+        return vec
+    return src
 
 
 def apply_mixer_layer(sv: np.ndarray, beta: float,
@@ -358,9 +389,22 @@ def mixer_layer_reference(sv: np.ndarray, beta: float) -> np.ndarray:
     return sv
 
 
+def _fused_core_qubits(core: int) -> int:
+    """How many of the core's lowest qubits the first layer's product write rotates.
+
+    The whole core when it has at most ``FIRST_LAYER_FUSED_QUBITS``;
+    otherwise the rest of the core takes as few mixer groups as it
+    must, each ``MIXER_GROUP_QUBITS`` wide, and the write the 3 to 6
+    qubits below them: a wider write costs more arithmetic per
+    amplitude than it saves.
+    """
+    rest = max(0, core - FIRST_LAYER_FUSED_QUBITS)
+    return core - MIXER_GROUP_QUBITS * -(-rest // MIXER_GROUP_QUBITS)
+
+
 def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
                  beta: float, scratch: np.ndarray) -> np.ndarray:
-    """Write the state after the first cost and mixer layers into ``sv``.
+    """The state after the first cost and mixer layers, in ``sv`` or ``scratch``.
 
     After the uniform state and the first cost layer the amplitude of
     core bits ``c`` and block bits ``x_f`` is ``2**(-n/2)`` times the
@@ -369,15 +413,26 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
     tables are exponentiated side by side in ``scratch`` (they hold at
     most ``2**n`` entries together), the first takes the amplitude, and
     each table's block qubits are rotated with a prefix of ``sv`` as
-    the other buffer.  Their broadcast product is then written into
-    ``sv`` once, and only the core qubits ``[0, core)`` are rotated on
-    the full state.
+    the other buffer.  A map that does not split has one table, the
+    full state, which is formed and rotated in ``sv`` itself.
+
+    The product is then written into ``sv`` in one pass, fused with the
+    rotation of the core's lowest ``g = _fused_core_qubits(core)``
+    qubits: for a run of values ``u`` of the other tables' block bits,
+    the first table times those tables' rows at ``u`` is formed in a
+    small temporary and written to ``sv[u]`` as one GEMM with the
+    ``g``-qubit rotation.  Only the core qubits ``[g, core)`` are then
+    rotated on the full state.  The last rotation may end in either
+    buffer; the one that holds the state is returned.
     """
     n = len(sv).bit_length() - 1
     core = factors[0].core
-    # The state's axes: the blocks, highest first, then the core.
-    axes = [1 << (f.hi - f.lo) for f in reversed(factors)] + [1 << core]
-    views, start = [], 0
+    if len(factors) == 1:
+        np.multiply(factors[0].table, -1j * gamma, out=sv)
+        np.exp(sv, out=sv)
+        sv *= (1 << n) ** -0.5
+        return _rotate_qubits(sv, beta, 0, n, scratch, in_place=False)
+    tables, start = [], 0
     for pos, f in enumerate(factors):
         table = scratch[start:start + len(f.table)]
         start += len(table)
@@ -386,28 +441,38 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
         if pos == 0:
             table *= (1 << n) ** -0.5
         _rotate_qubits(table, beta, core, core + f.hi - f.lo, sv[:len(table)])
-        shape = [1] * len(axes)
-        shape[-2 - pos], shape[-1] = axes[-2 - pos], axes[-1]
-        views.append(table.reshape(shape))
-    out = sv.reshape(axes)
-    if len(views) == 1:
-        np.copyto(out, views[0])
-    else:
-        np.multiply(views[0], views[1], out=out)
-    for view in views[2:]:
-        out *= view
-    return _rotate_qubits(sv, beta, 0, core, scratch)
+        tables.append(table.reshape(-1, 1 << core))
+    g = _fused_core_qubits(core)
+    fused = _rotation_power(beta, g)
+    # The state's axes: the blocks above the second, highest first, the
+    # second block in runs of ``per`` rows, the first block, the core.
+    first, second, higher = tables[0], tables[1], tables[:1:-1]
+    per = min(len(second), max(1, _FUSED_TEMP_ENTRIES // first.size))
+    temp = np.empty((per,) + first.shape, dtype=sv.dtype)
+    runs = iter(sv.reshape(-1, per, *first.shape))
+    for rows in itertools.product(*higher):
+        common = functools.reduce(np.multiply, rows) if rows else None
+        for row in range(0, len(second), per):
+            part = second[row:row + per]
+            if common is not None:
+                part = part * common
+            np.multiply(first, part[:, None, :], out=temp)
+            np.matmul(temp.reshape(-1, 1 << g), fused, out=next(runs).reshape(-1, 1 << g))
+    if g == core:
+        return sv
+    return _rotate_qubits(sv, beta, g, core, scratch, in_place=False)
 
 
 def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
     """Statevector after all layers, starting from the uniform state.
 
     The first layer is closed-form: the block qubits of every
-    :func:`cost_factors` table are mixed in the table, and only the
-    ``cost_split`` core qubits are mixed on the full state (none on a
-    map that does not split, whose one block is every qubit).  Layers
-    2 to p apply the cost and mixer layers to the full state.  All
-    layers share one scratch buffer the size of the state.
+    :func:`cost_factors` table are mixed in the table, the lowest core
+    qubits inside the tables' product write, and only the rest of the
+    ``cost_split`` core qubits on the full state (none on a map that
+    does not split, whose one block is every qubit).  Layers 2 to p
+    apply the cost and mixer layers to the full state.  All layers share
+    one scratch buffer the size of the state.
     :func:`final_state_reference` is the layer-by-layer path this must
     agree with.
     """
@@ -416,7 +481,8 @@ def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
     factors = cost_factors(q)
     sv = np.empty(1 << q.n, dtype=np.complex128)
     scratch = np.empty_like(sv)
-    _first_layer(sv, factors, sched.gammas[0], sched.betas[0], scratch)
+    if _first_layer(sv, factors, sched.gammas[0], sched.betas[0], scratch) is scratch:
+        sv, scratch = scratch, sv
     for gamma, beta in zip(sched.gammas[1:], sched.betas[1:]):
         apply_cost_layer(sv, factors, gamma, scratch)
         apply_mixer_layer(sv, beta, scratch)
@@ -448,7 +514,9 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int,
     if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
     sv = final_state(q, sched)
-    cum = np.cumsum(np.abs(sv) ** 2)
+    cum = np.abs(sv)
+    np.square(cum, out=cum)
+    np.cumsum(cum, out=cum)
     cum[-1] = 1.0
     dense = as_dense(q)
     params = {"p": sched.p, "delta_gamma": sched.delta_gamma,

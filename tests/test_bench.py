@@ -162,6 +162,16 @@ class TestPearson:
         xs = [1.0, 2.0, 3.0]
         assert pq.pearson_r(xs, [-x for x in xs]) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_two_points_stay_within_one(self):
+        # Unclamped, these read -1.0000000000000002 and 1.0000000000000002.
+        assert pq.pearson_r([0.1, 0.5], [0.9, 0.2]) == -1.0
+        assert pq.pearson_r([0.1, 0.5], [-0.9, -0.2]) == 1.0
+        rng = np.random.default_rng(5)
+        for xs, ys in rng.uniform(-10, 10, size=(500, 2, 2)):
+            r = pq.pearson_r(xs, ys)
+            assert -1.0 <= r <= 1.0
+            assert abs(r) == pytest.approx(1.0, abs=1e-15)
+
     def test_hand_computed_half(self):
         assert pq.pearson_r([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-12)
 

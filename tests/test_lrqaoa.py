@@ -182,6 +182,18 @@ def random_state(rng, n):
     return rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
 
 
+def rotate_reference(sv, beta, lo, hi):
+    """Rotate qubits ``[lo, hi)`` one at a time, as ``mixer_layer_reference`` does all."""
+    c, s = np.cos(beta), 1j * np.sin(beta)
+    for b in range(lo, hi):
+        view = sv.reshape(-1, 2, 1 << b)
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = c * a0 + s * a1
+        view[:, 1, :] = s * a0 + c * a1
+    return sv
+
+
 class TestFusedKernels:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_mixer_matches_reference(self, n):
@@ -203,6 +215,32 @@ class TestFusedKernels:
             groups = lrqaoa._mixer_groups(n)
             assert sum(groups) == n and len(groups) % 2 == 0
             assert 1 <= min(groups) and max(groups) <= lrqaoa.MIXER_GROUP_QUBITS
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_rotate_qubits_matches_a_one_qubit_loop_on_every_range(self, n):
+        rng = np.random.default_rng(200 + n)
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                beta = float(rng.uniform(-np.pi, np.pi))
+                sv = random_state(rng, n)
+                expected = rotate_reference(sv.copy(), beta, lo, hi)
+                got, other = sv.copy(), np.empty_like(sv)
+                assert lrqaoa._rotate_qubits(got, beta, lo, hi, other) is got
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                got = sv.copy()
+                held = lrqaoa._rotate_qubits(got, beta, lo, hi, other, in_place=False)
+                # The last group's output, without a copy back.
+                odd = len(lrqaoa._mixer_groups(hi - lo, even=False)) % 2
+                assert held is (other if odd else got)
+                np.testing.assert_allclose(held, expected, rtol=0, atol=1e-12)
+
+    def test_groups_without_the_even_rule_are_as_few_as_allowed(self):
+        assert lrqaoa._mixer_groups(9, even=False) == [3, 3, 3]
+        assert lrqaoa._mixer_groups(9) == [3, 2, 2, 2]
+        for n in range(30):
+            groups = lrqaoa._mixer_groups(n, even=False)
+            assert sum(groups) == n
+            assert len(groups) == -(-n // lrqaoa.MIXER_GROUP_QUBITS)
 
     def test_mixer_rejects_mismatched_scratch(self):
         with pytest.raises(ValueError):
@@ -398,21 +436,53 @@ class TestFirstLayer:
         np.testing.assert_allclose(final_state(q, sched), lrqaoa.final_state_reference(q, sched),
                                    rtol=0, atol=1e-12)
 
-    def test_press_map_mixes_only_the_core_on_the_state(self, monkeypatch):
-        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("shape, core, tables", [((3, 3, 3, 0), 9, 3), ((4, 2, 4, 1), 8, 2),
+                                                     ((2, 3, 4, 2), 6, 3)])
+    def test_generated_maps_with_large_cores_match_the_reference(self, shape, core, tables, p):
+        q = pq.build_qubo(pq.generate_instance(*shape[:3], seed=shape[3]), pq.RoundedVariant())
+        factors = lrqaoa.cost_factors(q)
+        assert (factors[0].core, len(factors)) == (core, tables)
+        sched = pq.lr_schedule(p)
+        np.testing.assert_allclose(final_state(q, sched), lrqaoa.final_state_reference(q, sched),
+                                   rtol=0, atol=1e-12)
+
+    @staticmethod
+    def first_layer_ranges(monkeypatch, inst):
+        """The ``(length, lo, hi)`` of every ``_rotate_qubits`` call of the
+        first layer, those that rotate each table's block qubits, and n."""
+        q = pq.build_qubo(inst, pq.RoundedVariant())
         ranges = []
         rotate = lrqaoa._rotate_qubits
 
-        def recording(vec, beta, lo, hi, other):
+        def recording(vec, beta, lo, hi, other, in_place=True):
             ranges.append((len(vec), lo, hi))
-            return rotate(vec, beta, lo, hi, other)
+            return rotate(vec, beta, lo, hi, other, in_place)
 
         monkeypatch.setattr(lrqaoa, "_rotate_qubits", recording)
         final_state(q, pq.lr_schedule(1))
         core, blocks = lrqaoa.cost_split(q)
         assert core > 0 and len(blocks) > 1
-        assert ranges == [(1 << (core + hi - lo), core, core + hi - lo) for lo, hi in blocks] + [
-            (1 << q.n, 0, core)]
+        in_tables = [(1 << (core + hi - lo), core, core + hi - lo) for lo, hi in blocks]
+        return ranges, in_tables, q.n
+
+    def test_press_map_mixes_only_the_core_on_the_state(self, monkeypatch):
+        # Each table's block qubits are mixed in the table and all 6 core
+        # qubits inside the product write, so none on the full state.
+        ranges, in_tables, _ = self.first_layer_ranges(monkeypatch,
+                                                       pq.bundled_instance("press-small"))
+        assert ranges == in_tables
+
+    def test_large_core_mixes_only_its_high_qubits_on_the_state(self, monkeypatch):
+        # A 9-qubit core: 5 qubits in the product write, one 4-qubit group
+        # on the full state.
+        ranges, in_tables, n = self.first_layer_ranges(monkeypatch,
+                                                       pq.generate_instance(3, 3, 3, seed=0))
+        assert ranges == in_tables + [(1 << n, 5, 9)]
+
+    def test_fused_core_qubits(self):
+        assert [lrqaoa._fused_core_qubits(core) for core in range(15)] == [
+            0, 1, 2, 3, 4, 5, 6, 3, 4, 5, 6, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("q", [split_qubo(4, [6, 6]), chain_qubo(np.random.default_rng(0), 16)],
                              ids=["split", "unsplit"])
