@@ -286,10 +286,14 @@ def _require(value, kind: type, what: str):
 def expand_variants(entry: Mapping) -> list[VariantSpec]:
     """One plan entry to concrete variant specs: the product of the
     entry's parameter lists, where a parameter it leaves out takes its
-    default grid from :data:`~pressqubo.qubo.VARIANT_KINDS`."""
+    default grid from :data:`~pressqubo.qubo.VARIANT_KINDS`.  A key the
+    kind does not take is a ValueError."""
     kind = _require(entry, dict, "a variant entry").get("kind")
     if not isinstance(kind, str) or kind not in qubo.VARIANT_KINDS:
         raise ValueError(f"unknown variant kind {kind!r}")
+    foreign = sorted(entry.keys() - {"kind", *qubo.VARIANT_KINDS[kind][1]})
+    if foreign:
+        raise ValueError(f"{kind} variant does not take {', '.join(map(repr, foreign))}")
     grids = {label: [str(v) for v in _require(entry.get(label, list(default)), list, label)]
              for label, default in qubo.VARIANT_KINDS[kind][1].items()}
     return qubo.variant_grid(kind, grids)
@@ -489,10 +493,10 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     process per job, and one job runs in this process.
     A plan that yields two cells of one grid key (a repeated seed,
     entry or instance id, or two spellings of one penalty value or
-    solver parameter value) raises ValueError before any cell runs.  Cells fail individually without
-    aborting the sweep; when an instance has no reference solution
-    (it is infeasible or too large to enumerate), each of its cells
-    gets an error record.
+    solver parameter value) raises ValueError before any cell runs.
+    Cells fail individually without aborting the sweep; when an
+    instance has no reference solution (it is infeasible or too large
+    to enumerate), each of its cells gets an error record.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

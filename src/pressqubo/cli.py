@@ -53,17 +53,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# The --lm, --lt and --ls flags carry the parameter labels; unset flags
+# take these values.
+BUILD_DEFAULTS = {"lm": "1e5", "lt": "1e9", "ls": "1"}
+
+
 def _variant_from_args(args) -> qubo.VariantSpec:
-    # The --lm, --lt and --ls flags carry the parameter labels.
-    grids = {label: [getattr(args, label)] for label in qubo.VARIANT_KINDS[args.variant][1]}
+    given = {k: getattr(args, k) for k in BUILD_DEFAULTS if getattr(args, k) is not None}
+    labels = qubo.VARIANT_KINDS[args.variant][1]
+    foreign = sorted(given.keys() - labels.keys())
+    if foreign:
+        named = ", ".join("--" + k for k in foreign)
+        raise ValueError(f"variant {args.variant!r} does not take {named}")
+    values = {**BUILD_DEFAULTS, **given}
+    [variant] = qubo.variant_grid(args.variant, {k: [values[k]] for k in labels})
     scales = qubo.VARIANT_KINDS["scaled"][1]["ls"]
-    if args.variant == "scaled" and model.as_fraction(args.ls) not in scales:
+    if isinstance(variant, qubo.ScaledVariant) and variant.assignment_scale not in scales:
         print(
             f"warning: assignment scale {args.ls} is off the default grid "
             f"{[str(s) for s in scales]}",
             file=sys.stderr,
         )
-    [variant] = qubo.variant_grid(args.variant, grids)
     return variant
 
 
@@ -220,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile an instance into a coefficient file")
     p.add_argument("instance")
     p.add_argument("--variant", choices=tuple(qubo.VARIANT_KINDS), required=True)
-    p.add_argument("--lm", default="1e5", help="machine-capacity penalty weight (raw)")
-    p.add_argument("--lt", default="1e9", help="assignment penalty weight (raw)")
-    p.add_argument("--ls", default="1", help="assignment scale (scaled)")
+    p.add_argument("--lm", help="machine-capacity penalty weight (raw; default 1e5)")
+    p.add_argument("--lt", help="assignment penalty weight (raw; default 1e9)")
+    p.add_argument("--ls", help="assignment scale (scaled; default 1)")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_build)

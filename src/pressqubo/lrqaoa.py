@@ -53,9 +53,10 @@ Only the rest of the core is rotated on the full state, none on
 ``press-03x2``, whose core has 6 qubits; a map that does not split
 has no core, and its one table is the full state.  The state may end
 in the scratch buffer, which then takes the state's role.  Layers 2
-to p run the cost and mixer layers on the full state.  ``final_state_reference`` runs every layer as the uniform
-state, the full diagonal's phases and ``mixer_layer_reference``, the
-path the fast one is tested against.
+to p run the cost and mixer layers on the full state.
+``final_state_reference`` runs every layer as the uniform state, the
+full diagonal's phases and ``mixer_layer_reference``, the path the
+fast one is tested against.
 
 The module also exposes logical circuit-shape metrics (interaction
 counts and a greedy-edge-coloring depth estimate) used for scaling
@@ -551,13 +552,12 @@ def success_probability(q: Qubo, sched: RampSchedule) -> float:
 class InteractionGraph:
     """Two-variable coupling structure of an objective (simple graph)."""
 
-    vertices: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
 
 
 def interaction_graph(q: Qubo) -> InteractionGraph:
     edges = sorted({(i, j) for (i, j) in q.coeffs if i != j})
-    return InteractionGraph(vertices=tuple(range(q.n)), edges=tuple(edges))
+    return InteractionGraph(edges=tuple(edges))
 
 
 def edge_coloring(g: InteractionGraph) -> dict[tuple[int, int], int]:
@@ -566,7 +566,7 @@ def edge_coloring(g: InteractionGraph) -> dict[tuple[int, int], int]:
     Uses at most ``2 * max_degree - 1`` colors; colors correspond to
     groups of two-qubit interactions that can run in parallel.
     """
-    used: dict[int, set[int]] = {v: set() for v in g.vertices}
+    used: dict[int, set[int]] = {}  # colors at each vertex that has an edge
     colors: dict[tuple[int, int], int] = {}
     for i, j in g.edges:
         if i == j:

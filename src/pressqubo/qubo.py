@@ -24,6 +24,8 @@ is written with position ``i`` holding variable ``i`` (so its integer
 value reads variable 0 as the least-significant bit).  :class:`VariableMap`
 derives it from the names and slack weights; :func:`_varmap_from_doc`
 enforces it, accepting only the sidecar :func:`save_qubo` would write.
+A compiled :class:`Qubo` and its sidecar record only the coefficients
+and that layout, not the variant that built them.
 
 All coefficients are exact rationals; a float64 mirror for the hot
 numeric kernels lives alongside, with a rigorous error bound so exact
@@ -127,14 +129,6 @@ def variant_grid(kind: str, grids: Mapping[str, Sequence]) -> list[VariantSpec]:
             raise ValueError(f"{kind} variant lacks its {label!r} parameter")
     return [cls(*map(as_fraction, values))
             for values in itertools.product(*(grids[label] for label in defaults))]
-
-
-# Default penalty grids (9 raw combinations, 2 scaled, 1 rounded).
-RAW_GRID: tuple[RawVariant, ...] = tuple(variant_grid("raw", VARIANT_KINDS["raw"][1]))
-SCALED_GRID: tuple[ScaledVariant, ...] = tuple(
-    variant_grid("scaled", VARIANT_KINDS["scaled"][1]))
-ROUNDED_GRID: tuple[RoundedVariant, ...] = tuple(
-    variant_grid("rounded", VARIANT_KINDS["rounded"][1]))
 
 
 def variant_label(variant: VariantSpec) -> str:
@@ -241,7 +235,6 @@ class Qubo:
     coeffs: Mapping[tuple[int, int], Fraction]
     offset: Fraction
     varmap: VariableMap | None = None
-    variant: VariantSpec | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -358,8 +351,7 @@ def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
             terms[varmap.slack_index[m, j]] = Fraction(digit) * f
         acc.add_squared_affine(terms, -inst.capacity[m] * f, w_cap)
 
-    return Qubo(n=varmap.n, coeffs=acc.coeffs, offset=acc.offset, varmap=varmap,
-                variant=variant)
+    return Qubo(n=varmap.n, coeffs=acc.coeffs, offset=acc.offset, varmap=varmap)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +384,7 @@ def normalize_qubo(q: Qubo) -> Qubo:
     if scale == 0:
         raise ValueError("cannot normalize an all-zero coefficient map")
     coeffs = {k: c / scale for k, c in q.coeffs.items()}
-    return Qubo(n=q.n, coeffs=coeffs, offset=q.offset / scale, varmap=q.varmap,
-                variant=q.variant)
+    return Qubo(n=q.n, coeffs=coeffs, offset=q.offset / scale, varmap=q.varmap)
 
 
 def decode(q: Qubo, bits: str) -> DecodedSample:
@@ -671,15 +662,15 @@ def sidecar_path(path) -> Path:
 def save_qubo(q: Qubo, path) -> None:
     """Write ``n offset`` then ``i j coeff`` lines; rationals as ``p/q``.
 
-    A ``<path>.varmap.json`` sidecar stores the variable layout (and the
-    variant) so bitstrings can be decoded later.  Round-trips exactly.
+    A ``<path>.varmap.json`` sidecar stores the variable layout, and
+    nothing else, so bitstrings can be decoded later.  Round-trips exactly.
     """
     lines = [f"{q.n} {q.offset}"]
     for (i, j), c in sorted(q.coeffs.items()):
         lines.append(f"{i} {j} {c}")
     Path(path).write_text("\n".join(lines) + "\n")
     if q.varmap is not None:
-        doc = _varmap_doc(q.varmap, q.variant)
+        doc = _varmap_doc(q.varmap)
         sidecar_path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
@@ -701,18 +692,17 @@ def load_qubo(path) -> Qubo:
             raise ValueError(f"{path}: line {line!r} repeats coefficient ({i}, {j})")
         coeffs[(i, j)] = c
     varmap = None
-    variant = None
     sc = sidecar_path(path)
     if sc.exists():
-        varmap, variant = _varmap_from_doc(load_json(sc), sc)
+        varmap = _varmap_from_doc(load_json(sc), sc)
         if varmap.n != n:
             raise ValueError(f"sidecar {sc} lays out {varmap.n} variables, "
                              f"the header of {path} {n}")
-    return Qubo(n=n, coeffs=coeffs, offset=offset, varmap=varmap, variant=variant)
+    return Qubo(n=n, coeffs=coeffs, offset=offset, varmap=varmap)
 
 
-def _varmap_doc(vm: VariableMap, variant: VariantSpec | None) -> dict:
-    doc = {
+def _varmap_doc(vm: VariableMap) -> dict:
+    return {
         "n": vm.n,
         "toolkits": list(vm.toolkits),
         "machines": list(vm.machines),
@@ -721,18 +711,15 @@ def _varmap_doc(vm: VariableMap, variant: VariantSpec | None) -> dict:
         "slack": [{"machine": m, "bit": j, "index": idx, "weight": vm.slack_weights[m][j]}
                   for (m, j), idx in vm.slack_index.items()],
     }
-    if variant is not None:
-        doc["variant"] = {"kind": variant.kind, **{k: str(v) for k, v in variant.params()}}
-    return doc
 
 
-def _varmap_from_doc(doc, path) -> tuple[VariableMap, VariantSpec | None]:
-    """The variable map and variant of the sidecar ``doc`` read from ``path``.
+def _varmap_from_doc(doc, path) -> VariableMap:
+    """The variable map of the sidecar ``doc`` read from ``path``.
 
-    Only the names, each machine's slack weights (their sum is its
-    capacity) and the variant are read.  The file is accepted only when
-    it is exactly what :func:`save_qubo` writes for them; ValueError
-    otherwise.
+    Only the names and each machine's slack weights (their sum is its
+    capacity) are read.  The file is accepted only when it is exactly
+    what :func:`save_qubo` writes for them, so any other key, such as
+    the ``variant`` that older sidecars carried, is a ValueError.
     """
     try:
         capacity = {}
@@ -740,11 +727,7 @@ def _varmap_from_doc(doc, path) -> tuple[VariableMap, VariantSpec | None]:
             capacity[e["machine"]] = capacity.get(e["machine"], 0) + e["weight"]
         varmap = VariableMap(tuple(doc["toolkits"]), tuple(doc["machines"]),
                              {m: slack_coefficients(capacity.get(m, 0)) for m in doc["machines"]})
-        variant = None
-        if "variant" in doc:
-            v = doc["variant"]
-            [variant] = variant_grid(v["kind"], {label: [value] for label, value in v.items()})
-        rebuilt = _varmap_doc(varmap, variant)
+        rebuilt = _varmap_doc(varmap)
         same = json.dumps(doc, sort_keys=True) == json.dumps(rebuilt, sort_keys=True)
     except KeyError as exc:
         raise ValueError(f"sidecar {path}: lacks {exc}") from None
@@ -752,8 +735,8 @@ def _varmap_from_doc(doc, path) -> tuple[VariableMap, VariantSpec | None]:
         raise ValueError(f"sidecar {path}: {exc}") from None
     if not same:
         raise ValueError(f"sidecar {path}: field {_first_difference(doc, rebuilt)!r} is not "
-                         "what build writes for these names, slack weights and variant")
-    return varmap, variant
+                         "what build writes for these names and slack weights")
+    return varmap
 
 
 def _first_difference(got, want, where: str = "") -> str:

@@ -315,7 +315,8 @@ class TestPlanExpansion:
         lms = pq.qubo.VARIANT_KINDS["raw"][1]["lm"]
         assert expand_variants({"kind": "raw", "lt": [5, 3]}) == [
             pq.RawVariant(lm, lt) for lm in lms for lt in (5, 3)]
-        assert expand_variants({"kind": "raw"}) == list(pq.qubo.RAW_GRID)
+        assert expand_variants({"kind": "raw"}) == pq.qubo.variant_grid(
+            "raw", pq.qubo.VARIANT_KINDS["raw"][1])
 
     def test_solver_param_lists_expand(self):
         combos = expand_solver_params(
@@ -637,13 +638,15 @@ class TestGroupedSweep:
         original = pq.solvers.simulated_anneal
 
         def counting(q, cfg, seeds):
-            calls.append((q.variant.kind, cfg.steps, cfg.restarts, seeds))
+            calls.append((q, cfg.steps, cfg.restarts, seeds))  # q stays alive: ids differ
             return original(q, cfg, seeds)
 
         monkeypatch.setattr(pq.solvers, "simulated_anneal", counting)
         assert pq.sweep(plan) == expected
-        assert sorted(calls) == [("rounded", 30, 10, [0, 1]), ("rounded", 40, 10, [0, 1]),
-                                 ("scaled", 30, 10, [0, 1]), ("scaled", 40, 10, [0, 1])]
+        per_group = {}
+        for q, *shape in calls:
+            per_group.setdefault(id(q), []).append(shape)
+        assert sorted(per_group.values()) == [[[30, 10, [0, 1]], [40, 10, [0, 1]]]] * 2
 
     def test_failed_batch_gives_each_cell_its_own_error(self, tiny, tmp_path, monkeypatch):
         plan = load_plan(write_plan(

@@ -61,22 +61,42 @@ class TestGen:
                    "--seed", 0, "-o", tmp_path / "x.json") == 4
 
 
+def compiled(instance_file, variant):
+    return pq.build_qubo(pq.sanitize_instance(pq.load_instance(instance_file)), variant)
+
+
 class TestBuild:
-    def test_writes_coefficients_and_sidecar(self, qubo_file):
+    def test_writes_coefficients_and_sidecar(self, qubo_file, instance_file):
         q = pq.load_qubo(qubo_file)
         assert q.varmap is not None
-        assert q.variant == pq.RawVariant(1000, 10**7)
+        assert q == compiled(instance_file, pq.RawVariant(1000, 10**7))
 
     def test_rounded_variant(self, instance_file, tmp_path):
         out = tmp_path / "r.coo"
         assert run("build", instance_file, "--variant", "rounded", "-o", out) == 0
-        assert pq.load_qubo(out).variant == pq.RoundedVariant()
+        assert pq.load_qubo(out) == compiled(instance_file, pq.RoundedVariant())
+
+    @pytest.mark.parametrize("kind, variant", [("raw", pq.RawVariant(10**5, 10**9)),
+                                               ("scaled", pq.ScaledVariant(1))])
+    def test_unset_flags_keep_their_default_values(self, instance_file, tmp_path, kind,
+                                                    variant):
+        out = tmp_path / "q.coo"
+        assert run("build", instance_file, "--variant", kind, "-o", out) == 0
+        assert pq.load_qubo(out) == compiled(instance_file, variant)
 
     def test_off_grid_scale_warns_but_succeeds(self, instance_file, tmp_path, capsys):
         out = tmp_path / "s.coo"
         assert run("build", instance_file, "--variant", "scaled", "--ls", "0.3",
                    "-o", out) == 0
         assert "off the default grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ls", ["-1", "0"])
+    def test_invalid_scale_is_usage_error_without_warning(self, instance_file, tmp_path,
+                                                          capsys, ls):
+        assert run("build", instance_file, "--variant", "scaled", "--ls", ls,
+                   "-o", tmp_path / "s.coo") == 2
+        err = capsys.readouterr().err
+        assert "must be positive" in err and "warning" not in err
 
     def test_missing_instance_is_io_error(self, tmp_path):
         assert run("build", tmp_path / "ghost.json", "--variant", "raw",
@@ -279,14 +299,6 @@ def _slack_weights_7_1(doc):
     first["weight"], second["weight"] = 7, 1
 
 
-def _scaled_with_boolean(doc):
-    doc["variant"] = {"kind": "scaled", "ls": True}
-
-
-def _unknown_variant_key(doc):
-    doc["variant"] = {"kind": "rounded", "lm": "5"}
-
-
 def _permuted_slack_indices(doc):
     doc["slack"][0]["index"], doc["slack"][1]["index"] = (doc["slack"][1]["index"],
                                                           doc["slack"][0]["index"])
@@ -296,8 +308,8 @@ def _reordered_decision_entries(doc):
     doc["decision"][:2] = doc["decision"][1::-1]
 
 
-def _lm_as_exponent(doc):
-    doc["variant"]["lm"] = "1e3"
+def _variant_as_written_before(doc):
+    doc["variant"] = {"kind": "raw", "lm": "1000", "lt": "10000000"}
 
 
 def _without_toolkits(doc):
@@ -332,6 +344,28 @@ class TestMalformedInput:
         plan_path.write_text(json.dumps(plan))
         assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (("sweep", {"kind": "raw", "Im": ["1e3"]}), "'Im'"),
+        (("sweep", {"kind": "rounded", "lm": [5]}), "'lm'"),
+        (("sweep", {"kind": "scaled", "ls": [1], "extra": 1}), "'extra'"),
+        (("build", "rounded", "--lm", "5", "--lt", "7"), "--lm, --lt"),
+        (("build", "raw", "--ls", "0.3"), "--ls"),
+    ])
+    def test_variant_parameter_the_kind_does_not_take_is_usage_error(
+            self, instance_file, tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        if argv[0] == "sweep":
+            plan = {"instances": [str(instance_file)], "variants": [argv[1]],
+                    "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}
+            plan_path = tmp_path / "plan.json"
+            plan_path.write_text(json.dumps(plan))
+            argv = ("sweep", plan_path)
+        else:
+            argv = ("build", instance_file, "--variant", *argv[1:])
+        assert run(*argv, "-o", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [
         ("postprocess", "false"),
@@ -411,14 +445,6 @@ class TestMalformedInput:
         doc["n"] += 1
         sidecar.write_text(json.dumps(doc))
         assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
-
-    def test_sidecar_missing_a_parameter_is_usage_error(self, qubo_file, tmp_path, capsys):
-        sidecar = pq.qubo.sidecar_path(qubo_file)
-        doc = json.loads(sidecar.read_text())
-        del doc["variant"]["lt"]
-        sidecar.write_text(json.dumps(doc))
-        assert run("solve", qubo_file, "--solver", "random", "-o", tmp_path / "s.csv") == 2
-        assert "'lt'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["plan", "instance", "sidecar", "report"])
     def test_malformed_json_is_usage_error(self, qubo_file, tmp_path, capsys, kind):
@@ -520,12 +546,10 @@ class TestMalformedInput:
     @pytest.mark.parametrize("variant, corrupt, named", [
         (("rounded",), _second_decision_at_zero, "'decision[1].index'"),
         (("rounded",), _slack_weights_7_1, "'n'"),
-        (("rounded",), _scaled_with_boolean, "True"),
-        (("rounded",), _unknown_variant_key, "'variant.lm'"),
         (("rounded",), _permuted_slack_indices, "'slack[0].index'"),
         (("rounded",), _reordered_decision_entries, "'decision[0].index'"),
         (("rounded",), _without_toolkits, "'toolkits'"),
-        (("raw", "--lm", "1e3", "--lt", "1e7"), _lm_as_exponent, "'variant.lm'"),
+        (("raw", "--lm", "1e3", "--lt", "1e7"), _variant_as_written_before, "'variant'"),
     ])
     @pytest.mark.parametrize("command", ["solve", "stats"])
     def test_sidecar_that_build_would_not_write_is_usage_error(

@@ -675,3 +675,16 @@ class TestCircuitShape:
         stats = pq.circuit_stats(q, 3)
         assert stats.two_qubit_interactions == 0
         assert stats.cost_layer_depth == 0
+
+    def test_memory_does_not_grow_with_the_variable_count(self):
+        q = Qubo(n=10**6, coeffs={(0, 1): Fraction(1), (1, 10**6 - 1): Fraction(-2)},
+                 offset=Fraction(0))
+        tracemalloc.start()
+        try:
+            stats = pq.circuit_stats(q, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats == pq.CircuitStats(qubits=10**6, edges=2, colors=2, p=3,
+                                         two_qubit_interactions=6, cost_layer_depth=6)
+        assert peak < 2**20

@@ -1,5 +1,8 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -7,21 +10,29 @@ from hypothesis import strategies as st
 
 import pressqubo as pq
 from pressqubo.qubo import (
-    RAW_GRID,
-    ROUNDED_GRID,
-    SCALED_GRID,
+    VARIANT_KINDS,
     Qubo,
     as_dense,
     flip_delta,
     full_spectrum,
     index_to_bits,
     minimum_states,
+    variant_grid,
 )
 
 from conftest import reference_optimum, reference_raw_energy
 
 LAM_M = Fraction(1000)
 LAM_T = Fraction(10**7)
+
+# Every variant of the default grids: 9 raw, 2 scaled, 1 rounded.
+DEFAULT_VARIANTS = tuple(v for kind in VARIANT_KINDS
+                         for v in variant_grid(kind, VARIANT_KINDS[kind][1]))
+
+# "<instance> <variant label>" -> sha256 of the coefficient file and of
+# its sidecar, for every bundled instance and the variants of
+# TestQuboIO.test_roundtrip_every_bundled_instance_and_variant.
+COMPILED_SHA256 = json.loads((Path(__file__).parent / "compiled_sha256.json").read_text())
 
 
 def all_bits(n):
@@ -288,12 +299,10 @@ class TestBuildScaledAndRounded:
             pq.build_qubo(inst, pq.RoundedVariant())
 
     def test_grid_sizes(self):
-        assert len(RAW_GRID) == 9
-        assert len(SCALED_GRID) == 2
-        assert len(ROUNDED_GRID) == 1
+        sizes = {kind: len(variant_grid(kind, VARIANT_KINDS[kind][1])) for kind in VARIANT_KINDS}
+        assert sizes == {"raw": 9, "scaled": 2, "rounded": 1}
 
-    @pytest.mark.parametrize("variant", RAW_GRID + SCALED_GRID + ROUNDED_GRID,
-                             ids=pq.qubo.variant_label)
+    @pytest.mark.parametrize("variant", DEFAULT_VARIANTS, ids=pq.qubo.variant_label)
     def test_every_grid_variant_round_trips_through_variant_grid(self, variant):
         grids = {label: [value] for label, value in variant.params()}
         assert pq.qubo.variant_grid(variant.kind, grids) == [variant]
@@ -570,17 +579,24 @@ class TestQuboIO:
             assert loaded.coeffs == q.coeffs
             assert loaded.offset == q.offset
             assert loaded.varmap == q.varmap
-            assert loaded.variant == q.variant
 
     @pytest.mark.parametrize("name", sorted(pq.model.BUNDLED_SHAPES))
     def test_roundtrip_every_bundled_instance_and_variant(self, name, tmp_path):
         inst = pq.bundled_instance(name)
         off_grid = (pq.RawVariant(7, 123456), pq.ScaledVariant(Fraction(3, 7)))
-        for k, variant in enumerate(RAW_GRID + SCALED_GRID + ROUNDED_GRID + off_grid):
+        changed = []
+        for k, variant in enumerate(DEFAULT_VARIANTS + off_grid):
             q = pq.build_qubo(inst, variant)
             path = tmp_path / f"{k}.coo"
             pq.save_qubo(q, path)
-            assert pq.load_qubo(path) == q  # n, coefficients, offset, varmap, variant
+            assert pq.load_qubo(path) == q  # n, coefficients, offset, varmap
+            key = f"{name} {pq.qubo.variant_label(variant)}"
+            digests = [hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in (path, pq.qubo.sidecar_path(path))]
+            changed += [f"{key}: {kind}" for kind, got, want in
+                        zip(("coefficient file", "sidecar"), digests, COMPILED_SHA256[key])
+                        if got != want]
+        assert not changed, f"differ from tests/compiled_sha256.json: {changed}"
 
     def test_loads_without_sidecar(self, tmp_path):
         path = tmp_path / "bare.coo"
