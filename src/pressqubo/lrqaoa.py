@@ -26,34 +26,49 @@ map that does not split has one factor, the full 2**n diagonal, which
 ``precompute_diagonal`` also computes as the uncached reference; the
 layers then hold the state, the scratch and that diagonal, 40 bytes
 per amplitude.  A split map holds 32 bytes per amplitude plus its
-tables; sampling holds the state and one float64 array, the squared
-magnitudes summed cumulatively in place.
+tables.  Sampling writes the squared magnitudes, summed cumulatively in
+place, into the float64 view of the scratch buffer, so it holds no
+more than the layers.
 
-``final_state`` allocates one scratch buffer the size of the state and
-passes it to both layers.  The cost layer forms its phases in it, and
-the mixer fuses the one-qubit X rotations: it applies groups of up to
-``MIXER_GROUP_QUBITS`` contiguous qubits as one dense Kronecker-power
-matrix each, alternating between the state and the scratch, in the
-manner of gate fusion in state-vector simulators such as qsim.
-``mixer_layer_reference`` keeps the one-qubit-at-a-time loop that the
-fused kernel is tested against.  A group that starts at qubit 0 is
-one 2-D GEMM, ``(2**(n-k), 2**k) @ fused``; a higher group is a
-batched product whose inner axis is ``2**lo`` wide, which is slow
-while that axis is narrow.
+The circuit runs in the frame of the S gate ``D = diag(1, i)`` on
+every qubit.  Since ``D^dagger X D = -Y``, each mixer rotation is
+``exp(i beta X) = D R D^dagger`` with the real ``R = [[cos beta,
+-sin beta], [sin beta, cos beta]]``, and the diagonal cost layers
+commute with ``D``, so the circuit is ``D (R C_p ... R C_1) D^dagger``
+applied to the uniform state.  ``_frame_state`` runs the bracket,
+``final_state`` applies ``D`` once at the end through two small
+broadcast tables, and sampling skips it: a power of ``i`` changes no
+magnitude.  ``_frame_state`` allocates one scratch buffer the size of
+the state and passes it to every layer.  The cost layer forms its
+phases in it, and the frame kernel fuses the real one-qubit rotations:
+it applies groups of up to ``MIXER_GROUP_QUBITS`` contiguous qubits as
+one dense real Kronecker-power matrix each, alternating between the
+state and the scratch, in the manner of gate fusion in state-vector
+simulators such as qsim.  A group above qubit 0 is a batched real GEMM
+over the interleaved float64 view, with half the multiply-adds of the
+complex product, though slow while its inner axis is narrow; the group
+that starts at qubit 0 is one 2-D GEMM whose matrix is spread over the
+real and imaginary parts, at the arithmetic of the complex product.
+``apply_mixer_layer`` keeps the X rotation as ``D^dagger``, the frame
+kernel and ``D``; ``mixer_layer_reference`` keeps the
+one-qubit-at-a-time loop it is tested against.
 
-The first layer is closed-form.  After the uniform state and the first
-cost layer, each amplitude is ``2**(-n/2)`` times the product of the
-factors' phases, so for every value of the core bits the state is a
-product over the blocks, and the mixer's rotations of a block's qubits
-act on that block's table alone.  ``final_state`` therefore
-exponentiates the tables in the scratch buffer, rotates each table's
-block qubits there, and writes the tables' product into the state in
-one pass of small GEMMs that also rotate the core's lowest qubits.
-Only the rest of the core is rotated on the full state, none on
-``press-03x2``, whose core has 6 qubits; a map that does not split
-has no core, and its one table is the full state.  The state may end
-in the scratch buffer, which then takes the state's role.  Layers 2
-to p run the cost and mixer layers on the full state.
+The first layer is closed-form.  After the uniform state, ``D^dagger``
+and the first cost layer, each amplitude is ``2**(-n/2)`` times
+``(-i)**popcount`` of its index times the product of the factors'
+phases, so for every value of the core bits the state is a product
+over the blocks, and the frame kernel's rotations of a block's qubits
+act on that block's table alone.  The first layer therefore
+exponentiates the tables in the scratch buffer, gives each table's
+block rows their S phases (the first table also the core's and the
+amplitude), rotates each table's block qubits there, and writes the
+tables' product into the state in one pass of small GEMMs that also
+rotate the core's lowest qubits.  The rest of the core is rotated on
+the full state by real left-multiplies, one 3-qubit group on
+``press-03x2``, whose core has 6 qubits; a map that does not split has
+no core, and its one table is the full state.  The state may end in
+the scratch buffer, which then takes the state's role.  Layers 2 to p
+run the cost layer and the frame kernel on the full state.
 ``final_state_reference`` runs every layer as the uniform state, the
 full diagonal's phases and ``mixer_layer_reference``, the path the
 fast one is tested against.
@@ -83,7 +98,10 @@ STATEVECTOR_GUARD = 26
 MIXER_GROUP_QUBITS = 4
 # Most core qubits the first layer rotates inside its product write; a
 # wider GEMM costs more arithmetic than the pass over the state it saves.
-FIRST_LAYER_FUSED_QUBITS = 6
+FIRST_LAYER_FUSED_QUBITS = 5
+# Lowest qubit at which the first layer rotates the rest of the core: a
+# group below it has an inner axis of fewer than 16 floats, which is slow.
+_FIRST_REST_LO = 3
 # Entries of the first layer's temporary, unless the first table is larger.
 _FUSED_TEMP_ENTRIES = 1 << 12
 
@@ -132,9 +150,10 @@ def statevector_peak_bytes(n: int) -> int:
     share, and the float64 cost tables: 40 bytes per amplitude, reached
     when the map does not split and its one table is the full
     diagonal.  A split map holds 32 bytes per amplitude plus its small
-    tables and the first layer's temporary, and sampling afterwards 24
-    (the state, and the squared magnitudes summed cumulatively in
-    place).
+    tables and the first layer's temporary.  Sampling afterwards holds
+    32 bytes per amplitude as well: the state, and the scratch buffer,
+    whose float64 view takes the squared magnitudes summed cumulatively
+    in place.  The peak stays two states plus the tables.
     """
     return 40 << n
 
@@ -257,6 +276,13 @@ def _build_cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
     return tuple(factors)
 
 
+def _qubit_count(sv: np.ndarray) -> int:
+    n = len(sv).bit_length() - 1
+    if n < 0 or len(sv) != 1 << n:
+        raise ValueError("statevector length must be a power of two")
+    return n
+
+
 def _scratch_for(sv: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
     if scratch is None:
         return np.empty_like(sv)
@@ -277,7 +303,7 @@ def apply_cost_layer(sv: np.ndarray, factors: Sequence[CostFactor],
     allocates nothing per layer.  A full-length factor takes exactly the
     steps of ``sv *= exp(-1j * gamma * diag)`` in place.
     """
-    n = len(sv).bit_length() - 1
+    n = _qubit_count(sv)
     if factors[-1].hi != n:
         raise ValueError(f"cost factors cover {factors[-1].hi} qubits, the statevector {n}")
     buffer = _scratch_for(sv, scratch)
@@ -308,27 +334,74 @@ def _mixer_groups(n: int, even: bool = True) -> list[int]:
 
 
 def _rotation_power(beta: float, k: int) -> np.ndarray:
-    """The ``k``-fold Kronecker power of the one-qubit X rotation by ``-2 * beta``.
+    """The ``k``-fold Kronecker power of ``R = [[cos, -sin], [sin, cos]](beta)``.
 
-    It is symmetric, so it acts on a group's axis from either side
-    without a transpose.
+    ``R`` is the X rotation of :func:`apply_mixer_layer` in the frame of
+    the S gate ``diag(1, i)``: ``S R S^dagger = exp(i beta X)``.  It is
+    real, so the frame kernel applies it to the interleaved float64
+    view of a complex array.
     """
-    rot = np.array([[np.cos(beta), 1j * np.sin(beta)],
-                    [1j * np.sin(beta), np.cos(beta)]])
+    c, s = np.cos(beta), np.sin(beta)
+    rot = np.array([[c, -s], [s, c]])
     return functools.reduce(np.kron, [rot] * k, np.ones((1, 1)))
+
+
+def _s_phases(m: int, power: int) -> np.ndarray:
+    """``(i**power)**popcount(x)`` for every ``x < 2**m``: the phases of
+    ``S**power`` on each of ``m`` qubits."""
+    count = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        count = np.concatenate([count, count + 1])
+    return np.array([1, 1j, -1, -1j])[count * power % 4]
+
+
+def _apply_s(vec: np.ndarray, power: int) -> np.ndarray:
+    """Apply ``S**power`` to every qubit of ``vec``, in place.
+
+    Amplitude ``x`` is multiplied by ``(i**power)**popcount(x)`` through
+    two broadcast tables, one per half of the bits, so nothing the size
+    of ``vec`` is allocated.  A product with a power of ``i`` only swaps
+    and negates parts, so no magnitude changes in any bit.
+    """
+    n = _qubit_count(vec)
+    view = vec.reshape(1 << (n - n // 2), 1 << (n // 2))
+    view *= _s_phases(n - n // 2, power)[:, None]
+    view *= _s_phases(n // 2, power)
+    return vec
+
+
+def _low_matrix(beta: float, k: int) -> np.ndarray:
+    """``kron(F.T, eye(2))`` for ``F = _rotation_power(beta, k)``: it applies
+    ``F`` to both parts of a row of ``2**k`` interleaved complex entries
+    from the right."""
+    return np.kron(_rotation_power(beta, k).T, np.eye(2))
+
+
+def _rotate_low(src: np.ndarray, low: np.ndarray, out: np.ndarray) -> None:
+    """Rotate the lowest qubits of ``src`` into ``out`` by a :func:`_low_matrix`.
+
+    One 2-D GEMM over the float64 views, whose lowest axis is the real
+    and imaginary part; the matrix is half zeros, so it costs the
+    arithmetic of the complex product.
+    """
+    width = len(low)
+    np.matmul(src.view(np.float64).reshape(-1, width), low,
+              out=out.view(np.float64).reshape(-1, width))
 
 
 def _rotate_qubits(vec: np.ndarray, beta: float, lo: int, hi: int,
                    other: np.ndarray, in_place: bool = True) -> np.ndarray:
-    """Rotate qubits ``[lo, hi)`` of ``vec`` around X by ``-2 * beta``.
+    """Apply ``R(beta)`` of :func:`_rotation_power` to qubits ``[lo, hi)`` of ``vec``.
 
-    The fused kernel of :func:`apply_mixer_layer`: each group of up to
-    ``MIXER_GROUP_QUBITS`` contiguous qubits is applied as one dense
-    Kronecker-power matrix, reading from ``vec`` or ``other`` (an array
-    of the same length) and writing to the other.  A group that starts
-    at qubit 0 is one 2-D GEMM, ``(2**(n-k), 2**k) @ fused``; a higher
-    group is a batched product over the bits above it, whose inner axis
-    is ``2**lo`` wide.
+    The fused kernel, which runs in the S-gate frame: each group of up
+    to ``MIXER_GROUP_QUBITS`` contiguous qubits is applied as one dense,
+    real Kronecker-power matrix, reading from ``vec`` or ``other`` (an
+    array of the same length) and writing to the other.  A group above
+    qubit 0 is a batched real GEMM over the interleaved float64 view,
+    ``F @ (2**(n-lo-k), 2**k, 2**(lo+1))``, with half the arithmetic of
+    the complex product; a group that starts at qubit 0 is one 2-D GEMM
+    of :func:`_rotate_low`.  :func:`apply_mixer_layer` conjugates it by
+    the S gates into the X rotation.
 
     Returns the array that holds the result: ``vec`` when ``in_place``,
     otherwise whichever of the two the last group wrote, which saves a
@@ -337,12 +410,12 @@ def _rotate_qubits(vec: np.ndarray, beta: float, lo: int, hi: int,
     n = len(vec).bit_length() - 1
     src, dst = vec, other
     for k in _mixer_groups(hi - lo, even=in_place):
-        fused = _rotation_power(beta, k)
         if lo == 0:
-            np.matmul(src.reshape(-1, 1 << k), fused, out=dst.reshape(-1, 1 << k))
+            _rotate_low(src, _low_matrix(beta, k), dst)
         else:
-            shape = (1 << (n - lo - k), 1 << k, 1 << lo)
-            np.matmul(fused, src.reshape(shape), out=dst.reshape(shape))
+            shape = (1 << (n - lo - k), 1 << k, 2 << lo)
+            np.matmul(_rotation_power(beta, k), src.view(np.float64).reshape(shape),
+                      out=dst.view(np.float64).reshape(shape))
         src, dst = dst, src
         lo += k
     if in_place and src is not vec:
@@ -363,23 +436,22 @@ def apply_mixer_layer(sv: np.ndarray, beta: float,
     from the uniform state toward the objective's *minimum*; the
     mirrored sign pair converges to the maximum instead.
 
-    The one-qubit rotations are fused: each group of up to
-    ``MIXER_GROUP_QUBITS`` contiguous qubits is applied as one dense
-    Kronecker-power matrix, reading from the state or ``scratch`` and
-    writing to the other.  ``mixer_layer_reference`` is the one-qubit
-    loop this must agree with.
+    The rotation is ``S R S^dagger`` with a real ``R`` on every qubit,
+    so this applies the inverse S gates, the fused frame kernel
+    :func:`_rotate_qubits` (reading from the state or ``scratch`` and
+    writing to the other), and the S gates.  ``mixer_layer_reference``
+    is the one-qubit loop this must agree with.
     """
-    n = int(np.log2(len(sv)))
-    if 1 << n != len(sv):
-        raise ValueError("statevector length must be a power of two")
-    return _rotate_qubits(sv, beta, 0, n, _scratch_for(sv, scratch))
+    n = _qubit_count(sv)
+    other = _scratch_for(sv, scratch)
+    _apply_s(sv, -1)
+    _rotate_qubits(sv, beta, 0, n, other)
+    return _apply_s(sv, 1)
 
 
 def mixer_layer_reference(sv: np.ndarray, beta: float) -> np.ndarray:
     """One-qubit-at-a-time form of ``apply_mixer_layer``, in place."""
-    n = int(np.log2(len(sv)))
-    if 1 << n != len(sv):
-        raise ValueError("statevector length must be a power of two")
+    n = _qubit_count(sv)
     c, s = np.cos(beta), 1j * np.sin(beta)
     for b in range(n):
         view = sv.reshape(-1, 2, 1 << b)
@@ -393,37 +465,41 @@ def mixer_layer_reference(sv: np.ndarray, beta: float) -> np.ndarray:
 def _fused_core_qubits(core: int) -> int:
     """How many of the core's lowest qubits the first layer's product write rotates.
 
-    The whole core when it has at most ``FIRST_LAYER_FUSED_QUBITS``;
-    otherwise the rest of the core takes as few mixer groups as it
-    must, each ``MIXER_GROUP_QUBITS`` wide, and the write the 3 to 6
-    qubits below them: a wider write costs more arithmetic per
-    amplitude than it saves.
+    The whole core when it has at most ``FIRST_LAYER_FUSED_QUBITS``.
+    Otherwise the rest of the core takes as few mixer groups as a write
+    of at most that many qubits allows, and the write the qubits below
+    them, at least ``_FIRST_REST_LO``.  The write is a 2-D GEMM at the
+    arithmetic of a complex product, the rest real left-multiplies at
+    half of it, so a wider write pays only while it saves a pass.
     """
     rest = max(0, core - FIRST_LAYER_FUSED_QUBITS)
-    return core - MIXER_GROUP_QUBITS * -(-rest // MIXER_GROUP_QUBITS)
+    groups = -(-rest // MIXER_GROUP_QUBITS)
+    return max(core - MIXER_GROUP_QUBITS * groups, min(core, _FIRST_REST_LO))
 
 
 def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
                  beta: float, scratch: np.ndarray) -> np.ndarray:
-    """The state after the first cost and mixer layers, in ``sv`` or ``scratch``.
+    """The frame state after the first cost and mixer layers, in ``sv`` or ``scratch``.
 
-    After the uniform state and the first cost layer the amplitude of
-    core bits ``c`` and block bits ``x_f`` is ``2**(-n/2)`` times the
-    product of ``exp(-i gamma T_f[x_f, c])`` over the factors, so the
-    mixer's rotations of a block's qubits act on its table alone.  The
-    tables are exponentiated side by side in ``scratch`` (they hold at
-    most ``2**n`` entries together), the first takes the amplitude, and
-    each table's block qubits are rotated with a prefix of ``sv`` as
-    the other buffer.  A map that does not split has one table, the
-    full state, which is formed and rotated in ``sv`` itself.
+    After the uniform state, the inverse S gates and the first cost
+    layer, the amplitude of core bits ``c`` and block bits ``x_f`` is
+    ``2**(-n/2) (-i)**popcount(c)`` times the product of
+    ``(-i)**popcount(x_f) exp(-i gamma T_f[x_f, c])`` over the factors,
+    so the frame kernel's rotations of a block's qubits act on its table
+    alone.  The tables are exponentiated side by side in ``scratch``
+    (they hold at most ``2**n`` entries together), each table's block
+    rows take their S phases, the first table the core's phases and the
+    amplitude, and each table's block qubits are rotated with a prefix
+    of ``sv`` as the other buffer.  A map that does not split has one
+    table, the full state, which is formed and rotated in ``sv`` itself.
 
     The product is then written into ``sv`` in one pass, fused with the
     rotation of the core's lowest ``g = _fused_core_qubits(core)``
     qubits: for a run of values ``u`` of the other tables' block bits,
     the first table times those tables' rows at ``u`` is formed in a
-    small temporary and written to ``sv[u]`` as one GEMM with the
-    ``g``-qubit rotation.  Only the core qubits ``[g, core)`` are then
-    rotated on the full state.  The last rotation may end in either
+    small temporary and written to ``sv[u]`` by :func:`_rotate_low`.
+    Only the core qubits ``[g, core)`` are then rotated on the full
+    state, by real left-multiplies.  The last rotation may end in either
     buffer; the one that holds the state is returned.
     """
     n = len(sv).bit_length() - 1
@@ -432,6 +508,7 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
         np.multiply(factors[0].table, -1j * gamma, out=sv)
         np.exp(sv, out=sv)
         sv *= (1 << n) ** -0.5
+        _apply_s(sv, -1)
         return _rotate_qubits(sv, beta, 0, n, scratch, in_place=False)
     tables, start = [], 0
     for pos, f in enumerate(factors):
@@ -439,12 +516,16 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
         start += len(table)
         np.multiply(f.table, -1j * gamma, out=table)
         np.exp(table, out=table)
+        rows = table.reshape(-1, 1 << core)
         if pos == 0:
             table *= (1 << n) ** -0.5
+            _apply_s(table, -1)
+        else:
+            rows *= _s_phases(f.hi - f.lo, -1)[:, None]
         _rotate_qubits(table, beta, core, core + f.hi - f.lo, sv[:len(table)])
-        tables.append(table.reshape(-1, 1 << core))
+        tables.append(rows)
     g = _fused_core_qubits(core)
-    fused = _rotation_power(beta, g)
+    low = _low_matrix(beta, g)
     # The state's axes: the blocks above the second, highest first, the
     # second block in runs of ``per`` rows, the first block, the core.
     first, second, higher = tables[0], tables[1], tables[:1:-1]
@@ -458,24 +539,20 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
             if common is not None:
                 part = part * common
             np.multiply(first, part[:, None, :], out=temp)
-            np.matmul(temp.reshape(-1, 1 << g), fused, out=next(runs).reshape(-1, 1 << g))
+            _rotate_low(temp, low, next(runs))
     if g == core:
         return sv
     return _rotate_qubits(sv, beta, g, core, scratch, in_place=False)
 
 
-def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
-    """Statevector after all layers, starting from the uniform state.
+def _frame_state(q: Qubo, sched: RampSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The state after all layers in the S-gate frame, and the spare buffer.
 
-    The first layer is closed-form: the block qubits of every
-    :func:`cost_factors` table are mixed in the table, the lowest core
-    qubits inside the tables' product write, and only the rest of the
-    ``cost_split`` core qubits on the full state (none on a map that
-    does not split, whose one block is every qubit).  Layers 2 to p
-    apply the cost and mixer layers to the full state.  All layers share
-    one scratch buffer the size of the state.
-    :func:`final_state_reference` is the layer-by-layer path this must
-    agree with.
+    The state is :func:`final_state`'s with the inverse S gate applied
+    to every qubit, which changes no magnitude.  The first layer is
+    :func:`_first_layer`; layers 2 to p apply the cost layer and the
+    frame kernel to the full state.  All layers share one scratch
+    buffer the size of the state, returned as the spare.
     """
     if not sched.gammas:
         raise ValueError("layer count must be >= 1")
@@ -486,8 +563,24 @@ def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
         sv, scratch = scratch, sv
     for gamma, beta in zip(sched.gammas[1:], sched.betas[1:]):
         apply_cost_layer(sv, factors, gamma, scratch)
-        apply_mixer_layer(sv, beta, scratch)
-    return sv
+        _rotate_qubits(sv, beta, 0, q.n, scratch)
+    return sv, scratch
+
+
+def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
+    """Statevector after all layers, starting from the uniform state.
+
+    The circuit runs in the frame of the S gate ``diag(1, i)``, where
+    each mixer layer is a real rotation (:func:`_frame_state`); the S
+    gates are applied once at the end, in place.  The first layer is
+    closed-form: the block qubits of every :func:`cost_factors` table
+    are mixed in the table, the lowest core qubits inside the tables'
+    product write, and only the rest of the ``cost_split`` core qubits
+    on the full state (none on a map that does not split, whose one
+    block is every qubit).  :func:`final_state_reference` is the
+    layer-by-layer path this must agree with.
+    """
+    return _apply_s(_frame_state(q, sched)[0], 1)
 
 
 def final_state_reference(q: Qubo, sched: RampSchedule) -> np.ndarray:
@@ -514,8 +607,10 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int,
         raise ValueError("shots must be >= 1")
     if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
-    sv = final_state(q, sched)
-    cum = np.abs(sv)
+    # The frame state has the true state's magnitudes; the cumulative
+    # distribution goes into the spare buffer's float64 view.
+    sv, spare = _frame_state(q, sched)
+    cum = np.abs(sv, out=spare.view(np.float64)[:len(sv)])
     np.square(cum, out=cum)
     np.cumsum(cum, out=cum)
     cum[-1] = 1.0
@@ -539,7 +634,7 @@ def success_probability(q: Qubo, sched: RampSchedule) -> float:
     Computed from amplitudes directly (no sampling); a pure function of
     the objective and the schedule.
     """
-    sv = final_state(q, sched)
+    sv, _ = _frame_state(q, sched)
     ks, _ = minimum_states(q)
     return float(np.sum(np.abs(sv[np.asarray(ks)]) ** 2))
 

@@ -216,24 +216,6 @@ class TestFusedKernels:
             assert sum(groups) == n and len(groups) % 2 == 0
             assert 1 <= min(groups) and max(groups) <= lrqaoa.MIXER_GROUP_QUBITS
 
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_rotate_qubits_matches_a_one_qubit_loop_on_every_range(self, n):
-        rng = np.random.default_rng(200 + n)
-        for lo in range(n + 1):
-            for hi in range(lo, n + 1):
-                beta = float(rng.uniform(-np.pi, np.pi))
-                sv = random_state(rng, n)
-                expected = rotate_reference(sv.copy(), beta, lo, hi)
-                got, other = sv.copy(), np.empty_like(sv)
-                assert lrqaoa._rotate_qubits(got, beta, lo, hi, other) is got
-                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-                got = sv.copy()
-                held = lrqaoa._rotate_qubits(got, beta, lo, hi, other, in_place=False)
-                # The last group's output, without a copy back.
-                odd = len(lrqaoa._mixer_groups(hi - lo, even=False)) % 2
-                assert held is (other if odd else got)
-                np.testing.assert_allclose(held, expected, rtol=0, atol=1e-12)
-
     def test_groups_without_the_even_rule_are_as_few_as_allowed(self):
         assert lrqaoa._mixer_groups(9, even=False) == [3, 3, 3]
         assert lrqaoa._mixer_groups(9) == [3, 2, 2, 2]
@@ -243,8 +225,21 @@ class TestFusedKernels:
             assert len(groups) == -(-n // lrqaoa.MIXER_GROUP_QUBITS)
 
     def test_mixer_rejects_mismatched_scratch(self):
+        sv = random_state(np.random.default_rng(4), 3)
+        got = sv.copy()
         with pytest.raises(ValueError):
-            pq.apply_mixer_layer(pq.uniform_state(3), 0.1, np.empty(4, dtype=complex))
+            pq.apply_mixer_layer(got, 0.1, np.empty(4, dtype=complex))
+        np.testing.assert_array_equal(got, sv)
+
+    @pytest.mark.parametrize("size", [0, 6])
+    @pytest.mark.parametrize("layer", [
+        lambda sv: pq.apply_mixer_layer(sv, 0.3),
+        lambda sv: lrqaoa.mixer_layer_reference(sv, 0.3),
+        lambda sv: pq.apply_cost_layer(sv, one_factor(np.zeros(4)), 0.3)],
+        ids=["mixer", "mixer_reference", "cost"])
+    def test_lengths_other_than_a_power_of_two_are_rejected(self, layer, size):
+        with pytest.raises(ValueError, match="power of two"):
+            layer(np.zeros(size, dtype=complex))
 
     @pytest.mark.parametrize("n", [9, 16])
     @pytest.mark.parametrize("gamma", [0.0, 0.37, -1.9, 12.5])
@@ -268,7 +263,13 @@ class TestFusedKernels:
         sched = pq.lr_schedule(4)
         fast = pq.run_lrqaoa(q, sched, shots=2000, seeds=[seed])[0]
         assert len(lrqaoa.cost_factors(q)) > 1
-        monkeypatch.setattr(lrqaoa, "final_state", lrqaoa.final_state_reference)
+
+        def reference(q, sched):
+            # The true state: the frame's S gates change no magnitude.
+            sv = lrqaoa.final_state_reference(q, sched)
+            return sv, np.empty_like(sv)
+
+        monkeypatch.setattr(lrqaoa, "_frame_state", reference)
         slow = pq.run_lrqaoa(q, sched, shots=2000, seeds=[seed])[0]
         assert fast == slow
 
@@ -302,6 +303,52 @@ class TestFusedKernels:
         q = Qubo(n=27, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
         with pytest.raises(TooLarge, match=r"about 5\.0 GiB"):
             pq.precompute_diagonal(q)
+
+
+def s_gates(sv):
+    """The S gate ``diag(1, i)`` on every qubit, as a new array."""
+    n = len(sv).bit_length() - 1
+    popcount = np.array([bin(x).count("1") for x in range(1 << n)])
+    return sv * 1j ** popcount
+
+
+class TestSFrame:
+    """The real rotation kernel of the S-gate frame and the S gates."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_frame_kernel_matches_the_conjugated_loop_on_every_range(self, n):
+        rng = np.random.default_rng(200 + n)
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                beta = float(rng.uniform(-np.pi, np.pi))
+                sv = random_state(rng, n)
+                # S^dagger X-rotation S is the frame kernel's real rotation.
+                expected = np.conj(s_gates(np.conj(rotate_reference(s_gates(sv), beta, lo, hi))))
+                got, other = sv.copy(), np.empty_like(sv)
+                assert lrqaoa._rotate_qubits(got, beta, lo, hi, other) is got
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                got = sv.copy()
+                held = lrqaoa._rotate_qubits(got, beta, lo, hi, other, in_place=False)
+                # The last group's output, without a copy back.
+                odd = len(lrqaoa._mixer_groups(hi - lo, even=False)) % 2
+                assert held is (other if odd else got)
+                np.testing.assert_allclose(held, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(0, 10))
+    def test_s_gates_are_exact_phases(self, n):
+        sv = random_state(np.random.default_rng(n), n)
+        got = sv.copy()
+        assert lrqaoa._apply_s(got, 1) is got
+        np.testing.assert_array_equal(got, s_gates(sv))
+        np.testing.assert_array_equal(np.abs(got), np.abs(sv))
+        np.testing.assert_array_equal(lrqaoa._apply_s(got, -1), sv)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_final_state_is_the_frame_state_under_s_gates(self, p):
+        q = split_qubo(3, [4, 3])
+        frame, spare = lrqaoa._frame_state(q, pq.lr_schedule(p))
+        assert spare.shape == frame.shape and spare is not frame
+        np.testing.assert_array_equal(final_state(q, pq.lr_schedule(p)), s_gates(frame))
 
 
 def random_block_qubo(rng, fractions):
@@ -447,6 +494,14 @@ class TestFirstLayer:
         np.testing.assert_allclose(final_state(q, sched), lrqaoa.final_state_reference(q, sched),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_two_blocks_without_a_core_match_the_reference(self, p):
+        q = Qubo(n=2, coeffs={(0, 0): Fraction(3), (1, 1): Fraction(-2)}, offset=Fraction(1))
+        assert lrqaoa.cost_split(q) == (0, [(0, 1), (1, 2)])
+        sched = pq.lr_schedule(p, 1.3, 0.7)
+        np.testing.assert_allclose(final_state(q, sched), lrqaoa.final_state_reference(q, sched),
+                                   rtol=0, atol=1e-12)
+
     @staticmethod
     def first_layer_ranges(monkeypatch, inst):
         """The ``(length, lo, hi)`` of every ``_rotate_qubits`` call of the
@@ -467,11 +522,12 @@ class TestFirstLayer:
         return ranges, in_tables, q.n
 
     def test_press_map_mixes_only_the_core_on_the_state(self, monkeypatch):
-        # Each table's block qubits are mixed in the table and all 6 core
-        # qubits inside the product write, so none on the full state.
-        ranges, in_tables, _ = self.first_layer_ranges(monkeypatch,
+        # Each table's block qubits are mixed in the table, 3 of the 6 core
+        # qubits inside the product write and one 3-qubit group on the
+        # full state.
+        ranges, in_tables, n = self.first_layer_ranges(monkeypatch,
                                                        pq.bundled_instance("press-small"))
-        assert ranges == in_tables
+        assert ranges == in_tables + [(1 << n, 3, 6)]
 
     def test_large_core_mixes_only_its_high_qubits_on_the_state(self, monkeypatch):
         # A 9-qubit core: 5 qubits in the product write, one 4-qubit group
@@ -482,7 +538,7 @@ class TestFirstLayer:
 
     def test_fused_core_qubits(self):
         assert [lrqaoa._fused_core_qubits(core) for core in range(15)] == [
-            0, 1, 2, 3, 4, 5, 6, 3, 4, 5, 6, 3, 4, 5, 6]
+            0, 1, 2, 3, 4, 5, 3, 3, 4, 5, 3, 3, 4, 5, 3]
 
     @pytest.mark.parametrize("q", [split_qubo(4, [6, 6]), chain_qubo(np.random.default_rng(0), 16)],
                              ids=["split", "unsplit"])
@@ -564,13 +620,13 @@ class TestBatchedRun:
         sched = pq.lr_schedule(2, 0.9, 0.6)
         alone = [pq.run_lrqaoa(q, sched, 300, [seed])[0] for seed in (0, 1, 2)]
         calls = []
-        original = lrqaoa.final_state
+        original = lrqaoa._frame_state
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(lrqaoa, "final_state", counting)
+        monkeypatch.setattr(lrqaoa, "_frame_state", counting)
         batch = pq.bench.SOLVERS["lrqaoa"].run(q, params, [0, 1, 2])
         assert len(calls) == 1
         assert batch == alone
