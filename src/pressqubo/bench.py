@@ -155,18 +155,20 @@ def score_samples_reference(samples: SampleSet, inst: Instance, q: Qubo) -> Scor
 
 
 def pearson_r(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Product-moment correlation coefficient, clamped to [-1, 1] against rounding."""
+    """Product-moment correlation coefficient, clamped to [-1, 1] against rounding;
+    ValueError where it is undefined (short series, NaN, overflow, no variance)."""
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
         raise ValueError("need two equal-length series of length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    vx = float(dx @ dx)
-    vy = float(dy @ dy)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or an overflow raises below
+        dx, dy = x - x.mean(), y - y.mean()
+        vx, vy, cov = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+    if not (math.isfinite(vx * vy) and math.isfinite(cov)):
+        raise ValueError("correlation undefined for non-finite values or moments")
     if vx == 0.0 or vy == 0.0:
         raise ValueError("correlation undefined for a zero-variance series")
-    return min(1.0, max(-1.0, float(dx @ dy) / (vx * vy) ** 0.5))
+    return min(1.0, max(-1.0, cov / (vx * vy) ** 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +289,17 @@ def expand_variants(entry: Mapping) -> list[VariantSpec]:
     """One plan entry to concrete variant specs: the product of the
     entry's parameter lists, where a parameter it leaves out takes its
     default grid from :data:`~pressqubo.qubo.VARIANT_KINDS`.  A key the
-    kind does not take is a ValueError."""
+    kind does not take and an empty list are ValueErrors."""
     kind = _require(entry, dict, "a variant entry").get("kind")
-    if not isinstance(kind, str) or kind not in qubo.VARIANT_KINDS:
-        raise ValueError(f"unknown variant kind {kind!r}")
-    foreign = sorted(entry.keys() - {"kind", *qubo.VARIANT_KINDS[kind][1]})
+    defaults = {label: grid for label, _, grid in qubo.variant_parameters(kind)}
+    foreign = sorted(entry.keys() - {"kind", *defaults})
     if foreign:
         raise ValueError(f"{kind} variant does not take {', '.join(map(repr, foreign))}")
-    grids = {label: [str(v) for v in _require(entry.get(label, list(default)), list, label)]
-             for label, default in qubo.VARIANT_KINDS[kind][1].items()}
+    grids = {label: _require(entry.get(label, list(default)), list, label)
+             for label, default in defaults.items()}
+    empty = [label for label, values in grids.items() if not values]
+    if empty:
+        raise ValueError(f"variant entry {entry!r} lists no value for {empty[0]!r}")
     return qubo.variant_grid(kind, grids)
 
 
@@ -317,10 +321,10 @@ def _check_solver_param(name: str, key: str, value) -> None:
 def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
     """Expand list-valued solver parameters into the full grid.
 
-    Raises ValueError for a parameter the solver does not accept, and
-    for any value (or list element) of the wrong type or range: counts
-    must be integers >= 1, slopes and temperatures finite positive
-    numbers, and neither may be a boolean.
+    Raises ValueError for a parameter the solver does not accept, for
+    an empty list, and for any value (or list element) of the wrong
+    type or range: counts must be integers >= 1, slopes and temperatures
+    finite positive numbers, and neither may be a boolean.
     """
     name = _require(entry, dict, "a solver entry").get("name")
     if not isinstance(name, str) or name not in SOLVERS:
@@ -333,6 +337,8 @@ def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
     params = {**SOLVERS[name].defaults, **given}
     grids = [(k, v if isinstance(v, list) else [v]) for k, v in sorted(params.items())]
     for key, values in grids:
+        if not values:
+            raise ValueError(f"solver entry {entry!r} lists no value for {key!r}")
         for value in values:
             _check_solver_param(name, key, value)
     combos: list[dict] = [{}]

@@ -4,7 +4,9 @@ Subcommands cover the full workflow: ``gen`` writes a synthetic
 instance, ``build`` compiles it to a coefficient file, ``solve`` runs a
 sampler over a coefficient file, ``sweep`` executes a whole plan,
 ``report`` summarizes a sweep directory, and ``stats`` prints logical
-circuit-shape numbers.
+circuit-shape numbers.  ``build`` has one flag per parameter label of
+``qubo.VARIANT_KINDS`` (an unset one takes the largest value of its
+default grid), as ``solve`` has one per parameter of ``bench.SOLVERS``.
 
 Exit codes: 0 success, 2 usage or invalid input, 3 size guard
 exceeded or memory refused, 4 infeasible or undefined result, 5 I/O
@@ -53,27 +55,38 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# The --lm, --lt and --ls flags carry the parameter labels; unset flags
-# take these values.
-BUILD_DEFAULTS = {"lm": "1e5", "lt": "1e9", "ls": "1"}
+def _build_flags() -> dict[str, str]:
+    """Help text of each ``build`` flag, one per label of the variant table."""
+    helps: dict[str, list[str]] = {}
+    for kind in qubo.VARIANT_KINDS:
+        for label, name, grid in qubo.variant_parameters(kind):
+            helps.setdefault(label, []).append(
+                f"{name.replace('_', ' ')} ({kind}; default {max(grid)})")
+    return {label: "; ".join(texts) for label, texts in helps.items()}
+
+
+def _given_flags(args, flags, accepted, owner: str) -> dict:
+    """The ``flags`` set in ``args``; ValueError naming those ``owner`` does not take."""
+    given = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    foreign = sorted(given.keys() - accepted)
+    if foreign:
+        named = ", ".join("--" + k.replace("_", "-") for k in foreign)
+        raise ValueError(f"{owner} does not take {named}")
+    return given
 
 
 def _variant_from_args(args) -> qubo.VariantSpec:
-    given = {k: getattr(args, k) for k in BUILD_DEFAULTS if getattr(args, k) is not None}
-    labels = qubo.VARIANT_KINDS[args.variant][1]
-    foreign = sorted(given.keys() - labels.keys())
-    if foreign:
-        named = ", ".join("--" + k for k in foreign)
-        raise ValueError(f"variant {args.variant!r} does not take {named}")
-    values = {**BUILD_DEFAULTS, **given}
-    [variant] = qubo.variant_grid(args.variant, {k: [values[k]] for k in labels})
-    scales = qubo.VARIANT_KINDS["scaled"][1]["ls"]
-    if isinstance(variant, qubo.ScaledVariant) and variant.assignment_scale not in scales:
-        print(
-            f"warning: assignment scale {args.ls} is off the default grid "
-            f"{[str(s) for s in scales]}",
-            file=sys.stderr,
-        )
+    # An unset flag takes the largest value of its default grid; a given
+    # value off that grid is built, with a warning.
+    params = qubo.variant_parameters(args.variant)
+    given = _given_flags(args, _build_flags(), {label for label, _, _ in params},
+                         f"variant {args.variant!r}")
+    [variant] = qubo.variant_grid(
+        args.variant, {label: [given.get(label, max(grid))] for label, _, grid in params})
+    for (label, name, grid), (_, value) in zip(params, variant.params()):
+        if value not in grid:
+            print(f"warning: {name.replace('_', ' ')} {given[label]} is off the default grid "
+                  f"{[str(s) for s in grid]}", file=sys.stderr)
     return variant
 
 
@@ -82,17 +95,10 @@ def cmd_build(args) -> int:
     variant = _variant_from_args(args)
     q = qubo.build_qubo(inst, variant)
     qubo.save_qubo(q, args.output)
-    _emit(
-        args,
-        f"wrote {args.output} ({qubo.variant_label(variant)}): {q.n} variables, "
-        f"{len(q.coeffs)} coefficients",
-        {
-            "path": str(args.output),
-            "variant": qubo.variant_label(variant),
-            "variables": q.n,
-            "coefficients": len(q.coeffs),
-        },
-    )
+    label = qubo.variant_label(variant)
+    _emit(args, f"wrote {args.output} ({label}): {q.n} variables, {len(q.coeffs)} coefficients",
+          {"path": str(args.output), "variant": label, "variables": q.n,
+           "coefficients": len(q.coeffs)})
     return EXIT_OK
 
 
@@ -103,11 +109,8 @@ SOLVE_FLAGS: dict[str, type] = {key: solver.kind(key) for solver in bench.SOLVER
 
 def cmd_solve(args) -> int:
     # Unset flags keep the registry defaults.
-    given = {k: getattr(args, k) for k in SOLVE_FLAGS if getattr(args, k) is not None}
-    foreign = sorted(set(given) - bench.SOLVERS[args.solver].keys())
-    if foreign:
-        named = ", ".join("--" + k.replace("_", "-") for k in foreign)
-        raise ValueError(f"solver {args.solver!r} does not take {named}")
+    given = _given_flags(args, SOLVE_FLAGS, bench.SOLVERS[args.solver].keys(),
+                         f"solver {args.solver!r}")
     # The plan's defaults merge and value check; the runner checks the seed.
     [(_, params)] = bench.expand_solver_params({"name": args.solver, "params": given})
     q = qubo.load_qubo(args.qubo)
@@ -230,9 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile an instance into a coefficient file")
     p.add_argument("instance")
     p.add_argument("--variant", choices=tuple(qubo.VARIANT_KINDS), required=True)
-    p.add_argument("--lm", help="machine-capacity penalty weight (raw; default 1e5)")
-    p.add_argument("--lt", help="assignment penalty weight (raw; default 1e9)")
-    p.add_argument("--ls", help="assignment scale (scaled; default 1)")
+    for label, text in _build_flags().items():
+        p.add_argument("--" + label.replace("_", "-"), help=text)
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_build)

@@ -10,8 +10,8 @@ results are comparable across construction variants.
 
 State layout: amplitude index equals the bitstring value with variable
 0 as the least-significant bit.  Simulation is float64/complex128 and
-guarded at 26 qubits; ``statevector_peak_bytes`` gives the memory a
-simulation holds at most (40 bytes per amplitude).
+guarded at 26 qubits by ``errors.check_size``; ``statevector_peak_bytes``
+gives the memory a simulation holds at most (40 bytes per amplitude).
 
 The cost layer does not evaluate one exponential per amplitude.  The
 phase ``exp(-i gamma E(x))`` factors over ``cost_split``: a core of
@@ -26,9 +26,9 @@ map that does not split has one factor, the full 2**n diagonal, which
 ``precompute_diagonal`` also computes as the uncached reference; the
 layers then hold the state, the scratch and that diagonal, 40 bytes
 per amplitude.  A split map holds 32 bytes per amplitude plus its
-tables.  Sampling writes the squared magnitudes, summed cumulatively in
-place, into the float64 view of the scratch buffer, so it holds no
-more than the layers.
+tables and the first layer's temporary.  Sampling writes the squared
+magnitudes, summed cumulatively in place, into the float64 view of the
+scratch buffer, so it holds no more than the layers.
 
 The circuit runs in the frame of the S gate ``D = diag(1, i)`` on
 every qubit.  Since ``D^dagger X D = -Y``, each mixer rotation is
@@ -88,12 +88,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import check_size
 from .qubo import (Qubo, _cached, as_dense, full_spectrum, index_states, minimum_states,
                    normalize_qubo)
 from .solvers import SampleSet, sampleset_from_states
 
-STATEVECTOR_GUARD = 26
 # Qubits per fused mixer group; 4 was fastest at 22 qubits on one BLAS thread.
 MIXER_GROUP_QUBITS = 4
 # Most core qubits the first layer rotates inside its product write; a
@@ -144,31 +143,15 @@ def lr_schedule(p: int, delta_gamma: float = 0.9, delta_beta: float = 0.6) -> Ra
 # ---------------------------------------------------------------------------
 
 def statevector_peak_bytes(n: int) -> int:
-    """Bytes a simulation of ``n`` qubits holds while its layers run.
-
-    The complex128 state, the complex128 scratch buffer the layers
-    share, and the float64 cost tables: 40 bytes per amplitude, reached
-    when the map does not split and its one table is the full
-    diagonal.  A split map holds 32 bytes per amplitude plus its small
-    tables and the first layer's temporary.  Sampling afterwards holds
-    32 bytes per amplitude as well: the state, and the scratch buffer,
-    whose float64 view takes the squared magnitudes summed cumulatively
-    in place.  The peak stays two states plus the tables.
-    """
+    """Bytes a simulation of ``n`` qubits holds at most: the state, the
+    scratch buffer and a full-diagonal cost table, 40 per amplitude (the
+    module docstring gives the accounting of split maps and sampling)."""
     return 40 << n
-
-
-def _check_guard(n: int) -> None:
-    if n > STATEVECTOR_GUARD:
-        raise TooLarge(
-            f"{n} qubits exceed the statevector guard of {STATEVECTOR_GUARD} "
-            f"(simulating them needs about {statevector_peak_bytes(n) / 2**30:.1f} GiB)"
-        )
 
 
 def uniform_state(n: int) -> np.ndarray:
     """Equal-amplitude superposition over all 2**n bitstrings."""
-    _check_guard(n)
+    check_size(f"the statevector of {n} qubits", 1 << n, statevector_peak_bytes(n))
     size = 1 << n
     return np.full(size, size ** -0.5, dtype=np.complex128)
 
@@ -179,7 +162,7 @@ def precompute_diagonal(q: Qubo) -> np.ndarray:
     The simulation runs on :func:`cost_factors`; this is the reference
     they are tested against, computed afresh on every call.
     """
-    _check_guard(q.n)
+    check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n))
     return full_spectrum(normalize_qubo(q)).astype(np.float64)
 
 
@@ -255,7 +238,7 @@ def cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
     diagonal.  Built on first use and cached on ``q``; the tables are
     read-only.
     """
-    _check_guard(q.n)
+    check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n))
     return _cached(q, "_cost_factors", _build_cost_factors)
 
 

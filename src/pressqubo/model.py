@@ -27,10 +27,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import GenerationFailed, Infeasible, TooLarge
-
-# Hard cap on |machines| ** |toolkits| for exhaustive assignment search.
-ENUMERATION_GUARD = 1 << 26
+from .errors import GenerationFailed, Infeasible, check_size
 
 _ENUM_CHUNK = 1 << 20
 
@@ -280,8 +277,7 @@ def exact_solve(inst: Instance) -> Solution:
     """
     T, M = inst.n_toolkits, inst.n_machines
     total = M**T
-    if total > ENUMERATION_GUARD:
-        raise TooLarge(f"{M}^{T} assignments exceed the enumeration guard 2^26")
+    check_size(f"the search over {M}^{T} assignments", total)
     arrays = _scaled_int_arrays(inst)
     if arrays is not None:
         best = _exact_solve_int(arrays, T, M)

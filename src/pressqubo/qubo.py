@@ -1,11 +1,10 @@
 """Compilation of assignment instances into binary-quadratic form.
 
-Three construction strategies are supported, differing in how constraint
-penalties are weighted:
+Three construction strategies, the rows of :data:`VARIANT_KINDS`, differ
+in how constraint penalties are weighted:
 
-* ``raw``: the instance data is used as-is and the two constraint
-  families get hand-picked penalty weights (a machine-capacity weight
-  and a toolkit-assignment weight) from a broad default grid.
+* ``raw``: the instance data as-is, with hand-picked weights for the
+  machine-capacity and the toolkit-assignment families.
 * ``scaled``: every term of the program (objective, each exactly-once
   constraint multiplied by an assignment-scale factor, each capacity
   equality including its slack bits) is rescaled so all terms share the
@@ -13,6 +12,9 @@ penalties are weighted:
 * ``rounded``: costs are first integer-divided by the smallest positive
   cost so the minimum cost becomes 1, then the scaled pipeline runs with
   an assignment scale of 1.  This flattens the coefficient spread.
+
+Every variant reads its parameters with :func:`~pressqubo.model.as_fraction`,
+as plans do, and requires them to be positive.
 
 Capacity inequalities are turned into equalities with slack variables,
 each split into binary digits ``[2^0, ..., 2^(r-1), h - 2^r + 1]`` so
@@ -43,11 +45,8 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import check_size
 from .model import Assignment, Instance, as_fraction, load_json
-
-# Hard cap on 2**n for full-spectrum computations.
-SPECTRUM_GUARD = 26
 
 
 # ---------------------------------------------------------------------------
@@ -55,11 +54,20 @@ SPECTRUM_GUARD = 26
 # ---------------------------------------------------------------------------
 
 class _Variant:
+    def __post_init__(self):
+        # Every parameter reads as a plan's number does and must be > 0.
+        for label, name, _ in variant_parameters(self.kind):
+            value = as_fraction(getattr(self, name))
+            if value <= 0:
+                raise ValueError(f"{self.kind} variant parameter {label} "
+                                 f"({name.replace('_', ' ')}) must be positive, got {value}")
+            object.__setattr__(self, name, value)
+
     def params(self) -> tuple[tuple[str, Fraction], ...]:
         """(label, value) of each parameter in constructor order, with the
         labels of :data:`VARIANT_KINDS`."""
-        labels = VARIANT_KINDS[self.kind][1]
-        return tuple(zip(labels, (getattr(self, f.name) for f in fields(self))))
+        return tuple((label, getattr(self, name))
+                     for label, name, _ in variant_parameters(self.kind))
 
 
 @dataclass(frozen=True)
@@ -71,12 +79,6 @@ class RawVariant(_Variant):
 
     kind = "raw"
 
-    def __post_init__(self):
-        object.__setattr__(self, "machine_penalty", Fraction(self.machine_penalty))
-        object.__setattr__(self, "toolkit_penalty", Fraction(self.toolkit_penalty))
-        if self.machine_penalty <= 0 or self.toolkit_penalty <= 0:
-            raise ValueError("penalty weights must be positive")
-
 
 @dataclass(frozen=True)
 class ScaledVariant(_Variant):
@@ -85,11 +87,6 @@ class ScaledVariant(_Variant):
     assignment_scale: Fraction = Fraction(1)
 
     kind = "scaled"
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment_scale", Fraction(self.assignment_scale))
-        if self.assignment_scale <= 0:
-            raise ValueError("assignment scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -102,8 +99,8 @@ class RoundedVariant(_Variant):
 VariantSpec = Union[RawVariant, ScaledVariant, RoundedVariant]
 
 # kind -> (class, default grid of each parameter by its label, in
-# constructor order).  Plans, sidecars and ``pressqubo build`` name the
-# parameters by these labels.
+# constructor order).  Plans and ``pressqubo build`` name the parameters
+# by these labels; ``build`` has one flag per label.
 VARIANT_KINDS: dict[str, tuple[type, dict[str, tuple[Fraction, ...]]]] = {
     "raw": (RawVariant, {"lm": (Fraction(10**3), Fraction(10**4), Fraction(10**5)),
                          "lt": (Fraction(10**7), Fraction(10**8), Fraction(10**9))}),
@@ -112,23 +109,30 @@ VARIANT_KINDS: dict[str, tuple[type, dict[str, tuple[Fraction, ...]]]] = {
 }
 
 
+def variant_parameters(kind: str) -> list[tuple[str, str, tuple[Fraction, ...]]]:
+    """(label, field name, default grid) of each parameter of ``kind``, in
+    constructor order; ValueError for an unknown kind."""
+    if not isinstance(kind, str) or kind not in VARIANT_KINDS:
+        raise ValueError(f"unknown variant kind {kind!r}")
+    cls, grids = VARIANT_KINDS[kind]
+    return [(label, f.name, grid) for f, (label, grid) in zip(fields(cls), grids.items())]
+
+
 def variant_grid(kind: str, grids: Mapping[str, Sequence]) -> list[VariantSpec]:
     """Every ``kind`` variant over the product of its parameters' grids.
 
-    ``grids`` maps each parameter label to its values, read with
-    :func:`~pressqubo.model.as_fraction`; the first parameter varies
-    slowest.  Other keys are ignored.  Raises ValueError for an unknown
-    kind and for a parameter ``grids`` lacks: nothing falls back to the
-    default grids.
+    ``grids`` maps each parameter label to its values, which the variant
+    reads with :func:`~pressqubo.model.as_fraction`; the first parameter
+    varies slowest.  Other keys are ignored.  Raises ValueError for an
+    unknown kind and for a parameter ``grids`` lacks: nothing falls back
+    to the default grids.
     """
-    if not isinstance(kind, str) or kind not in VARIANT_KINDS:
-        raise ValueError(f"unknown variant kind {kind!r}")
-    cls, defaults = VARIANT_KINDS[kind]
-    for label in defaults:
+    labels = [label for label, _, _ in variant_parameters(kind)]
+    for label in labels:
         if label not in grids:
             raise ValueError(f"{kind} variant lacks its {label!r} parameter")
-    return [cls(*map(as_fraction, values))
-            for values in itertools.product(*(grids[label] for label in defaults))]
+    cls = VARIANT_KINDS[kind][0]
+    return [cls(*values) for values in itertools.product(*(grids[label] for label in labels))]
 
 
 def variant_label(variant: VariantSpec) -> str:
@@ -606,9 +610,7 @@ def full_spectrum(q: Qubo) -> np.ndarray:
     matrix product, so the cost is a few dense passes over the output
     instead of one pass per coefficient.
     """
-    if q.n > SPECTRUM_GUARD:
-        raise TooLarge(f"full spectrum of {q.n} variables exceeds the 2^{SPECTRUM_GUARD} guard "
-                       f"(it needs about {spectrum_peak_bytes(q.n) / 2**30:.1f} GiB)")
+    check_size(f"the full spectrum of {q.n} variables", 1 << q.n, spectrum_peak_bytes(q.n))
     dense = as_dense(q)
     n_lo = q.n // 2
     dtype = np.int64 if dense.int_exact else np.float64

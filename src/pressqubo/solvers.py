@@ -27,7 +27,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import TooLarge
 from .qubo import (
     DenseQubo,
     Qubo,
@@ -39,10 +38,7 @@ from .qubo import (
     index_to_bits,
     minimum_states,
     qubo_energy,
-    spectrum_peak_bytes,
 )
-
-BRUTE_FORCE_GUARD = 26
 
 
 @dataclass(frozen=True)
@@ -407,11 +403,11 @@ def brute_force_qubo(q: Qubo) -> tuple[str, Fraction]:
     """Exact global minimum over all bitstrings, up to 2**26 states.
 
     Ties are broken by the lexicographically smallest bitstring.  The
-    returned energy is exact.
+    returned energy is exact.  The size guard is that of
+    :func:`~pressqubo.qubo.full_spectrum`, which :func:`minimum_states`
+    runs first: above 26 variables it raises ``TooLarge`` before
+    anything of size 2**n is allocated.
     """
-    if q.n > BRUTE_FORCE_GUARD:
-        raise TooLarge(f"{q.n} variables exceed the brute-force guard of {BRUTE_FORCE_GUARD} "
-                       f"(it needs about {spectrum_peak_bytes(q.n) / 2**30:.1f} GiB)")
     ks, energy = minimum_states(q)
     arr = np.asarray(ks, dtype=np.int64)
     # Lexicographic order of bitstrings (variable 0 first) equals numeric

@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -178,6 +179,16 @@ class TestPearson:
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
             pq.pearson_r([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("xs", [[1, float("nan"), 3], [1, 1e308, -1e308]],
+                             ids=["nan", "overflow"])
+    def test_non_finite_values_or_moments_rejected_without_a_warning(self, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                pq.pearson_r(xs, [1, 2, 3])
+            with pytest.raises(ValueError, match="non-finite"):
+                pq.pearson_r([1, 2, 3], xs)
 
     def test_length_checks(self):
         with pytest.raises(ValueError):

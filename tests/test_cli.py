@@ -1,11 +1,13 @@
 import json
 import re
+from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 
 import pressqubo as pq
 from pressqubo import bench
-from pressqubo.cli import build_parser, main
+from pressqubo.cli import _variant_from_args, build_parser, main
 
 
 def run(*argv):
@@ -89,6 +91,13 @@ class TestBuild:
         assert run("build", instance_file, "--variant", "scaled", "--ls", "0.3",
                    "-o", out) == 0
         assert "off the default grid" in capsys.readouterr().err
+
+    def test_off_grid_penalty_warns_once_naming_it(self, instance_file, tmp_path, capsys):
+        out = tmp_path / "q.coo"
+        assert run("build", instance_file, "--variant", "raw", "--lm", "7", "-o", out) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: machine penalty 7 is off the default grid ['1000', '10000', '100000']"]
+        assert pq.load_qubo(out) == compiled(instance_file, pq.RawVariant(7, 10**9))
 
     @pytest.mark.parametrize("ls", ["-1", "0"])
     def test_invalid_scale_is_usage_error_without_warning(self, instance_file, tmp_path,
@@ -367,6 +376,22 @@ class TestMalformedInput:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, entry, named", [
+        ("variants", {"kind": "raw", "lm": []}, "'lm'"),
+        ("solvers", {"name": "sa", "params": {"steps": []}}, "'steps'"),
+    ], ids=["variant", "solver"])
+    def test_empty_parameter_list_stops_the_sweep(self, instance_file, tmp_path, capsys,
+                                                  key, entry, named):
+        plan = {"instances": [str(instance_file)], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}
+        plan[key].append(entry)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert named in err and repr(entry) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("postprocess", "false"),
         ("seeds", [1.5]),
@@ -640,6 +665,55 @@ def test_solve_flags_are_the_registry_parameters():
     for key, kind in registry.items():
         assert actions[key].option_strings == ["--" + key.replace("_", "-")]
         assert actions[key].type is kind
+
+
+def build_actions():
+    [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+    return {a.dest: a for a in sub.choices["build"]._actions}
+
+
+def test_build_flags_are_the_variant_table_labels():
+    actions = build_actions()
+    labels = {label for _, grids in pq.qubo.VARIANT_KINDS.values() for label in grids}
+    assert labels == {"lm", "lt", "ls"}
+    assert set(actions) - labels == {"help", "instance", "variant", "output", "json"}
+    for label in labels:
+        assert actions[label].option_strings == ["--" + label]
+    assert actions["lm"].help == "machine penalty (raw; default 100000)"
+
+
+@dataclass(frozen=True)
+class HalvedVariant(pq.qubo._Variant):
+    """A kind that exists only in the test below; it shares ``lm`` with raw."""
+
+    machine_penalty: Fraction
+    half_weight: Fraction
+
+    kind = "halved"
+
+
+def test_a_new_kind_gets_its_flags_and_defaults_from_the_table(monkeypatch, capsys):
+    monkeypatch.setitem(pq.qubo.VARIANT_KINDS, "halved",
+                        (HalvedVariant, {"lm": (Fraction(1, 2), Fraction(3)),
+                                         "hw": (Fraction(2), Fraction(5))}))
+    actions = build_actions()
+    assert actions["lm"].help == ("machine penalty (raw; default 100000); "
+                                  "machine penalty (halved; default 3)")
+    assert actions["hw"].help == "half weight (halved; default 5)"
+    assert "halved" in actions["variant"].choices
+
+    def variant(*flags):
+        args = build_parser().parse_args(["build", "i.json", "--variant", *flags, "-o", "q"])
+        return _variant_from_args(args)
+
+    assert variant("halved") == HalvedVariant(3, 5)
+    assert variant("halved", "--hw", "2") == HalvedVariant(3, 2)
+    assert variant("raw", "--lm", "1e4") == pq.RawVariant(10**4, 10**9)
+    assert capsys.readouterr().err == ""
+    assert variant("halved", "--hw", "7", "--lm", "0.5") == HalvedVariant(Fraction(1, 2), 7)
+    assert capsys.readouterr().err == "warning: half weight 7 is off the default grid ['2', '5']\n"
+    with pytest.raises(ValueError, match="variant 'raw' does not take --hw"):
+        variant("raw", "--hw", "2")
 
 
 @pytest.mark.parametrize("name", sorted(bench.SOLVERS))

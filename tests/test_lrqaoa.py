@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import pressqubo as pq
-from pressqubo.errors import TooLarge
+from pressqubo.errors import SIZE_GUARD, TooLarge
 from pressqubo import lrqaoa
 from pressqubo.lrqaoa import RampSchedule, final_state, interaction_graph
 from pressqubo.qubo import Qubo, index_to_bits, minimum_states
@@ -290,7 +290,7 @@ class TestFusedKernels:
         assert peak - base < sv.nbytes
 
     def test_peak_bytes_at_the_guard(self):
-        n = lrqaoa.STATEVECTOR_GUARD
+        n = SIZE_GUARD.bit_length() - 1
         amps = 2 ** n
         state = amps * np.dtype(np.complex128).itemsize
         diag = amps * np.dtype(np.float64).itemsize

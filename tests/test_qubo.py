@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -168,6 +169,21 @@ class TestBuildRaw:
             pq.RawVariant(Fraction(0), LAM_T)
         with pytest.raises(ValueError):
             pq.ScaledVariant(Fraction(-1))
+
+    def test_variants_read_numbers_as_plans_do(self):
+        assert pq.ScaledVariant(0.1) == pq.qubo.variant_grid("scaled", {"ls": [0.1]})[0]
+        assert pq.ScaledVariant(0.1).assignment_scale == Fraction(1, 10)
+        assert pq.RawVariant("1e3", 10**7) == pq.RawVariant(Fraction(1000), Fraction(10**7))
+
+    @pytest.mark.parametrize("args", [(True, 1), (1, "x"), (1, float("nan")), (1, "1/0")])
+    def test_rejects_what_plans_reject(self, args):
+        with pytest.raises(ValueError):
+            pq.RawVariant(*args)
+
+    def test_nonpositive_error_names_kind_and_label(self):
+        named = "raw variant parameter lt (toolkit penalty) must be positive, got -2"
+        with pytest.raises(ValueError, match=re.escape(named)):
+            pq.RawVariant(1, -2)
 
 
 def reference_scaled_energy(inst, scale, bits, rounded=False):
