@@ -6,6 +6,7 @@ layer count grows, samples one shallow circuit, and prints the logical
 circuit-shape numbers whose gate count grows linearly with depth.
 """
 
+from dataclasses import astuple, fields
 from fractions import Fraction
 
 import pressqubo as pq
@@ -40,8 +41,6 @@ hits = sum(m for m, cost in pq.score_samples(samples, inst, q).valid if cost == 
 print(f"\n1 layer, 1000 shots (rounded): {hits} shots hit an optimal assignment")
 
 print("\nlogical circuit shape (rounded):")
-print("qubits,edges,colors,p,two_qubit_interactions,cost_layer_depth")
+print(",".join(f.name for f in fields(pq.CircuitStats)))
 for p in (1, 2, 5, 10):
-    s = pq.circuit_stats(q, p)
-    print(f"{s.qubits},{s.edges},{s.colors},{s.p},{s.two_qubit_interactions},"
-          f"{s.cost_layer_depth}")
+    print(",".join(map(str, astuple(pq.circuit_stats(q, p)))))

@@ -55,7 +55,6 @@ from .solvers import (
 )
 from .lrqaoa import (
     CircuitStats,
-    InteractionGraph,
     RampSchedule,
     apply_cost_layer,
     apply_mixer_layer,

@@ -335,16 +335,13 @@ def expand_solver_params(entry: Mapping) -> list[tuple[str, dict]]:
         raise ValueError(f"solver {name!r} does not take {sorted(unknown)}; "
                          f"it takes {sorted(SOLVERS[name].keys())}")
     params = {**SOLVERS[name].defaults, **given}
-    grids = [(k, v if isinstance(v, list) else [v]) for k, v in sorted(params.items())]
-    for key, values in grids:
+    grids = {k: v if isinstance(v, list) else [v] for k, v in sorted(params.items())}
+    for key, values in grids.items():
         if not values:
             raise ValueError(f"solver entry {entry!r} lists no value for {key!r}")
         for value in values:
             _check_solver_param(name, key, value)
-    combos: list[dict] = [{}]
-    for key, values in grids:
-        combos = [dict(c, **{key: v}) for c in combos for v in values]
-    return [(name, c) for c in combos]
+    return [(name, dict(zip(grids, combo))) for combo in itertools.product(*grids.values())]
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ circuit-shape numbers.  ``build`` has one flag per parameter label of
 default grid), as ``solve`` has one per parameter of ``bench.SOLVERS``.
 
 Exit codes: 0 success, 2 usage or invalid input, 3 size guard
-exceeded or memory refused, 4 infeasible or undefined result, 5 I/O
-failure.  All randomness is seeded, so repeating a command reproduces
-its output.  The ``PRESSQUBO_OUT`` environment variable supplies the
-default sweep output directory.
+exceeded, memory refused or a sweep worker dead, 4 infeasible or
+undefined result, 5 I/O failure.  All randomness is seeded, so
+repeating a command reproduces its output.  The ``PRESSQUBO_OUT``
+environment variable supplies the default sweep output directory.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import argparse
 import json
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
+from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import bench, lrqaoa, model, qubo, solvers
@@ -134,7 +136,12 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     plan = bench.load_plan(args.plan)
-    records = bench.sweep(plan, workers=args.workers, base_dir=Path(args.plan).parent)
+    try:
+        records = bench.sweep(plan, workers=args.workers, base_dir=Path(args.plan).parent)
+    except BrokenProcessPool:
+        print("error: a sweep worker process died (for example, killed for memory); "
+              "no reports were written", file=sys.stderr)
+        return EXIT_TOO_LARGE
     paths = bench.export_report(records, args.output, plan=plan)
     failed = sum(1 for r in records if r.error is not None)
     _emit(
@@ -197,15 +204,9 @@ def cmd_report(args) -> int:
 
 def cmd_stats(args) -> int:
     q = qubo.load_qubo(args.qubo)
-    header = "qubits,edges,colors,p,two_qubit_interactions,cost_layer_depth"
-    rows = []
-    for p in args.p:
-        s = lrqaoa.circuit_stats(q, p)
-        rows.append(
-            f"{s.qubits},{s.edges},{s.colors},{s.p},{s.two_qubit_interactions},"
-            f"{s.cost_layer_depth}"
-        )
-    text = "\n".join([header] + rows) + "\n"
+    rows = [[f.name for f in fields(lrqaoa.CircuitStats)]]
+    rows += [astuple(lrqaoa.circuit_stats(q, p)) for p in args.p]
+    text = "".join(",".join(map(str, row)) + "\n" for row in rows)
     if args.output:
         Path(args.output).write_text(text)
         _emit(args, f"wrote {args.output}", {"path": str(args.output)})

@@ -626,27 +626,22 @@ def success_probability(q: Qubo, sched: RampSchedule) -> float:
 # Logical circuit shape
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InteractionGraph:
-    """Two-variable coupling structure of an objective (simple graph)."""
-
-    edges: tuple[tuple[int, int], ...]
-
-
-def interaction_graph(q: Qubo) -> InteractionGraph:
-    edges = sorted({(i, j) for (i, j) in q.coeffs if i != j})
-    return InteractionGraph(edges=tuple(edges))
+def interaction_graph(q: Qubo) -> tuple[tuple[int, int], ...]:
+    """The sorted edges ``(i, j)``, ``i < j``, of the objective's coupling
+    graph: one per nonzero two-variable coefficient."""
+    return tuple(sorted((i, j) for (i, j) in q.coeffs if i != j))
 
 
-def edge_coloring(g: InteractionGraph) -> dict[tuple[int, int], int]:
-    """Greedy proper edge coloring (incident edges never share a color).
+def edge_coloring(edges: Sequence[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Greedy proper edge coloring of an edge list, such as
+    :func:`interaction_graph` returns (incident edges never share a color).
 
     Uses at most ``2 * max_degree - 1`` colors; colors correspond to
     groups of two-qubit interactions that can run in parallel.
     """
     used: dict[int, set[int]] = {}  # colors at each vertex that has an edge
     colors: dict[tuple[int, int], int] = {}
-    for i, j in g.edges:
+    for i, j in edges:
         if i == j:
             raise ValueError("interaction graph must be simple (no self-loops)")
         taken = used.setdefault(i, set()) | used.setdefault(j, set())
@@ -673,14 +668,14 @@ def circuit_stats(q: Qubo, p: int) -> CircuitStats:
     """Logical-level gate counts: interactions scale linearly with layers."""
     if p < 0:
         raise ValueError("layer count must be >= 0")
-    g = interaction_graph(q)
-    coloring = edge_coloring(g)
+    edges = interaction_graph(q)
+    coloring = edge_coloring(edges)
     n_colors = (max(coloring.values()) + 1) if coloring else 0
     return CircuitStats(
         qubits=q.n,
-        edges=len(g.edges),
+        edges=len(edges),
         colors=n_colors,
         p=p,
-        two_qubit_interactions=p * len(g.edges),
+        two_qubit_interactions=p * len(edges),
         cost_layer_depth=p * n_colors,
     )

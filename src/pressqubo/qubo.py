@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -494,7 +495,8 @@ def as_dense(q: Qubo) -> DenseQubo:
 
     The cache is an instance attribute outside the dataclass fields, so
     equality, repr and the file format ignore it.  Every caller shares
-    the cached arrays, which are therefore read-only.
+    the cached arrays, which are therefore read-only.  ValueError when the
+    magnitudes of the coefficients and offset sum past float64's range / 4.
     """
     return _cached(q, "_dense", _build_dense)
 
@@ -532,6 +534,12 @@ def _build_adjacency(q: Qubo) -> list[tuple[Fraction, list[tuple[int, Fraction]]
 
 
 def _build_dense(q: Qubo) -> DenseQubo:
+    abs_total = sum(abs(c) for c in q.coeffs.values()) + abs(q.offset)
+    # The symmetric mirror counts every coupling twice; the other half of
+    # the margin absorbs rounding, so no float sum over it overflows.
+    if abs_total > sys.float_info.max / 4:
+        raise ValueError("coefficient magnitudes and offset sum to more than a quarter of "
+                         "float64's largest value, so float energies could overflow")
     n = q.n
     linear = np.zeros(n)
     couplings = np.zeros((n, n))
@@ -542,14 +550,13 @@ def _build_dense(q: Qubo) -> DenseQubo:
         else:
             couplings[i, j] += fc
             couplings[j, i] += fc
-    abs_total = float(sum(abs(c) for c in q.coeffs.values()) + abs(q.offset))
     int_exact = (
         q.offset.denominator == 1
         and all(c.denominator == 1 for c in q.coeffs.values())
-        and abs_total < 2.0**52
+        and abs_total < 2**52
     )
     terms = len(q.coeffs) + 2
-    energy_guard = 0.0 if int_exact else 4.0 * terms * _EPS * abs_total
+    energy_guard = 0.0 if int_exact else 4.0 * terms * _EPS * float(abs_total)
     row_abs = np.abs(couplings).sum(axis=1) + np.abs(linear)
     flip_guard = np.zeros(n) if int_exact else 4.0 * (n + 2) * _EPS * row_abs
     for array in (linear, couplings, flip_guard):
@@ -665,15 +672,17 @@ def save_qubo(q: Qubo, path) -> None:
     """Write ``n offset`` then ``i j coeff`` lines; rationals as ``p/q``.
 
     A ``<path>.varmap.json`` sidecar stores the variable layout, and
-    nothing else, so bitstrings can be decoded later.  Round-trips exactly.
+    nothing else, so bitstrings can be decoded later; a map without a
+    layout removes any sidecar ``path`` has.  Round-trips exactly.
     """
     lines = [f"{q.n} {q.offset}"]
     for (i, j), c in sorted(q.coeffs.items()):
         lines.append(f"{i} {j} {c}")
     Path(path).write_text("\n".join(lines) + "\n")
-    if q.varmap is not None:
-        doc = _varmap_doc(q.varmap)
-        sidecar_path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    if q.varmap is None:
+        sidecar_path(path).unlink(missing_ok=True)
+    else:
+        sidecar_path(path).write_text(json.dumps(_varmap_doc(q.varmap), indent=2) + "\n")
 
 
 def load_qubo(path) -> Qubo:

@@ -37,7 +37,6 @@ from .qubo import (
     flip_delta,
     index_to_bits,
     minimum_states,
-    qubo_energy,
 )
 
 
@@ -82,8 +81,7 @@ class SampleSet:
         n = len(self.entries[0].bits) if self.entries else 0
         if any(len(e.bits) != n for e in self.entries):
             raise ValueError(f"sample bitstrings differ in length (first has {n})")
-        joined = "".join(e.bits for e in self.entries).encode()
-        flat = np.frombuffer(joined, dtype=np.uint8) - ord("0")
+        flat = bits_to_vector("".join(e.bits for e in self.entries))
         if (flat > 1).any():
             raise ValueError("sample bitstrings hold characters other than 0 and 1")
         return flat.reshape(len(self.entries), n)
@@ -329,30 +327,20 @@ def bitflip_postprocess(q: Qubo, bits: str) -> str:
 
     Each test is evaluated against the current, partially updated
     string.  Float differences inside the rigorous error band are
-    re-checked exactly, so "strictly lower" is exact for any input.
-    The result never has higher energy than the input.
+    decided by the exact :func:`~pressqubo.qubo.flip_delta`, so
+    "strictly lower" is exact for any input.  The result never has
+    higher energy than the input.
     """
     x = bits_to_vector(_check_bits(q, bits)).astype(np.float64)
     dense = as_dense(q)
-    current: list[str] | None = None  # lazily materialized for exact rechecks
     for i in range(q.n):
-        field_i = dense.linear[i] + dense.couplings[i] @ x
-        d_e = (1.0 - 2.0 * x[i]) * field_i
-        guard = dense.flip_guard[i]
-        if d_e < -guard:
-            improves = True
-        elif d_e > guard:
-            improves = False
-        else:
-            if current is None:
-                current = ["1" if v else "0" for v in x]
-            flipped = current.copy()
-            flipped[i] = "0" if current[i] == "1" else "1"
-            improves = qubo_energy(q, "".join(flipped)) < qubo_energy(q, "".join(current))
+        d_e = (1.0 - 2.0 * x[i]) * (dense.linear[i] + dense.couplings[i] @ x)
+        if abs(d_e) > dense.flip_guard[i]:
+            improves = d_e < 0
+        else:  # inside the error band the exact difference decides
+            improves = flip_delta(q, i, x) < 0
         if improves:
             x[i] = 1.0 - x[i]
-            if current is not None:
-                current[i] = "1" if x[i] else "0"
     return "".join("1" if v else "0" for v in x)
 
 
@@ -433,6 +421,9 @@ def save_sampleset(samples: SampleSet, path) -> None:
 
 
 def load_sampleset(path) -> SampleSet:
+    """The set :func:`save_sampleset` wrote to ``path``; ValueError naming the
+    first row that is malformed, repeats a bitstring or is not after the
+    row before it in (energy, bits) order."""
     lines = Path(path).read_text().strip().splitlines()
     meta: dict = {}
     start = 0
@@ -441,7 +432,8 @@ def load_sampleset(path) -> SampleSet:
         start = 1
     if not lines[start:] or lines[start] != "bits,energy,multiplicity":
         raise ValueError(f"{path} is not a sample CSV")
-    entries = []
+    entries: list[SampleEntry] = []
+    seen: set[str] = set()
     for line in lines[start + 1:]:
         bits, energy, mult = line.split(",")
         if set(bits) - {"0", "1"}:
@@ -450,5 +442,10 @@ def load_sampleset(path) -> SampleSet:
             raise ValueError(f"{path}: {bits!r} does not have length {len(entries[0].bits)}")
         if int(mult) < 1:
             raise ValueError(f"{path}: multiplicity {mult} of {bits!r} is below 1")
-        entries.append(SampleEntry(bits, float(energy), int(mult)))
+        key = (float(energy), bits)
+        if bits in seen or entries and not (entries[-1].energy, entries[-1].bits) < key:
+            raise ValueError(f"{path}: row {line!r} repeats a bitstring or is out of "
+                             "(energy, bits) order")
+        seen.add(bits)
+        entries.append(SampleEntry(bits, key[0], int(mult)))
     return SampleSet(entries=tuple(entries), meta=meta)

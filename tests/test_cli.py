@@ -1,5 +1,9 @@
+import functools
 import json
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -169,6 +173,17 @@ class TestSolve:
         assert "must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("solver", ["sa", "random"])
+    def test_coefficient_beyond_float64_is_usage_error(self, tmp_path, capsys, solver):
+        path = tmp_path / "huge.coo"
+        path.write_text("2 0\n0 0 1e400\n0 1 -1\n")
+        out = tmp_path / "s.csv"
+        assert run("solve", path, "--solver", solver, "-o", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float64" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_deterministic(self, qubo_file, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         flags = ("--solver", "sa", "--steps", 80, "--restarts", 20, "--seed", 9)
@@ -237,6 +252,31 @@ class TestSweepAndReport:
         (tmp_path / "report.json").write_text(json.dumps(content))
         assert run("report", tmp_path, *flags) == 2
         assert "report.json" in capsys.readouterr().err
+
+    def test_dead_worker_exits_3_without_reports(self, instance_file, tmp_path, monkeypatch,
+                                                 capsys):
+        # A fork pool, so the patched build reaches the worker processes.
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+        build, parent = pq.qubo.build_qubo, os.getpid()
+
+        def dies_on_scaled(inst, variant):
+            if variant.kind == "scaled" and os.getpid() != parent:
+                os._exit(1)
+            return build(inst, variant)
+
+        monkeypatch.setattr(pq.qubo, "build_qubo", dies_on_scaled)
+        plan = {"instances": [str(instance_file)],
+                "variants": [{"kind": "rounded"}, {"kind": "scaled", "ls": [1]}],
+                "solvers": [{"name": "random", "params": {"shots": 10}}], "seeds": [0]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        out = tmp_path / "out"
+        assert run("sweep", plan_path, "-o", out, "--workers", 2) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sweep worker process died")
+        assert "no reports were written" in err
+        assert not out.exists()
 
     def test_missing_report_dir_is_io_error(self, tmp_path):
         assert run("report", tmp_path / "nowhere") == 5

@@ -671,6 +671,9 @@ class TestCircuitShape:
         coeffs = {e: Fraction(1) for e in edges}
         return interaction_graph(Qubo(n=n, coeffs=coeffs, offset=Fraction(0)))
 
+    def test_graph_is_the_sorted_edge_tuple(self):
+        assert self.graph([(1, 2), (0, 0), (0, 2)], 3) == ((0, 2), (1, 2))
+
     def test_triangle_needs_three_colors(self):
         g = self.graph([(0, 1), (0, 2), (1, 2)], 3)
         coloring = pq.edge_coloring(g)
@@ -687,8 +690,8 @@ class TestCircuitShape:
 
     @staticmethod
     def assert_proper(g, coloring):
-        for e1 in g.edges:
-            for e2 in g.edges:
+        for e1 in g:
+            for e2 in g:
                 if e1 != e2 and set(e1) & set(e2):
                     assert coloring[e1] != coloring[e2]
 

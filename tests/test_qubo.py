@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -456,6 +458,17 @@ class TestDenseMirror:
         assert (tmp_path / "before.coo").read_text() == (tmp_path / "after.coo").read_text()
 
 
+class TestFloatRange:
+    def test_energies_at_the_bound_stay_finite(self):
+        # The symmetric mirror counts a coupling twice: 1e308 alone overflows.
+        with pytest.raises(ValueError, match="float64"):
+            as_dense(Qubo(n=2, coeffs={(0, 1): Fraction(10**308)}, offset=0))
+        q = Qubo(n=2, coeffs={(0, 1): Fraction(sys.float_info.max) / 4}, offset=0)
+        energies = pq.qubo.dense_energies(as_dense(q), np.ones((1, 2)))
+        assert np.isfinite(energies).all()
+        assert float(pq.qubo_energy(q, "11")) == energies[0]
+
+
 class TestFlipDelta:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())
@@ -613,6 +626,16 @@ class TestQuboIO:
                         zip(("coefficient file", "sidecar"), digests, COMPILED_SHA256[key])
                         if got != want]
         assert not changed, f"differ from tests/compiled_sha256.json: {changed}"
+
+    def test_saving_without_a_layout_removes_the_old_sidecar(self, tmp_path):
+        q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
+        path = tmp_path / "q.coo"
+        pq.save_qubo(q, path)
+        assert pq.qubo.sidecar_path(path).exists()
+        bare = Qubo(n=q.n, coeffs=q.coeffs, offset=q.offset)
+        pq.save_qubo(bare, path)
+        assert not pq.qubo.sidecar_path(path).exists()
+        assert pq.load_qubo(path) == bare
 
     def test_loads_without_sidecar(self, tmp_path):
         path = tmp_path / "bare.coo"

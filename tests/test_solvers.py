@@ -522,6 +522,8 @@ class TestSampleSetIO:
         ["011,0.0,1", "01,0.0,1"],
         ["011,0.0,0"],
         ["011,0.0,-2"],
+        ["11,5.0,1", "00,1.0,2", "11,0.5,3"],  # out of (energy, bits) order
+        ["11,0.5,1", "00,1.0,2", "11,5.0,3"],  # in energy order, 11 twice
     ])
     def test_rejects_malformed_rows(self, tmp_path, rows):
         path = tmp_path / "bad.csv"
