@@ -11,7 +11,15 @@ results are comparable across construction variants.
 State layout: amplitude index equals the bitstring value with variable
 0 as the least-significant bit.  Simulation is float64/complex128 and
 guarded at 26 qubits by ``errors.check_size``; ``statevector_peak_bytes``
-gives the memory a simulation holds at most (40 bytes per amplitude).
+gives the memory a simulation holds at most (24 bytes per amplitude).
+
+The simulation holds one statevector.  Every pass over the full state
+runs in place, one block of about ``_BLOCK_FLOATS`` float64 (256 KiB)
+at a time through one small temporary, so a block and its temporary
+stay in the L2 cache: a block is a run of the batch axis, or a slice of
+the inner axis when one batch row is larger than a block.  Each block
+takes the same arithmetic, row for row, as one call over the whole
+state would.
 
 The cost layer does not evaluate one exponential per amplitude.  The
 phase ``exp(-i gamma E(x))`` factors over ``cost_split``: a core of
@@ -21,14 +29,16 @@ bits of a press map.  ``cost_factors`` holds one small float64 table
 per block, cached read-only on the ``Qubo`` for the object's lifetime
 (as ``as_dense`` caches the dense mirror), so runs at several depths
 on one QUBO build the tables once.  Each layer exponentiates the
-tables and multiplies them into the state through broadcast views.  A
-map that does not split has one factor, the full 2**n diagonal, which
-``precompute_diagonal`` also computes as the uncached reference; the
-layers then hold the state, the scratch and that diagonal, 40 bytes
-per amplitude.  A split map holds 32 bytes per amplitude plus its
-tables and the first layer's temporary.  Sampling writes the squared
-magnitudes, summed cumulatively in place, into the float64 view of the
-scratch buffer, so it holds no more than the layers.
+tables block by block and multiplies them into the state through
+broadcast views.  A map that does not split has one factor, the full
+2**n diagonal, which ``precompute_diagonal`` also computes as the
+uncached reference; the layers then hold the state and that diagonal,
+24 bytes per amplitude.  A split map holds 16 bytes per amplitude plus
+its tables: 8 bytes per table entry cached and 16 in the first layer's
+complex copies.  Sampling writes the squared magnitudes, in ascending
+blocks, into the float64 view of the state itself, where each block
+overwrites only amplitudes already read, and sums them cumulatively in
+place, so it holds no more than the layers.
 
 The circuit runs in the frame of the S gate ``D = diag(1, i)`` on
 every qubit.  Since ``D^dagger X D = -Y``, each mixer rotation is
@@ -38,20 +48,17 @@ commute with ``D``, so the circuit is ``D (R C_p ... R C_1) D^dagger``
 applied to the uniform state.  ``_frame_state`` runs the bracket,
 ``final_state`` applies ``D`` once at the end through two small
 broadcast tables, and sampling skips it: a power of ``i`` changes no
-magnitude.  ``_frame_state`` allocates one scratch buffer the size of
-the state and passes it to every layer.  The cost layer forms its
-phases in it, and the frame kernel fuses the real one-qubit rotations:
-it applies groups of up to ``MIXER_GROUP_QUBITS`` contiguous qubits as
-one dense real Kronecker-power matrix each, alternating between the
-state and the scratch, in the manner of gate fusion in state-vector
-simulators such as qsim.  A group above qubit 0 is a batched real GEMM
-over the interleaved float64 view, with half the multiply-adds of the
-complex product, though slow while its inner axis is narrow; the group
-that starts at qubit 0 is one 2-D GEMM whose matrix is spread over the
-real and imaginary parts, at the arithmetic of the complex product.
-``apply_mixer_layer`` keeps the X rotation as ``D^dagger``, the frame
-kernel and ``D``; ``mixer_layer_reference`` keeps the
-one-qubit-at-a-time loop it is tested against.
+magnitude.  The frame kernel fuses the real one-qubit rotations: it
+applies groups of up to ``MIXER_GROUP_QUBITS`` contiguous qubits as
+one dense real Kronecker-power matrix each, in the manner of gate
+fusion in state-vector simulators such as qsim.  A group above qubit 0
+is a batched real GEMM over the interleaved float64 view, with half
+the multiply-adds of the complex product, though slow while its inner
+axis is narrow; the group that starts at qubit 0 is a 2-D GEMM whose
+matrix is spread over the real and imaginary parts, at the arithmetic
+of the complex product.  ``apply_mixer_layer`` keeps the X rotation as
+``D^dagger``, the frame kernel and ``D``; ``mixer_layer_reference``
+keeps the one-qubit-at-a-time loop it is tested against.
 
 The first layer is closed-form.  After the uniform state, ``D^dagger``
 and the first cost layer, each amplitude is ``2**(-n/2)`` times
@@ -59,16 +66,15 @@ and the first cost layer, each amplitude is ``2**(-n/2)`` times
 phases, so for every value of the core bits the state is a product
 over the blocks, and the frame kernel's rotations of a block's qubits
 act on that block's table alone.  The first layer therefore
-exponentiates the tables in the scratch buffer, gives each table's
-block rows their S phases (the first table also the core's and the
+exponentiates each table into a complex copy, gives each table's block
+rows their S phases (the first table also the core's and the
 amplitude), rotates each table's block qubits there, and writes the
 tables' product into the state in one pass of small GEMMs that also
 rotate the core's lowest qubits.  The rest of the core is rotated on
 the full state by real left-multiplies, one 3-qubit group on
 ``press-03x2``, whose core has 6 qubits; a map that does not split has
-no core, and its one table is the full state.  The state may end in
-the scratch buffer, which then takes the state's role.  Layers 2 to p
-run the cost layer and the frame kernel on the full state.
+no core, and its one table is formed in the state itself.  Layers 2 to
+p run the cost layer and the frame kernel on the full state.
 ``final_state_reference`` runs every layer as the uniform state, the
 full diagonal's phases and ``mixer_layer_reference``, the path the
 fast one is tested against.
@@ -103,6 +109,11 @@ FIRST_LAYER_FUSED_QUBITS = 5
 _FIRST_REST_LO = 3
 # Entries of the first layer's temporary, unless the first table is larger.
 _FUSED_TEMP_ENTRIES = 1 << 12
+# Float64 entries of one block of an in-place pass over the state (256 KiB):
+# a block and its temporary stay in L2.  A 22-qubit mixer layer on one BLAS
+# thread (2 MiB L2) took 85, 75 and 92 ms at 2**13, 2**15 and 2**17, and
+# 120 ms at 2**18, where the two no longer fit.
+_BLOCK_FLOATS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +154,10 @@ def lr_schedule(p: int, delta_gamma: float = 0.9, delta_beta: float = 0.6) -> Ra
 # ---------------------------------------------------------------------------
 
 def statevector_peak_bytes(n: int) -> int:
-    """Bytes a simulation of ``n`` qubits holds at most: the state, the
-    scratch buffer and a full-diagonal cost table, 40 per amplitude (the
-    module docstring gives the accounting of split maps and sampling)."""
-    return 40 << n
+    """Bytes a simulation of ``n`` qubits holds at most: the state and a
+    full-diagonal cost table, 24 per amplitude (the module docstring
+    gives the accounting of split maps and sampling)."""
+    return 24 << n
 
 
 def uniform_state(n: int) -> np.ndarray:
@@ -266,52 +277,62 @@ def _qubit_count(sv: np.ndarray) -> int:
     return n
 
 
-def _scratch_for(sv: np.ndarray, scratch: np.ndarray | None) -> np.ndarray:
-    if scratch is None:
-        return np.empty_like(sv)
-    if scratch.shape != sv.shape or scratch.dtype != sv.dtype:
-        raise ValueError("scratch buffer must match the statevector's shape and dtype")
-    return scratch
+def _blocks(rows: int, cols: int, unit: int) -> tuple[np.ndarray, list[tuple[slice, slice]]]:
+    """Blocks of a grid of ``rows x cols`` cells of ``unit`` float64 each,
+    for a pass that writes its result back in place.
+
+    A block is a run of whole rows, or, when one row holds more than
+    ``_BLOCK_FLOATS`` floats, a run of one row's cells; it holds at most
+    ``_BLOCK_FLOATS`` floats, or one cell when a cell is larger.  Returns
+    a float64 temporary that holds any one block and the blocks' (rows,
+    columns) slices, ascending in memory.
+    """
+    per = max(1, _BLOCK_FLOATS // unit)
+    if cols <= per:
+        step = min(rows, per // cols)
+        spans = [(slice(r, r + step), slice(None)) for r in range(0, rows, step)]
+        per = step * cols
+    else:
+        spans = [(slice(r, r + 1), slice(c, c + per))
+                 for r in range(rows) for c in range(0, cols, per)]
+    return np.empty(per * unit), spans
 
 
-def apply_cost_layer(sv: np.ndarray, factors: Sequence[CostFactor],
-                     gamma: float, scratch: np.ndarray | None = None) -> np.ndarray:
+def apply_cost_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float) -> np.ndarray:
     """Multiply each amplitude by ``exp(-i * gamma * E)``, in place.
 
     ``factors`` is a :func:`cost_factors` set, whose tables sum to the
     normalized energy ``E``; the one factor ``CostFactor(0, 0, n,
     diag)`` applies a full diagonal.  Each factor's phases are formed in
-    a prefix of ``scratch`` (allocated when not given) and multiplied
-    into the state through a broadcast view, so a caller that passes one
-    allocates nothing per layer.  A full-length factor takes exactly the
-    steps of ``sv *= exp(-1j * gamma * diag)`` in place.
+    a small temporary, one block of table rows (or of one row's core
+    entries) at a time, and multiplied into the state through a
+    broadcast view, so nothing the size of the state is allocated.  A
+    full-length factor takes exactly the steps of ``sv *=
+    exp(-1j * gamma * diag)`` in place, block by block.
     """
     n = _qubit_count(sv)
     if factors[-1].hi != n:
         raise ValueError(f"cost factors cover {factors[-1].hi} qubits, the statevector {n}")
-    buffer = _scratch_for(sv, scratch)
     for f in factors:
-        phase = buffer[:len(f.table)]
-        np.multiply(f.table, -1j * gamma, out=phase)
-        np.exp(phase, out=phase)
         view = sv.reshape(f.state_shape(n))
-        view *= phase.reshape(f.table_shape())
+        table = f.table.reshape(1 << (f.hi - f.lo), 1 << f.core)
+        temp, spans = _blocks(*table.shape, 2)
+        for rows, cols in spans:
+            part = table[rows, cols]
+            phase = temp.view(np.complex128)[:part.size].reshape(part.shape)
+            np.multiply(part, -1j * gamma, out=phase)
+            np.exp(phase, out=phase)
+            view[:, rows, :, cols] *= phase[:, None, :]
     return sv
 
 
-def _mixer_groups(n: int, even: bool = True) -> list[int]:
-    """Contiguous qubit group sizes for the fused mixer, low qubits first.
-
-    At most ``MIXER_GROUP_QUBITS`` per group, as few groups as that
-    allows and, when ``even`` and from two qubits on, an even number of
-    them, so the ping-pong between the state and the scratch buffer ends
-    in the array it started from.
-    """
+def _mixer_groups(n: int) -> list[int]:
+    """Contiguous qubit group sizes for the fused mixer, low qubits first:
+    at most ``MIXER_GROUP_QUBITS`` per group, and as few groups as that
+    allows."""
     if n < 1:
         return []
     count = -(-n // MIXER_GROUP_QUBITS)
-    if even and n > 1:
-        count += count % 2
     base, extra = divmod(n, count)
     return [base + 1] * extra + [base] * (count - extra)
 
@@ -372,43 +393,53 @@ def _rotate_low(src: np.ndarray, low: np.ndarray, out: np.ndarray) -> None:
               out=out.view(np.float64).reshape(-1, width))
 
 
-def _rotate_qubits(vec: np.ndarray, beta: float, lo: int, hi: int,
-                   other: np.ndarray, in_place: bool = True) -> np.ndarray:
-    """Apply ``R(beta)`` of :func:`_rotation_power` to qubits ``[lo, hi)`` of ``vec``.
+def _rotate_qubits(vec: np.ndarray, beta: float, lo: int, hi: int) -> np.ndarray:
+    """Apply ``R(beta)`` of :func:`_rotation_power` to qubits ``[lo, hi)`` of ``vec``, in place.
 
     The fused kernel, which runs in the S-gate frame: each group of up
     to ``MIXER_GROUP_QUBITS`` contiguous qubits is applied as one dense,
-    real Kronecker-power matrix, reading from ``vec`` or ``other`` (an
-    array of the same length) and writing to the other.  A group above
-    qubit 0 is a batched real GEMM over the interleaved float64 view,
-    ``F @ (2**(n-lo-k), 2**k, 2**(lo+1))``, with half the arithmetic of
-    the complex product; a group that starts at qubit 0 is one 2-D GEMM
-    of :func:`_rotate_low`.  :func:`apply_mixer_layer` conjugates it by
-    the S gates into the X rotation.
-
-    Returns the array that holds the result: ``vec`` when ``in_place``,
-    otherwise whichever of the two the last group wrote, which saves a
-    group or a copy where the group count is odd.
+    real Kronecker-power matrix by :func:`_rotate_group`.
+    :func:`apply_mixer_layer` conjugates it by the S gates into the X
+    rotation.
     """
-    n = len(vec).bit_length() - 1
-    src, dst = vec, other
-    for k in _mixer_groups(hi - lo, even=in_place):
-        if lo == 0:
-            _rotate_low(src, _low_matrix(beta, k), dst)
-        else:
-            shape = (1 << (n - lo - k), 1 << k, 2 << lo)
-            np.matmul(_rotation_power(beta, k), src.view(np.float64).reshape(shape),
-                      out=dst.view(np.float64).reshape(shape))
-        src, dst = dst, src
+    for k in _mixer_groups(hi - lo):
+        _rotate_group(vec, beta, lo, k)
         lo += k
-    if in_place and src is not vec:
-        vec[:] = src
-        return vec
-    return src
+    return vec
 
 
-def apply_mixer_layer(sv: np.ndarray, beta: float,
-                      scratch: np.ndarray | None = None) -> np.ndarray:
+def _rotate_group(vec: np.ndarray, beta: float, lo: int, k: int) -> None:
+    """Apply ``R(beta)`` to each of qubits ``[lo, lo + k)`` of ``vec`` in one pass, in place.
+
+    Above qubit 0 the pass is a batched real GEMM over the interleaved
+    float64 view, ``F @ (2**(n-lo-k), 2**k, 2**(lo+1))``, with half the
+    arithmetic of the complex product; from qubit 0 it is a 2-D GEMM of
+    :func:`_rotate_low`.  It runs one :func:`_blocks` block at a time
+    through a small temporary and writes each block back, so every
+    block is the same GEMM rows as one call over the whole array and
+    nothing the size of ``vec`` is allocated.
+    """
+    if lo == 0:
+        low = _low_matrix(beta, k)
+        temp, spans = _blocks(len(vec) >> k, 1, len(low))
+        for rows, _ in spans:
+            block = vec[rows.start << k:rows.stop << k]
+            out = temp[:2 * len(block)].view(np.complex128)
+            _rotate_low(block, low, out)
+            block[:] = out
+        return
+    n = len(vec).bit_length() - 1
+    matrix = _rotation_power(beta, k)
+    view = vec.view(np.float64).reshape(1 << (n - lo - k), 1 << k, 2 << lo)
+    temp, spans = _blocks(len(view), view.shape[2], 1 << k)
+    for rows, cols in spans:
+        block = view[rows, :, cols]
+        out = temp[:block.size].reshape(block.shape)
+        np.matmul(matrix, block, out=out)
+        block[...] = out
+
+
+def apply_mixer_layer(sv: np.ndarray, beta: float) -> np.ndarray:
     """Rotate every qubit around X by ``-2 * beta``, in place.
 
     Amplitude pairs (a0, a1) on each qubit map to
@@ -421,14 +452,12 @@ def apply_mixer_layer(sv: np.ndarray, beta: float,
 
     The rotation is ``S R S^dagger`` with a real ``R`` on every qubit,
     so this applies the inverse S gates, the fused frame kernel
-    :func:`_rotate_qubits` (reading from the state or ``scratch`` and
-    writing to the other), and the S gates.  ``mixer_layer_reference``
+    :func:`_rotate_qubits` and the S gates.  ``mixer_layer_reference``
     is the one-qubit loop this must agree with.
     """
     n = _qubit_count(sv)
-    other = _scratch_for(sv, scratch)
     _apply_s(sv, -1)
-    _rotate_qubits(sv, beta, 0, n, other)
+    _rotate_qubits(sv, beta, 0, n)
     return _apply_s(sv, 1)
 
 
@@ -461,20 +490,19 @@ def _fused_core_qubits(core: int) -> int:
 
 
 def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
-                 beta: float, scratch: np.ndarray) -> np.ndarray:
-    """The frame state after the first cost and mixer layers, in ``sv`` or ``scratch``.
+                 beta: float) -> None:
+    """Write the frame state after the first cost and mixer layers into ``sv``.
 
     After the uniform state, the inverse S gates and the first cost
     layer, the amplitude of core bits ``c`` and block bits ``x_f`` is
     ``2**(-n/2) (-i)**popcount(c)`` times the product of
     ``(-i)**popcount(x_f) exp(-i gamma T_f[x_f, c])`` over the factors,
     so the frame kernel's rotations of a block's qubits act on its table
-    alone.  The tables are exponentiated side by side in ``scratch``
-    (they hold at most ``2**n`` entries together), each table's block
-    rows take their S phases, the first table the core's phases and the
-    amplitude, and each table's block qubits are rotated with a prefix
-    of ``sv`` as the other buffer.  A map that does not split has one
-    table, the full state, which is formed and rotated in ``sv`` itself.
+    alone.  Each table is exponentiated into a complex array of its own,
+    its block rows take their S phases (the first table also the core's
+    phases and the amplitude), and its block qubits are rotated there.
+    A map that does not split has one table, the full state, which is
+    formed and rotated in ``sv`` itself.
 
     The product is then written into ``sv`` in one pass, fused with the
     rotation of the core's lowest ``g = _fused_core_qubits(core)``
@@ -482,8 +510,7 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
     the first table times those tables' rows at ``u`` is formed in a
     small temporary and written to ``sv[u]`` by :func:`_rotate_low`.
     Only the core qubits ``[g, core)`` are then rotated on the full
-    state, by real left-multiplies.  The last rotation may end in either
-    buffer; the one that holds the state is returned.
+    state, by real left-multiplies.
     """
     n = len(sv).bit_length() - 1
     core = factors[0].core
@@ -492,12 +519,11 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
         np.exp(sv, out=sv)
         sv *= (1 << n) ** -0.5
         _apply_s(sv, -1)
-        return _rotate_qubits(sv, beta, 0, n, scratch, in_place=False)
-    tables, start = [], 0
+        _rotate_qubits(sv, beta, 0, n)
+        return
+    tables = []
     for pos, f in enumerate(factors):
-        table = scratch[start:start + len(f.table)]
-        start += len(table)
-        np.multiply(f.table, -1j * gamma, out=table)
+        table = np.multiply(f.table, -1j * gamma)
         np.exp(table, out=table)
         rows = table.reshape(-1, 1 << core)
         if pos == 0:
@@ -505,7 +531,7 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
             _apply_s(table, -1)
         else:
             rows *= _s_phases(f.hi - f.lo, -1)[:, None]
-        _rotate_qubits(table, beta, core, core + f.hi - f.lo, sv[:len(table)])
+        _rotate_qubits(table, beta, core, core + f.hi - f.lo)
         tables.append(rows)
     g = _fused_core_qubits(core)
     low = _low_matrix(beta, g)
@@ -523,31 +549,26 @@ def _first_layer(sv: np.ndarray, factors: Sequence[CostFactor], gamma: float,
                 part = part * common
             np.multiply(first, part[:, None, :], out=temp)
             _rotate_low(temp, low, next(runs))
-    if g == core:
-        return sv
-    return _rotate_qubits(sv, beta, g, core, scratch, in_place=False)
+    _rotate_qubits(sv, beta, g, core)
 
 
-def _frame_state(q: Qubo, sched: RampSchedule) -> tuple[np.ndarray, np.ndarray]:
-    """The state after all layers in the S-gate frame, and the spare buffer.
+def _frame_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
+    """The state after all layers in the S-gate frame.
 
     The state is :func:`final_state`'s with the inverse S gate applied
     to every qubit, which changes no magnitude.  The first layer is
     :func:`_first_layer`; layers 2 to p apply the cost layer and the
-    frame kernel to the full state.  All layers share one scratch
-    buffer the size of the state, returned as the spare.
+    frame kernel to the full state in place.
     """
     if not sched.gammas:
         raise ValueError("layer count must be >= 1")
     factors = cost_factors(q)
     sv = np.empty(1 << q.n, dtype=np.complex128)
-    scratch = np.empty_like(sv)
-    if _first_layer(sv, factors, sched.gammas[0], sched.betas[0], scratch) is scratch:
-        sv, scratch = scratch, sv
+    _first_layer(sv, factors, sched.gammas[0], sched.betas[0])
     for gamma, beta in zip(sched.gammas[1:], sched.betas[1:]):
-        apply_cost_layer(sv, factors, gamma, scratch)
-        _rotate_qubits(sv, beta, 0, q.n, scratch)
-    return sv, scratch
+        apply_cost_layer(sv, factors, gamma)
+        _rotate_qubits(sv, beta, 0, q.n)
+    return sv
 
 
 def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
@@ -563,7 +584,7 @@ def final_state(q: Qubo, sched: RampSchedule) -> np.ndarray:
     block is every qubit).  :func:`final_state_reference` is the
     layer-by-layer path this must agree with.
     """
-    return _apply_s(_frame_state(q, sched)[0], 1)
+    return _apply_s(_frame_state(q, sched), 1)
 
 
 def final_state_reference(q: Qubo, sched: RampSchedule) -> np.ndarray:
@@ -590,11 +611,18 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int,
         raise ValueError("shots must be >= 1")
     if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
-    # The frame state has the true state's magnitudes; the cumulative
-    # distribution goes into the spare buffer's float64 view.
-    sv, spare = _frame_state(q, sched)
-    cum = np.abs(sv, out=spare.view(np.float64)[:len(sv)])
-    np.square(cum, out=cum)
+    # The frame state has the true state's magnitudes.  The cumulative
+    # distribution goes into the first half of the state's float64 view:
+    # float i holds |a_i|**2, written in ascending blocks, so a block
+    # overwrites only amplitudes that it or an earlier block has read.
+    sv = _frame_state(q, sched)
+    cum = sv.view(np.float64)[:len(sv)]
+    temp, spans = _blocks(len(sv), 1, 2)
+    for rows, _ in spans:
+        block = sv[rows]
+        part = np.abs(block, out=temp[:len(block)])
+        np.square(part, out=part)
+        cum[rows] = part
     np.cumsum(cum, out=cum)
     cum[-1] = 1.0
     dense = as_dense(q)
@@ -617,7 +645,7 @@ def success_probability(q: Qubo, sched: RampSchedule) -> float:
     Computed from amplitudes directly (no sampling); a pure function of
     the objective and the schedule.
     """
-    sv, _ = _frame_state(q, sched)
+    sv = _frame_state(q, sched)
     ks, _ = minimum_states(q)
     return float(np.sum(np.abs(sv[np.asarray(ks)]) ** 2))
 

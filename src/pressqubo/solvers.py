@@ -421,9 +421,9 @@ def save_sampleset(samples: SampleSet, path) -> None:
 
 
 def load_sampleset(path) -> SampleSet:
-    """The set :func:`save_sampleset` wrote to ``path``; ValueError naming the
-    first row that is malformed, repeats a bitstring or is not after the
-    row before it in (energy, bits) order."""
+    """The set :func:`save_sampleset` wrote to ``path``; ValueError naming
+    ``path`` and the first row that is malformed, repeats a bitstring or
+    is not after the row before it in (energy, bits) order."""
     lines = Path(path).read_text().strip().splitlines()
     meta: dict = {}
     start = 0
@@ -435,17 +435,21 @@ def load_sampleset(path) -> SampleSet:
     entries: list[SampleEntry] = []
     seen: set[str] = set()
     for line in lines[start + 1:]:
-        bits, energy, mult = line.split(",")
+        try:
+            bits, energy, mult = line.split(",")
+            key, mult = (float(energy), bits), int(mult)
+        except ValueError:
+            raise ValueError(f"{path}: row {line!r} is not three fields: bits, a number "
+                             "and an integer") from None
         if set(bits) - {"0", "1"}:
             raise ValueError(f"{path}: {bits!r} is not a 0/1 string")
         if entries and len(bits) != len(entries[0].bits):
             raise ValueError(f"{path}: {bits!r} does not have length {len(entries[0].bits)}")
-        if int(mult) < 1:
+        if mult < 1:
             raise ValueError(f"{path}: multiplicity {mult} of {bits!r} is below 1")
-        key = (float(energy), bits)
         if bits in seen or entries and not (entries[-1].energy, entries[-1].bits) < key:
             raise ValueError(f"{path}: row {line!r} repeats a bitstring or is out of "
                              "(energy, bits) order")
         seen.add(bits)
-        entries.append(SampleEntry(bits, key[0], int(mult)))
+        entries.append(SampleEntry(bits, key[0], mult))
     return SampleSet(entries=tuple(entries), meta=meta)

@@ -8,7 +8,7 @@ import pressqubo as pq
 from pressqubo.errors import SIZE_GUARD, TooLarge
 from pressqubo import lrqaoa
 from pressqubo.lrqaoa import RampSchedule, final_state, interaction_graph
-from pressqubo.qubo import Qubo, index_to_bits, minimum_states
+from pressqubo.qubo import Qubo, as_dense, index_to_bits, minimum_states
 
 LAM_M = Fraction(1000)
 LAM_T = Fraction(10**7)
@@ -205,31 +205,19 @@ class TestFusedKernels:
             got = sv.copy()
             assert pq.apply_mixer_layer(got, beta) is got
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
-            got, scratch = sv.copy(), np.empty_like(sv)
-            pq.apply_mixer_layer(got, beta, scratch)
-            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_mixer_groups(self):
         assert lrqaoa._mixer_groups(22) == [4, 4, 4, 4, 3, 3]
-        for n in range(2, 30):
+        for n in range(1, 30):
             groups = lrqaoa._mixer_groups(n)
-            assert sum(groups) == n and len(groups) % 2 == 0
-            assert 1 <= min(groups) and max(groups) <= lrqaoa.MIXER_GROUP_QUBITS
-
-    def test_groups_without_the_even_rule_are_as_few_as_allowed(self):
-        assert lrqaoa._mixer_groups(9, even=False) == [3, 3, 3]
-        assert lrqaoa._mixer_groups(9) == [3, 2, 2, 2]
-        for n in range(30):
-            groups = lrqaoa._mixer_groups(n, even=False)
             assert sum(groups) == n
-            assert len(groups) == -(-n // lrqaoa.MIXER_GROUP_QUBITS)
+            assert 1 <= min(groups) and max(groups) <= lrqaoa.MIXER_GROUP_QUBITS
+            assert max(groups) - min(groups) <= 1
 
-    def test_mixer_rejects_mismatched_scratch(self):
-        sv = random_state(np.random.default_rng(4), 3)
-        got = sv.copy()
-        with pytest.raises(ValueError):
-            pq.apply_mixer_layer(got, 0.1, np.empty(4, dtype=complex))
-        np.testing.assert_array_equal(got, sv)
+    def test_groups_are_as_few_as_allowed(self):
+        assert lrqaoa._mixer_groups(9) == [3, 3, 3]
+        for n in range(30):
+            assert len(lrqaoa._mixer_groups(n)) == -(-n // lrqaoa.MIXER_GROUP_QUBITS)
 
     @pytest.mark.parametrize("size", [0, 6])
     @pytest.mark.parametrize("layer", [
@@ -241,9 +229,12 @@ class TestFusedKernels:
         with pytest.raises(ValueError, match="power of two"):
             layer(np.zeros(size, dtype=complex))
 
+    @pytest.mark.parametrize("block", [None, 96, 3000])
     @pytest.mark.parametrize("n", [9, 16])
     @pytest.mark.parametrize("gamma", [0.0, 0.37, -1.9, 12.5])
-    def test_cost_layer_is_bitwise_the_exponential(self, gamma, n):
+    def test_cost_layer_is_bitwise_the_exponential(self, monkeypatch, gamma, n, block):
+        if block is not None:
+            monkeypatch.setattr(lrqaoa, "_BLOCK_FLOATS", block)
         rng = np.random.default_rng(11)
         sv = random_state(rng, n)
         diag = rng.normal(size=len(sv)) * 40
@@ -253,9 +244,6 @@ class TestFusedKernels:
         expected *= np.exp(-1j * gamma * diag)
         factors = one_factor(diag)
         np.testing.assert_array_equal(pq.apply_cost_layer(sv.copy(), factors, gamma), expected)
-        got = sv.copy()
-        pq.apply_cost_layer(got, factors, gamma, np.empty_like(sv))
-        np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_run_matches_reference_kernels(self, monkeypatch, seed):
@@ -266,24 +254,22 @@ class TestFusedKernels:
 
         def reference(q, sched):
             # The true state: the frame's S gates change no magnitude.
-            sv = lrqaoa.final_state_reference(q, sched)
-            return sv, np.empty_like(sv)
+            return lrqaoa.final_state_reference(q, sched)
 
         monkeypatch.setattr(lrqaoa, "_frame_state", reference)
         slow = pq.run_lrqaoa(q, sched, shots=2000, seeds=[seed])[0]
         assert fast == slow
 
-    def test_layer_pair_with_scratch_allocates_less_than_a_state(self):
+    def test_layer_pair_allocates_less_than_a_state(self):
         n = 16
         rng = np.random.default_rng(3)
         sv = random_state(rng, n)
         diag = rng.normal(size=len(sv))
-        scratch = np.empty_like(sv)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            pq.apply_cost_layer(sv, one_factor(diag), 0.4, scratch)
-            pq.apply_mixer_layer(sv, 0.3, scratch)
+            pq.apply_cost_layer(sv, one_factor(diag), 0.4)
+            pq.apply_mixer_layer(sv, 0.3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -294,45 +280,89 @@ class TestFusedKernels:
         amps = 2 ** n
         state = amps * np.dtype(np.complex128).itemsize
         diag = amps * np.dtype(np.float64).itemsize
-        assert lrqaoa.statevector_peak_bytes(n) == 2 * state + diag == 40 * amps
-        assert lrqaoa.statevector_peak_bytes(n) == 5 * 2**29
+        assert lrqaoa.statevector_peak_bytes(n) == state + diag == 24 * amps
+        assert lrqaoa.statevector_peak_bytes(n) == 3 * 2**29
 
     def test_guard_message_names_the_estimate(self):
-        with pytest.raises(TooLarge, match=r"27 qubits .* about 5\.0 GiB"):
+        with pytest.raises(TooLarge, match=r"27 qubits .* about 3\.0 GiB"):
             pq.uniform_state(27)
         q = Qubo(n=27, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
-        with pytest.raises(TooLarge, match=r"about 5\.0 GiB"):
+        with pytest.raises(TooLarge, match=r"about 3\.0 GiB"):
             pq.precompute_diagonal(q)
 
 
 def s_gates(sv):
     """The S gate ``diag(1, i)`` on every qubit, as a new array."""
     n = len(sv).bit_length() - 1
-    popcount = np.array([bin(x).count("1") for x in range(1 << n)])
+    index = np.arange(1 << n)
+    popcount = sum((index >> b) & 1 for b in range(n))
     return sv * 1j ** popcount
+
+
+def chain_qubo(rng, n):
+    """A chain of couplings over all ``n`` bits, which does not split."""
+    chain = {(i, i + 1): Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 4)))
+             for i in range(n - 1)}
+    return Qubo(n=n, coeffs={**chain, (0, 0): Fraction(-7)}, offset=Fraction(5, 3))
+
+
+def split_qubo(core, widths):
+    """A map of ``core`` low bits and blocks of ``widths`` coupled to the core only."""
+    n = core + sum(widths)
+    coeffs = {(i, i): Fraction(i + 1) for i in range(n)}
+    lo = core
+    for w in widths:
+        coeffs.update({(i, j): Fraction(i - j, 3) for j in range(lo, lo + w)
+                       for i in range(j) if i < core or i >= lo})
+        lo += w
+    return Qubo(n=n, coeffs=coeffs, offset=Fraction(2))
 
 
 class TestSFrame:
     """The real rotation kernel of the S-gate frame and the S gates."""
 
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_frame_kernel_matches_the_conjugated_loop_on_every_range(self, n):
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_frame_kernel_matches_the_conjugated_loop_on_every_range(self, monkeypatch, n):
+        # Blocks of 3 * 2**(n//2) floats: a group runs both in runs of
+        # batch rows and in slices of one row's inner axis, and blocks
+        # end in the middle of either axis.
+        monkeypatch.setattr(lrqaoa, "_BLOCK_FLOATS", 3 << n // 2)
+        grids = []
+        blocks = lrqaoa._blocks
+
+        def recording(rows, cols, unit):
+            grids.append((rows, cols, max(1, lrqaoa._BLOCK_FLOATS // unit)))
+            return blocks(rows, cols, unit)
+
+        monkeypatch.setattr(lrqaoa, "_blocks", recording)
         rng = np.random.default_rng(200 + n)
+        sv = random_state(rng, n)
+        phases = s_gates(np.ones_like(sv))
+        np.testing.assert_array_equal(rotate_reference(sv.copy(), 0.3, 0, n),
+                                      lrqaoa.mixer_layer_reference(sv.copy(), 0.3))
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 beta = float(rng.uniform(-np.pi, np.pi))
-                sv = random_state(rng, n)
                 # S^dagger X-rotation S is the frame kernel's real rotation.
-                expected = np.conj(s_gates(np.conj(rotate_reference(s_gates(sv), beta, lo, hi))))
-                got, other = sv.copy(), np.empty_like(sv)
-                assert lrqaoa._rotate_qubits(got, beta, lo, hi, other) is got
-                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+                expected = np.conj(phases) * rotate_reference(phases * sv, beta, lo, hi)
                 got = sv.copy()
-                held = lrqaoa._rotate_qubits(got, beta, lo, hi, other, in_place=False)
-                # The last group's output, without a copy back.
-                odd = len(lrqaoa._mixer_groups(hi - lo, even=False)) % 2
-                assert held is (other if odd else got)
-                np.testing.assert_allclose(held, expected, rtol=0, atol=1e-12)
+                assert lrqaoa._rotate_qubits(got, beta, lo, hi) is got
+                np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        if n >= 8:
+            assert any(cols > per and cols % per for rows, cols, per in grids)
+            assert any(cols <= per and rows % (per // cols) for rows, cols, per in grids)
+
+    @pytest.mark.parametrize("q", [split_qubo(5, [6, 6]), chain_qubo(np.random.default_rng(1), 17)],
+                             ids=["split", "unsplit"])
+    def test_blocks_change_no_bit(self, monkeypatch, q):
+        # Against one block the size of the state: every pass, the
+        # sampling included, takes the same arithmetic in blocks.
+        sched = pq.lr_schedule(3)
+        state = final_state(q, sched)
+        [samples] = pq.run_lrqaoa(q, sched, shots=500, seeds=[4])
+        monkeypatch.setattr(lrqaoa, "_BLOCK_FLOATS", 4 << q.n)
+        np.testing.assert_array_equal(final_state(q, sched), state)
+        assert pq.run_lrqaoa(q, sched, shots=500, seeds=[4]) == [samples]
 
     @pytest.mark.parametrize("n", range(0, 10))
     def test_s_gates_are_exact_phases(self, n):
@@ -346,8 +376,7 @@ class TestSFrame:
     @pytest.mark.parametrize("p", [1, 3])
     def test_final_state_is_the_frame_state_under_s_gates(self, p):
         q = split_qubo(3, [4, 3])
-        frame, spare = lrqaoa._frame_state(q, pq.lr_schedule(p))
-        assert spare.shape == frame.shape and spare is not frame
+        frame = lrqaoa._frame_state(q, pq.lr_schedule(p))
         np.testing.assert_array_equal(final_state(q, pq.lr_schedule(p)), s_gates(frame))
 
 
@@ -391,9 +420,6 @@ class TestCostFactors:
             got = sv.copy()
             assert pq.apply_cost_layer(got, factors, gamma) is got
             np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
-            got = sv.copy()
-            pq.apply_cost_layer(got, factors, gamma, np.empty_like(sv))
-            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_unsplittable_map_is_the_diagonal_bit_for_bit(self, seed):
@@ -410,10 +436,8 @@ class TestCostFactors:
         sv = random_state(rng, n)
         expected = sv.copy()
         expected *= np.exp(-1j * 0.7 * diag)
-        scratch = np.empty_like(sv)
-        got = pq.apply_cost_layer(sv.copy(), (factor,), 0.7, scratch)
-        np.testing.assert_array_equal(got, pq.apply_cost_layer(sv.copy(), one_factor(diag), 0.7,
-                                                               scratch))
+        got = pq.apply_cost_layer(sv.copy(), (factor,), 0.7)
+        np.testing.assert_array_equal(got, pq.apply_cost_layer(sv.copy(), one_factor(diag), 0.7))
         np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("variant", [pq.RawVariant(10**5, 10**9), pq.ScaledVariant(1),
@@ -442,25 +466,6 @@ class TestCostFactors:
         q = pq.build_qubo(pq.bundled_instance("press-small"), pq.RoundedVariant())
         with pytest.raises(ValueError, match="cost factors cover 14 qubits"):
             pq.apply_cost_layer(pq.uniform_state(15), lrqaoa.cost_factors(q), 0.3)
-
-
-def chain_qubo(rng, n):
-    """A chain of couplings over all ``n`` bits, which does not split."""
-    chain = {(i, i + 1): Fraction(int(rng.integers(1, 30)), int(rng.integers(1, 4)))
-             for i in range(n - 1)}
-    return Qubo(n=n, coeffs={**chain, (0, 0): Fraction(-7)}, offset=Fraction(5, 3))
-
-
-def split_qubo(core, widths):
-    """A map of ``core`` low bits and blocks of ``widths`` coupled to the core only."""
-    n = core + sum(widths)
-    coeffs = {(i, i): Fraction(i + 1) for i in range(n)}
-    lo = core
-    for w in widths:
-        coeffs.update({(i, j): Fraction(i - j, 3) for j in range(lo, lo + w)
-                       for i in range(j) if i < core or i >= lo})
-        lo += w
-    return Qubo(n=n, coeffs=coeffs, offset=Fraction(2))
 
 
 class TestFirstLayer:
@@ -510,9 +515,9 @@ class TestFirstLayer:
         ranges = []
         rotate = lrqaoa._rotate_qubits
 
-        def recording(vec, beta, lo, hi, other, in_place=True):
+        def recording(vec, beta, lo, hi):
             ranges.append((len(vec), lo, hi))
-            return rotate(vec, beta, lo, hi, other, in_place)
+            return rotate(vec, beta, lo, hi)
 
         monkeypatch.setattr(lrqaoa, "_rotate_qubits", recording)
         final_state(q, pq.lr_schedule(1))
@@ -542,7 +547,7 @@ class TestFirstLayer:
 
     @pytest.mark.parametrize("q", [split_qubo(4, [6, 6]), chain_qubo(np.random.default_rng(0), 16)],
                              ids=["split", "unsplit"])
-    def test_first_layer_holds_no_third_state(self, q):
+    def test_first_layer_holds_no_second_state(self, q):
         n = q.n
         assert n == 16
         tables = sum(f.table.nbytes for f in lrqaoa.cost_factors(q))
@@ -554,10 +559,10 @@ class TestFirstLayer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The state and the scratch; beside them only small arrays and
-        # numpy's casting buffers of a fixed 8192 elements.
-        assert peak - base < 2 * state + state // 2
-        assert 2 * state + tables <= lrqaoa.statevector_peak_bytes(n)
+        # The state; beside it only the tables' complex copies, one block
+        # temporary and numpy's casting buffers of a fixed 8192 elements.
+        assert peak - base < state + state // 2
+        assert state + tables <= lrqaoa.statevector_peak_bytes(n)
 
     def test_schedule_without_layers_is_rejected(self, tiny):
         q = pq.build_qubo(tiny, pq.RoundedVariant())
@@ -610,6 +615,24 @@ class TestRun:
         q = Qubo(n=27, coeffs={(0, 0): Fraction(1)}, offset=Fraction(0))
         with pytest.raises(TooLarge):
             pq.run_lrqaoa(q, pq.lr_schedule(1), shots=10, seeds=[0])[0]
+
+    @pytest.mark.parametrize("q", [split_qubo(4, [6, 6]), chain_qubo(np.random.default_rng(0), 16)],
+                             ids=["split", "unsplit"])
+    def test_run_holds_one_state(self, q):
+        # The cached tables and dense mirror are built first; the run then
+        # holds the state and, beside it, less than one more state.
+        lrqaoa.cost_factors(q)
+        as_dense(q)
+        state = 16 << q.n
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pq.run_lrqaoa(q, pq.lr_schedule(2), shots=1000, seeds=[0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q.n == 16
+        assert peak - base < 2 * state
 
 
 class TestBatchedRun:

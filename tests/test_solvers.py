@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -529,6 +530,13 @@ class TestSampleSetIO:
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(["bits,energy,multiplicity"] + rows) + "\n")
         with pytest.raises(ValueError):
+            pq.load_sampleset(path)
+
+    @pytest.mark.parametrize("row", ["01,1.0", "01,abc,1", "01,1.0,x", "01,1.0,1,1"])
+    def test_unparsable_row_names_the_file_and_the_row(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("bits,energy,multiplicity\n00,0.5,1\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: row {row!r} is not three")):
             pq.load_sampleset(path)
 
     def test_rejects_non_csv(self, tmp_path):
