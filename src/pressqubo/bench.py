@@ -3,13 +3,14 @@
 A sweep plan names instances, construction variants, solvers, and
 seeds; every combination is one cell, and a plan that yields the same
 cell twice is rejected before any cell runs.  The sweep runs the
-cells in groups, one job per (instance, variant): the job compiles the QUBO
-once, samples all seeds of each (solver, parameters) pair in one
+cells in groups, one job per instance: the job compiles each variant's
+QUBO once, samples all seeds of each (solver, parameters) pair in one
 registry call, and post-processes and scores each cell's samples, so
 the per-``Qubo`` caches (dense mirror, ramp cost tables) are shared by
-the whole group; annealing runs a pair's seeds in one loop and the ramp
-simulation runs once for them.  Each cell's samples are scored against
-the exhaustive reference optimum with three metrics:
+all cells of a variant.  Annealing takes every variant's map in that
+call and anneals the maps and seeds in stacked step loops; the ramp
+simulation runs once per map for all seeds.  Each cell's samples are
+scored against the exhaustive reference optimum with three metrics:
 
 * share of samples decoding to a constraint-satisfying assignment,
 * among the valid ones, the share within 1% of the optimal cost,
@@ -212,43 +213,56 @@ class RunRecord:
 
 # The parameters reach the runners checked by ``expand_solver_params``
 # (the sweep's and the CLI's alike), so they are used as given.
-def _run_sa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
-    return solvers.simulated_anneal(q, solvers.SaConfig(**params), seeds)
+def _run_sa(maps: Sequence[Qubo], params: Mapping, seeds: Sequence[int]) -> list[list[SampleSet]]:
+    return solvers.simulated_anneal(maps, solvers.SaConfig(**params), seeds)
 
 
-def _run_random(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
-    return solvers.random_sample(q, params["shots"], seeds)
+def _run_random(maps: Sequence[Qubo], params: Mapping,
+                seeds: Sequence[int]) -> list[list[SampleSet]]:
+    return [solvers.random_sample(q, params["shots"], seeds) for q in maps]
 
 
-def _run_lrqaoa(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
+def _run_lrqaoa(maps: Sequence[Qubo], params: Mapping,
+                seeds: Sequence[int]) -> list[list[SampleSet]]:
     sched = lrqaoa.lr_schedule(params["p"], params["delta_gamma"], params["delta_beta"])
-    return lrqaoa.run_lrqaoa(q, sched, params["shots"], seeds)
+    return [lrqaoa.run_lrqaoa(q, sched, params["shots"], seeds) for q in maps]
 
 
-def _run_brute(q: Qubo, params: Mapping, seeds: Sequence[int]) -> list[SampleSet]:
+def _run_brute(maps: Sequence[Qubo], params: Mapping,
+               seeds: Sequence[int]) -> list[list[SampleSet]]:
     if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
-    bits, _ = solvers.brute_force_qubo(q)  # the same minimum for every seed
-    state = qubo.bits_to_vector(bits)[None, :]
-    return [solvers.sampleset_from_states(qubo.as_dense(q), state, [1],
-                                          {"solver": "brute", "params": {}, "seed": seed})
-            for seed in seeds]
+    results = []
+    for q in maps:
+        bits, _ = solvers.brute_force_qubo(q)  # the same minimum for every seed
+        state = qubo.bits_to_vector(bits)[None, :]
+        results.append([solvers.sampleset_from_states(qubo.as_dense(q), state, [1],
+                                                      {"solver": "brute", "params": {},
+                                                       "seed": seed})
+                        for seed in seeds])
+    return results
 
 
 @dataclass(frozen=True)
 class Solver:
-    """A sampler's default parameters and its ``run(q, params, seeds)``,
-    which returns one :class:`SampleSet` per seed, in order.
+    """A sampler's default parameters and its ``run(maps, params, seeds)``,
+    which returns, for each map in order, one :class:`SampleSet` per
+    seed, in order.
 
     ``optional`` maps the parameters it also accepts without a default
     to their type.  A parameter's type (its default's, or the one
     ``optional`` gives) is ``int`` for a count, which must be >= 1, or
     ``float`` for a slope or temperature, which must be finite and > 0.
+    ``stacks_maps`` marks a sampler that runs several maps faster in one
+    call than apart (annealing stacks them in one step loop); the sweep
+    hands any other sampler one map per call, so only one map's sample
+    sets and ramp tables (cached on the map) are alive at a time.
     """
 
     defaults: dict[str, object]
-    run: Callable[[Qubo, Mapping, Sequence[int]], list[SampleSet]]
+    run: Callable[[Sequence[Qubo], Mapping, Sequence[int]], list[list[SampleSet]]]
     optional: Mapping[str, type] = field(default_factory=dict)
+    stacks_maps: bool = False
 
     def __post_init__(self):
         for key in self.keys():
@@ -266,7 +280,7 @@ class Solver:
 # wrapper patched onto the module attribute (as a tracer does) is used.
 SOLVERS: dict[str, Solver] = {
     "sa": Solver({"steps": 1280, "restarts": 500}, _run_sa,
-                 optional={"t_start": float, "t_end": float}),
+                 optional={"t_start": float, "t_end": float}, stacks_maps=True),
     "random": Solver({"shots": 1000}, _run_random),
     "lrqaoa": Solver({"p": 1, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 1000},
                      _run_lrqaoa),
@@ -415,7 +429,7 @@ def run_cell(cell: SweepCell, inst: Instance, reference: Solution,
         if q is None:
             q = qubo.build_qubo(inst, cell.variant)
         if samples is None:
-            [samples] = SOLVERS[cell.solver].run(q, cell.solver_params, [cell.seed])
+            [[samples]] = SOLVERS[cell.solver].run([q], cell.solver_params, [cell.seed])
         if cell.postprocess:
             samples = solvers.postprocess_sampleset(q, samples)
         scored = score_samples(samples, inst, q)
@@ -435,41 +449,62 @@ def run_cell(cell: SweepCell, inst: Instance, reference: Solution,
 
 
 def _run_group(job: tuple[list[SweepCell], Instance, Solution]) -> list[RunRecord]:
-    """Compile the QUBO of one (instance, variant) group once and run
-    every cell of the group on it.
+    """Run every cell of one job, the cells of one instance (or part of
+    them), compiling each variant's QUBO once.
 
-    The cells of one (solver, parameters) form a batch: one registry
-    call samples all their seeds, and each cell then post-processes and
-    scores its own set.  When the build or a batch fails, each cell
-    concerned builds or samples again itself and so records the error it
-    would get run alone.
+    The cells of one (solver, parameters) and one variant form a run.
+    For a sampler that stacks maps, the runs of one (solver, parameters,
+    seed list) form a batch; for any other, each run is a batch.  One
+    registry call samples every seed on every map of a batch (annealing
+    stacks the maps in one step loop), and each cell then
+    post-processes and scores its own set.  A map is dropped, with the
+    caches on it, after its variant's last batch; cells come variant by
+    variant, so the stacked batches come early and a sampler that does
+    not stack holds about one map's ramp tables at a time.  When a
+    build, a dense mirror or a batch fails, each cell concerned builds
+    or samples again itself and so records the error it would get run
+    alone.
     """
     cells, inst, reference = job
-    try:
-        q = qubo.build_qubo(inst, cells[0].variant)
-    except Exception:  # run_cell records the failure per cell
-        return [run_cell(c, inst, reference) for c in cells]
-    batches: dict[tuple, list[SweepCell]] = {}
-    for c in cells:
-        batches.setdefault((c.solver, tuple(sorted(c.solver_params.items()))), []).append(c)
-    records = []
-    for batch in batches.values():
+    maps: dict[VariantSpec, Qubo] = {}
+    for variant in dict.fromkeys(c.variant for c in cells):
         try:
-            runs = SOLVERS[batch[0].solver].run(q, batch[0].solver_params,
-                                                [c.seed for c in batch])
+            q = qubo.build_qubo(inst, variant)
+            qubo.as_dense(q)  # every sampler reads it; a refused mirror fails here
+            maps[variant] = q
         except Exception:  # run_cell records the failure per cell
-            runs = [None] * len(batch)
-        records += [run_cell(c, inst, reference, q, samples)
-                    for c, samples in zip(batch, runs)]
+            pass
+    records = [run_cell(c, inst, reference) for c in cells if c.variant not in maps]
+    runs: dict[tuple, list[SweepCell]] = {}
+    for c in cells:
+        if c.variant in maps:
+            params = tuple(sorted(c.solver_params.items()))
+            runs.setdefault((c.solver, params, c.variant), []).append(c)
+    batches: dict[tuple, list[list[SweepCell]]] = {}
+    for (solver, params, variant), run in runs.items():
+        key = (solver, params, tuple(c.seed for c in run))
+        batches.setdefault(key if SOLVERS[solver].stacks_maps else (*key, variant), []).append(run)
+    last = {run[0].variant: b for b, batch in enumerate(batches.values()) for run in batch}
+    for b, ((solver, _, seeds, *_), batch) in enumerate(batches.items()):
+        try:
+            sets = SOLVERS[solver].run([maps[run[0].variant] for run in batch],
+                                       batch[0][0].solver_params, list(seeds))
+        except Exception:  # run_cell records the failure per cell
+            sets = [[None] * len(seeds)] * len(batch)
+        for run, per_seed in zip(batch, sets):
+            records += [run_cell(c, inst, reference, maps[c.variant], samples)
+                        for c, samples in zip(run, per_seed)]
+            if last[run[0].variant] == b:  # its caches go with it
+                del maps[run[0].variant]
     return records
 
 
 def _split_jobs(groups: list[list[SweepCell]], workers: int) -> list[list[SweepCell]]:
     """Halve the largest group until there are ``workers`` jobs or every
-    job is one cell, so a sweep of few groups still fills the pool.
+    job is one cell, so a sweep of few instances still fills the pool.
 
-    Each part compiles its own QUBO and samples its own seeds; the split
-    keeps plan order.
+    Each part compiles its own QUBOs and samples its own seeds and
+    variants; the split keeps plan order.
     """
     jobs = list(groups)
     while jobs and len(jobs) < workers:
@@ -488,8 +523,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     typically pass the plan file's directory).  Instances are loaded
     (and sanitized) once; the exhaustive reference solution per
     instance is shared across cells.  The cells are grouped by
-    (instance, variant), and each group is one job that compiles its
-    QUBO once; with ``workers > 1`` the jobs run in that many
+    instance, and each group is one job that compiles each variant's
+    QUBO once and anneals the variants' maps together (see
+    :func:`_run_group`); with ``workers > 1`` the jobs run in that many
     processes, in plan order.  When there are fewer groups than
     workers, the largest groups are split so every worker gets a job;
     when there are still fewer jobs than workers, the pool has one
@@ -533,10 +569,10 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     records = [RunRecord(**_record_base(c, instances[c.instance_path]),
                          error=failures[c.instance_path])
                for c in cells if c.instance_path in failures]
-    groups: dict[tuple, list[SweepCell]] = {}
+    groups: dict[str, list[SweepCell]] = {}
     for c in cells:
         if c.instance_path in references:
-            groups.setdefault((c.instance_path, c.variant), []).append(c)
+            groups.setdefault(c.instance_path, []).append(c)
     jobs = [(part, instances[part[0].instance_path], references[part[0].instance_path])
             for part in _split_jobs(list(groups.values()), workers)]
     # A fork pool starts all its processes at the first submit: start no

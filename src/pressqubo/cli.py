@@ -116,7 +116,7 @@ def cmd_solve(args) -> int:
     # The plan's defaults merge and value check; the runner checks the seed.
     [(_, params)] = bench.expand_solver_params({"name": args.solver, "params": given})
     q = qubo.load_qubo(args.qubo)
-    [samples] = bench.SOLVERS[args.solver].run(q, params, [args.seed])
+    [[samples]] = bench.SOLVERS[args.solver].run([q], params, [args.seed])
     if args.postprocess:
         samples = solvers.postprocess_sampleset(q, samples)
     solvers.save_sampleset(samples, args.output)

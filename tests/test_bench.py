@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -387,17 +388,19 @@ class TestSolverRegistry:
         # A tracer patches module attributes; the registry must call the patch.
         marker = SampleSet(entries=(), meta={"patched": attr})
 
-        def patched(*args):  # every sampler takes the seeds last
-            return [marker] * len(args[-1])
+        def patched(q, *args):  # every sampler takes the seeds last
+            sets = [marker] * len(args[-1])
+            return sets if isinstance(q, pq.Qubo) else [sets] * len(q)
 
         monkeypatch.setattr(module, attr, patched)
-        runs = SOLVERS[name].run(tiny_qubo, SOLVERS[name].defaults, [0, 1])
-        assert len(runs) == 2 and all(samples is marker for samples in runs)
+        runs = SOLVERS[name].run([tiny_qubo, tiny_qubo], SOLVERS[name].defaults, [0, 1])
+        assert len(runs) == 2 and all(len(sets) == 2 for sets in runs)
+        assert all(samples is marker for sets in runs for samples in sets)
 
     @pytest.mark.parametrize("name", sorted(SOLVERS))
     def test_negative_seed_is_refused(self, tiny_qubo, name):
         with pytest.raises(ValueError, match="seeds must be non-negative"):
-            SOLVERS[name].run(tiny_qubo, SOLVERS[name].defaults, [0, -1])
+            SOLVERS[name].run([tiny_qubo], SOLVERS[name].defaults, [0, -1])
 
     def test_defaults_match_the_sampler_signatures(self):
         # The registry declares its defaults apart from the samplers' own.
@@ -636,28 +639,94 @@ class TestGroupedSweep:
         assert pq.sweep(plan, workers=3) == expected
         assert RecordingPool.max_workers == pool_size  # None: one job runs in this process
 
-    def test_one_annealing_call_per_group_and_parameters(self, tiny, tmp_path, monkeypatch):
+    def test_one_annealing_call_per_instance_parameters_and_seeds(self, tiny, tmp_path,
+                                                                  monkeypatch):
         # perfbench traces annealing by wrapping the module attribute and
         # reads the run shape from the second argument.
+        small_path = tmp_path / "small.json"
+        pq.save_instance(pq.bundled_instance("press-small"), small_path)
         plan = load_plan(write_plan(
-            tmp_path, tiny, variants=[{"kind": "rounded"}, {"kind": "scaled", "ls": [1]}],
+            tmp_path, tiny, instances=[str(tmp_path / "tiny.json"), str(small_path)],
+            variants=[{"kind": "rounded"}, {"kind": "scaled", "ls": [1]}],
             solvers=[{"name": "sa", "params": {"steps": [30, 40], "restarts": 10}},
                      {"name": "random", "params": {"shots": 20}}],
             seeds=[0, 1], postprocess=True))
         expected = per_cell_records(plan)
+        calls, draws = [], []
+        anneal, sample = pq.solvers.simulated_anneal, pq.solvers.random_sample
+
+        def counting_anneal(maps, cfg, seeds):
+            calls.append(([q.n for q in maps], cfg.steps, cfg.restarts, seeds))
+            return anneal(maps, cfg, seeds)
+
+        def counting_sample(q, shots, seeds):
+            draws.append((q.n, seeds))
+            return sample(q, shots, seeds)
+
+        monkeypatch.setattr(pq.solvers, "simulated_anneal", counting_anneal)
+        monkeypatch.setattr(pq.solvers, "random_sample", counting_sample)
+        assert pq.sweep(plan) == expected
+        sizes = (pq.build_qubo(tiny, pq.RoundedVariant()).n, 14)
+        assert sorted(calls) == [([n, n], steps, 10, [0, 1]) for n in sorted(sizes)
+                                 for steps in (30, 40)]
+        # A sampler that does not stack maps gets one map per call.
+        assert sorted(draws) == [(n, [0, 1]) for n in sorted(sizes) for _ in range(2)]
+
+    def test_refused_dense_mirror_fails_only_its_cells(self, tiny, tmp_path, monkeypatch):
+        plan = load_plan(write_plan(
+            tmp_path, tiny, variants=[{"kind": "scaled", "ls": [1]},
+                                      {"kind": "raw", "lm": [1e307], "lt": [1e307]},
+                                      {"kind": "rounded"}],
+            solvers=[{"name": "sa", "params": {"steps": 30, "restarts": 10}}],
+            seeds=[0, 1], postprocess=True))
         calls = []
         original = pq.solvers.simulated_anneal
 
-        def counting(q, cfg, seeds):
-            calls.append((q, cfg.steps, cfg.restarts, seeds))  # q stays alive: ids differ
-            return original(q, cfg, seeds)
+        def counting(maps, cfg, seeds):
+            calls.append(len(maps))
+            return original(maps, cfg, seeds)
 
         monkeypatch.setattr(pq.solvers, "simulated_anneal", counting)
-        assert pq.sweep(plan) == expected
-        per_group = {}
-        for q, *shape in calls:
-            per_group.setdefault(id(q), []).append(shape)
-        assert sorted(per_group.values()) == [[[30, 10, [0, 1]], [40, 10, [0, 1]]]] * 2
+        records = pq.sweep(plan)
+        assert calls == [1, 1, 2]  # each refused cell alone, then the healthy maps stacked
+        monkeypatch.undo()
+        assert records == per_cell_records(plan)
+        refused = [r for r in records if r.variant.kind == "raw"]
+        assert [r.error for r in refused] == [
+            "ValueError: coefficient magnitudes and offset sum to more than a quarter of "
+            "float64's largest value, so float energies could overflow"] * 2
+        assert all(r.error is None and r.n_samples == 10
+                   for r in records if r.variant.kind != "raw")
+
+    def test_a_job_holds_one_maps_ramp_tables_at_a_time(self, tiny, monkeypatch):
+        # A chain over all 16 variables does not split, so its ramp table
+        # is the full diagonal, 8 B per amplitude, cached on its map.
+        def chain_map(inst, variant):
+            coeffs = {(i, i + 1): Fraction(i % 5 + 1) for i in range(15)}
+            return pq.Qubo(n=16, coeffs={**coeffs, (0, 0): Fraction(-3)}, offset=Fraction(0))
+
+        monkeypatch.setattr(pq.qubo, "build_qubo", chain_map)
+        assert pq.lrqaoa.cost_split(chain_map(tiny, None)) == (0, [(0, 16)])
+        reference = pq.exact_solve(tiny)
+        params = {"p": 1, "delta_gamma": 0.9, "delta_beta": 0.6, "shots": 10}
+
+        def job_peak(variants):
+            cells = [pq.bench.SweepCell("tiny.json", v, "lrqaoa", params, seed, False)
+                     for v in variants for seed in (0, 1)]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                records = pq.bench._run_group((cells, tiny, reference))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(records) == len(cells)
+            return peak - base
+
+        job_peak([pq.ScaledVariant(Fraction(1))])  # first-call allocations
+        one = job_peak([pq.ScaledVariant(Fraction(1))])
+        four = job_peak([pq.ScaledVariant(Fraction(k)) for k in range(1, 5)])
+        assert four - one < (8 << 16) // 2  # half a table: the other maps' tables are gone
 
     def test_failed_batch_gives_each_cell_its_own_error(self, tiny, tmp_path, monkeypatch):
         plan = load_plan(write_plan(

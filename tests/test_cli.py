@@ -766,7 +766,7 @@ def test_solve_defaults_match_the_sweep_call(tmp_path, name):
     assert run("solve", path, "--solver", name, "--seed", 3, "-o", out) == 0
     [(_, params)] = bench.expand_solver_params({"name": name})
     assert params == bench.SOLVERS[name].defaults
-    [expected] = bench.SOLVERS[name].run(q, params, [3])
+    [[expected]] = bench.SOLVERS[name].run([q], params, [3])
     assert pq.load_sampleset(out) == expected
 
 

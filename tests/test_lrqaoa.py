@@ -650,7 +650,7 @@ class TestBatchedRun:
             return original(*args)
 
         monkeypatch.setattr(lrqaoa, "_frame_state", counting)
-        batch = pq.bench.SOLVERS["lrqaoa"].run(q, params, [0, 1, 2])
+        [batch] = pq.bench.SOLVERS["lrqaoa"].run([q], params, [0, 1, 2])
         assert len(calls) == 1
         assert batch == alone
         for i, (got, expected) in enumerate(zip(batch, alone)):

@@ -270,18 +270,32 @@ class TestStackedAnneal:
         assert stacked == alone
         assert solvers._last_draws[0][1][1].dtype == np.uint16
 
-    def test_batches_split_at_the_row_cap_without_splitting_a_seed(self):
+    def test_loops_split_at_the_float_budget_without_splitting_a_block(self):
         rng = np.random.default_rng(8)
         q = random_fraction_qubo(rng, 9)
-        assert solvers._BATCH_ROWS == 1024
-        cfg = pq.SaConfig(steps=20, restarts=400)
-        stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2])  # 1,200 rows: batches of 2, 1
+        assert solvers._LOOP_FLOATS == 1 << 16
+        cfg = pq.SaConfig(steps=20, restarts=4000)  # 36,000 floats a seed: one seed a loop
+        stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2])
         assert stacked == alone
-        assert solvers._last_draws[0][0] == ((2,), 400, 9, 20)
-        cfg = pq.SaConfig(steps=5, restarts=1100)  # one seed over the cap still runs whole
+        assert solvers._last_draws[0][0] == ((2,), 4000, 9, 20)
+        cfg = pq.SaConfig(steps=5, restarts=8000)  # one block over the budget still runs whole
         stacked, alone = stacked_and_alone(q, cfg, [0, 1])
         assert stacked == alone
-        assert solvers._last_draws[0][0] == ((1,), 1100, 9, 5)
+        assert solvers._last_draws[0][0] == ((1,), 8000, 9, 5)
+
+    def test_seeds_stack_only_within_the_draw_budget(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        q = random_integer_qubo(rng, 9)
+        assert solvers._DRAW_BYTES == 1 << 24
+        cfg = pq.SaConfig(steps=30, restarts=40)  # 360 floats a block: the state fits all
+        monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * 40 * 30 * 9)  # two seeds' draws
+        stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2, 5, 4])
+        assert stacked == alone
+        assert solvers._last_draws[0][0] == ((4,), 40, 9, 30)
+        monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * 40 * 30 * 9 - 1)
+        stacked, alone = stacked_and_alone(q, cfg, [3, 1])
+        assert stacked == alone
+        assert solvers._last_draws[0][0] == ((1,), 40, 9, 30)
 
     def test_results_do_not_depend_on_earlier_calls(self):
         rng = np.random.default_rng(2)
@@ -317,6 +331,129 @@ class TestStackedAnneal:
         # The draws take 9 B per flip attempt (a uint8 index and a float64
         # uniform); a lone call of the reference holds 16 B per attempt.
         assert peak < 10 * attempts
+
+    def test_peak_memory_of_one_map_over_many_seeds(self):
+        rng = np.random.default_rng(3)
+        q = random_integer_qubo(rng, 14)  # nine (map, seed) blocks fit the state budget
+        as_dense(q)
+        cfg = pq.SaConfig(steps=1280, restarts=500)
+        solvers._last_draws.clear()
+        tracemalloc.start()
+        try:
+            pq.simulated_anneal(q, cfg, seeds=range(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Loops of two seeds: each holds two seeds' draws, 9 B per attempt.
+        assert peak < 10 * 2 * cfg.restarts * cfg.steps
+
+
+def default_variant_maps(name):
+    inst = pq.bundled_instance(name)
+    return [pq.build_qubo(inst, v) for kind in ("raw", "scaled", "rounded")
+            for v in pq.bench.expand_variants({"kind": kind})]
+
+
+def reference_per_map(maps, cfg, seeds):
+    return [[simulated_anneal_reference(q, cfg, k) for k in seeds] for q in maps]
+
+
+@pytest.fixture
+def loops(monkeypatch):
+    """The (maps, seeds) of every step loop run while the fixture is alive."""
+    calls = []
+    original = solvers._anneal_batch
+
+    def recording(denses, temps, cfg, seeds):
+        calls.append((len(denses), list(seeds)))
+        return original(denses, temps, cfg, seeds)
+
+    monkeypatch.setattr(solvers, "_anneal_batch", recording)
+    return calls
+
+
+class TestStackedMaps:
+    """Several maps in one step loop, against the per-map, per-seed reference."""
+
+    def test_random_maps_of_one_size_on_their_own_ladders(self, loops):
+        rng = np.random.default_rng(31)
+        for n in (2, 6, 13):
+            maps = [random_integer_qubo(rng, n), random_fraction_qubo(rng, n),
+                    random_integer_qubo(rng, n, scale=3)]
+            ladders = {float(pq.SaConfig().temperatures(q)[0]) for q in maps}
+            assert len(ladders) == 3
+            cfg = pq.SaConfig(steps=int(rng.integers(1, 50)), restarts=17)
+            assert pq.simulated_anneal(maps, cfg, [5, 0]) == reference_per_map(maps, cfg, [5, 0])
+        assert loops == [(3, [5, 0])] * 3
+
+    def test_given_temperatures(self):
+        rng = np.random.default_rng(4)
+        maps = [random_fraction_qubo(rng, 8) for _ in range(3)]
+        cfg = pq.SaConfig(steps=40, restarts=11, t_start=30.0, t_end=0.2)
+        assert pq.simulated_anneal(maps, cfg, [1, 2]) == reference_per_map(maps, cfg, [1, 2])
+
+    @pytest.mark.parametrize("name", ["press-small", "press-03x2"])
+    def test_default_variants_of_a_bundled_instance(self, name, loops):
+        maps = default_variant_maps(name)
+        assert len(maps) == 12 and len({q.n for q in maps}) == 1
+        cfg = pq.SaConfig(steps=60, restarts=30)
+        assert pq.simulated_anneal(maps, cfg, [0, 2]) == reference_per_map(maps, cfg, [0, 2])
+        assert loops == [(12, [0, 2])]
+
+    def test_budget_splits_a_batch_across_maps(self, loops):
+        rng = np.random.default_rng(12)
+        maps = [random_fraction_qubo(rng, 9) for _ in range(4)]
+        cfg = pq.SaConfig(steps=15, restarts=2000)  # 18,000 floats a block: 3 blocks a loop
+        assert pq.simulated_anneal(maps, cfg, [0, 1]) == reference_per_map(maps, cfg, [0, 1])
+        assert loops == [(3, [0]), (1, [0]), (3, [1]), (1, [1])]
+
+    def test_maps_fill_a_loop_before_seeds(self, loops):
+        rng = np.random.default_rng(13)
+        maps = [random_integer_qubo(rng, 9), random_fraction_qubo(rng, 9)]
+        cfg = pq.SaConfig(steps=15, restarts=1000)  # 9,000 floats a block: 7 blocks a loop
+        seeds = [0, 1, 2, 3, 4]
+        assert pq.simulated_anneal(maps, cfg, seeds) == reference_per_map(maps, cfg, seeds)
+        assert loops == [(2, [0, 1, 2]), (2, [3, 4])]
+
+    def test_block_over_the_budget_runs_whole(self, loops):
+        rng = np.random.default_rng(14)
+        maps = [random_integer_qubo(rng, 9), random_integer_qubo(rng, 9)]
+        cfg = pq.SaConfig(steps=5, restarts=8000)  # 72,000 floats a block
+        assert pq.simulated_anneal(maps, cfg, [7]) == reference_per_map(maps, cfg, [7])
+        assert loops == [(1, [7]), (1, [7])]
+
+    def test_maps_of_different_sizes_run_in_separate_loops(self, loops):
+        rng = np.random.default_rng(15)
+        maps = [random_integer_qubo(rng, 5), random_fraction_qubo(rng, 7),
+                random_fraction_qubo(rng, 5)]
+        cfg = pq.SaConfig(steps=30, restarts=9)
+        assert pq.simulated_anneal(maps, cfg, [3]) == reference_per_map(maps, cfg, [3])
+        assert loops == [(2, [3]), (1, [3])]
+
+    def test_one_map_or_a_sequence(self, tiny):
+        q = pq.build_qubo(tiny, pq.RoundedVariant())
+        cfg = pq.SaConfig(steps=20, restarts=5)
+        assert pq.simulated_anneal([q], cfg, [0, 1]) == [pq.simulated_anneal(q, cfg, [0, 1])]
+        assert pq.simulated_anneal([], cfg, [0]) == []
+        assert pq.simulated_anneal([q, q], cfg, []) == [[], []]
+        with pytest.raises(ValueError, match="non-negative"):
+            pq.simulated_anneal([q], cfg, [-1])
+
+    def test_maps_share_the_restart_draws(self):
+        rng = np.random.default_rng(1)
+        maps = [random_integer_qubo(rng, 40) for _ in range(3)]
+        for q in maps:
+            as_dense(q)
+        cfg = pq.SaConfig(steps=1280, restarts=500)  # 20,000 floats a block: one loop
+        solvers._last_draws.clear()
+        tracemalloc.start()
+        try:
+            pq.simulated_anneal(maps, cfg, [0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One map's draws take 9 B per flip attempt; three maps' would take 27 B.
+        assert peak < 12 * cfg.restarts * cfg.steps
 
 
 class TestBitflipPostprocess:
