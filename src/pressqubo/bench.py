@@ -112,22 +112,23 @@ class ScoredSamples:
 def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     """Validate and price every entry in one exact integer pass.
 
-    The decision bits of all entries form an (entries, toolkits,
-    machines) 0/1 array.  An entry is valid when every toolkit selects
+    The decision bits of all entries, taken from the set's state matrix
+    with its counts, form an (entries, toolkits, machines) 0/1 array, so
+    no bitstring is built.  An entry is valid when every toolkit selects
     exactly one machine and no machine's load exceeds its capacity; its
     cost is an integer over the instance's common cost denominator.
     Whenever the instance's data do not fit int64 safely, the variable
     map is missing or names other ids than the instance, the set is
-    empty or its bitstrings are malformed,
+    empty, its bitstrings are malformed or a count does not fit int64,
     :func:`score_samples_reference` scores instead, so those cases keep
     the reference's results and errors.
     """
     arrays = model._scaled_int_arrays(inst)
     vm = q.varmap
     try:
-        states = samples.states()
-    except ValueError:  # malformed bits: the reference's error names the entry
-        states = None
+        states, counts = samples.states(), samples.counts()
+    except (ValueError, OverflowError):  # the reference names a malformed entry
+        states = None                       # and sums counts past int64 exactly
     if (arrays is None or vm is None or states is None or not len(states)
             or states.shape[1] != q.n
             or set(vm.toolkits) != set(inst.toolkits) or set(vm.machines) != set(inst.machines)):
@@ -139,8 +140,7 @@ def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     ok &= (np.einsum("etm,tm->em", X, W) <= H).all(axis=1)
     costs = np.einsum("etm,tm->e", X, C)
     valid = tuple(
-        (samples.entries[e].multiplicity, Fraction(int(costs[e]), cost_denominator))
-        for e in np.flatnonzero(ok)
+        (int(counts[e]), Fraction(int(costs[e]), cost_denominator)) for e in np.flatnonzero(ok)
     )
     return ScoredSamples(total=samples.total, valid=valid)
 

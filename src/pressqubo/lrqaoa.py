@@ -11,7 +11,8 @@ results are comparable across construction variants.
 State layout: amplitude index equals the bitstring value with variable
 0 as the least-significant bit.  Simulation is float64/complex128 and
 guarded at 26 qubits by ``errors.check_size``; ``statevector_peak_bytes``
-gives the memory a simulation holds at most (24 bytes per amplitude).
+gives the memory a simulation holds at most (24 bytes per amplitude for
+a map that does not split, up to 48 for one that does).
 
 The simulation holds one statevector.  Every pass over the full state
 runs in place, one block of about ``_BLOCK_FLOATS`` float64 (256 KiB)
@@ -34,11 +35,12 @@ broadcast views.  A map that does not split has one factor, the full
 2**n diagonal, which ``precompute_diagonal`` also computes as the
 uncached reference; the layers then hold the state and that diagonal,
 24 bytes per amplitude.  A split map holds 16 bytes per amplitude plus
-its tables: 8 bytes per table entry cached and 16 in the first layer's
-complex copies.  Sampling writes the squared magnitudes, in ascending
-blocks, into the float64 view of the state itself, where each block
-overwrites only amplitudes already read, and sums them cumulatively in
-place, so it holds no more than the layers.
+its tables: 8 bytes per table entry cached, and in the first layer 16
+per entry of the complex copies and 16 per entry of the first table in
+the product write's temporary.  Sampling writes the squared
+magnitudes, in ascending blocks, into the float64 view of the state
+itself, where each block overwrites only amplitudes already read, and
+sums them cumulatively in place, so it holds no more than the layers.
 
 The circuit runs in the frame of the S gate ``D = diag(1, i)`` on
 every qubit.  Since ``D^dagger X D = -Y``, each mixer rotation is
@@ -153,11 +155,25 @@ def lr_schedule(p: int, delta_gamma: float = 0.9, delta_beta: float = 0.6) -> Ra
 # Statevector kernels
 # ---------------------------------------------------------------------------
 
-def statevector_peak_bytes(n: int) -> int:
-    """Bytes a simulation of ``n`` qubits holds at most: the state and a
-    full-diagonal cost table, 24 per amplitude (the module docstring
-    gives the accounting of split maps and sampling)."""
-    return 24 << n
+def statevector_peak_bytes(n: int, tables: Sequence[int] | None = None) -> int:
+    """Bytes a simulation of ``n`` qubits holds at most, given the entry
+    counts of its :func:`cost_factors` tables, first table first; by
+    default the one full diagonal of a map that does not split.
+
+    The state takes 16 bytes per amplitude and the cached tables 8 per
+    entry, so a map that does not split, whose first layer is formed in
+    the state, holds 24 per amplitude.  A split map's first layer also
+    holds a complex copy of every table, 16 bytes per entry, and the
+    temporary of its product write, 16 bytes per entry of the first
+    table or of ``_FUSED_TEMP_ENTRIES``, whichever is more.  Beside
+    these, a pass holds one block temporary of at most ``_BLOCK_FLOATS``
+    floats (256 KiB), and sampling its draws, 16 bytes per shot.
+    """
+    tables = [1 << n] if tables is None else list(tables)
+    peak = (16 << n) + 8 * sum(tables)
+    if len(tables) > 1:
+        peak += 16 * sum(tables) + 16 * max(tables[0], _FUSED_TEMP_ENTRIES)
+    return peak
 
 
 def uniform_state(n: int) -> np.ndarray:

@@ -16,13 +16,21 @@ restart draws on its own temperature ladder.  Stacking, and reusing the
 last restart draws for an identical next loop, change neither a
 restart's stream nor its arithmetic: each (map, seed) set equals the
 set of a call with that map and seed alone.
+
+A sample set keeps its samples as arrays from the sampler to the
+score: the distinct rows as a uint8 matrix, their energies and their
+counts.  ``sampleset_from_states`` merges duplicate rows on their packed
+bytes in numpy, post-processing and scoring read the matrix and the
+counts, and a bitstring is built only when a caller reads a set's
+``entries`` (saving a set to CSV does).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -49,26 +57,80 @@ class SampleEntry:
     multiplicity: int
 
 
-@dataclass(frozen=True)
 class SampleSet:
     """Multiset of sampled bitstrings with float64 energies.
 
-    Entries are merged per bitstring and sorted by (energy, bits); the
-    multiplicities sum to the requested number of shots or restarts.
-    Energies are evaluated in float64, which is exact for all-integer
-    coefficient maps.
+    The distinct samples sort by (energy, bits), and their counts sum to
+    the requested number of shots or restarts.  Energies are evaluated
+    in float64, which is exact for all-integer coefficient maps.
+
+    A set made by :func:`sampleset_from_states` holds its samples as
+    arrays: the distinct rows as a read-only (k, n) uint8 0/1 matrix,
+    their float64 energies and their int64 counts.  ``total``, ``best``,
+    :meth:`states` and :meth:`counts` read the arrays; ``entries``, one
+    :class:`SampleEntry` with a bitstring per row, is built on its first
+    read and cached.  A set made from ``entries`` (as
+    :func:`load_sampleset` makes it) keeps them as given, and
+    :meth:`states` and :meth:`counts` convert them.  Two sets are equal
+    when their entries and meta are; a set cannot be changed.
     """
 
-    entries: tuple[SampleEntry, ...]
-    meta: dict = field(default_factory=dict)
+    def __init__(self, entries: Iterable[SampleEntry], meta: dict | None = None):
+        object.__setattr__(self, "_entries", tuple(entries))
+        object.__setattr__(self, "_arrays", None)
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    @classmethod
+    def _from_arrays(cls, rows: np.ndarray, energies: np.ndarray, counts: np.ndarray,
+                     meta: dict) -> SampleSet:
+        self = cls.__new__(cls)
+        for array in (rows, energies, counts):
+            array.setflags(write=False)
+        object.__setattr__(self, "_entries", None)
+        object.__setattr__(self, "_arrays", (rows, energies, counts))
+        object.__setattr__(self, "meta", meta)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a SampleSet cannot be changed (setting {name!r})")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a SampleSet cannot be changed (deleting {name!r})")
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        return self.entries == other.entries and self.meta == other.meta
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"SampleSet(entries={self.entries!r}, meta={self.meta!r})"
+
+    @property
+    def entries(self) -> tuple[SampleEntry, ...]:
+        if self._entries is None:
+            rows, energies, counts = self._arrays
+            n = rows.shape[1]
+            chars = (rows + ord("0")).tobytes().decode()
+            object.__setattr__(self, "_entries", tuple(
+                SampleEntry(chars[k * n:(k + 1) * n], energy, count)
+                for k, (energy, count) in enumerate(zip(energies.tolist(), counts.tolist()))))
+        return self._entries
 
     @property
     def total(self) -> int:
-        return sum(e.multiplicity for e in self.entries)
+        if self._arrays is None:
+            return sum(e.multiplicity for e in self._entries)
+        return int(self._arrays[2].sum())
 
     @property
     def best(self) -> SampleEntry:
-        return self.entries[0]
+        if self._arrays is None:
+            return self._entries[0]
+        rows, energies, counts = self._arrays
+        return SampleEntry((rows[0] + ord("0")).tobytes().decode(), float(energies[0]),
+                           int(counts[0]))
 
     def iter_bits(self) -> Iterable[tuple[str, int]]:
         for e in self.entries:
@@ -80,26 +142,67 @@ class SampleSet:
         Raises ValueError when the bitstrings differ in length or hold a
         character other than 0 and 1.
         """
-        n = len(self.entries[0].bits) if self.entries else 0
-        if any(len(e.bits) != n for e in self.entries):
+        if self._arrays is not None:
+            return self._arrays[0]
+        n = len(self._entries[0].bits) if self._entries else 0
+        if any(len(e.bits) != n for e in self._entries):
             raise ValueError(f"sample bitstrings differ in length (first has {n})")
-        flat = bits_to_vector("".join(e.bits for e in self.entries))
+        flat = bits_to_vector("".join(e.bits for e in self._entries))
         if (flat > 1).any():
             raise ValueError("sample bitstrings hold characters other than 0 and 1")
-        return flat.reshape(len(self.entries), n)
+        return flat.reshape(len(self._entries), n)
+
+    def counts(self) -> np.ndarray:
+        """The entries' multiplicities as an int64 array; OverflowError
+        when one does not fit int64."""
+        if self._arrays is not None:
+            return self._arrays[2]
+        return np.array([e.multiplicity for e in self._entries], dtype=np.int64)
 
 
-def sampleset_from_states(dense: DenseQubo, states: np.ndarray, counts: Iterable[int],
-                          meta: dict) -> SampleSet:
+def sampleset_from_states(dense: DenseQubo, states: np.ndarray,
+                          counts: Sequence[int] | np.ndarray, meta: dict) -> SampleSet:
     """Merge the rows of a (rows, n) 0/1 matrix into a :class:`SampleSet`.
 
     Row ``r`` was drawn ``counts[r]`` times; duplicate rows merge into
-    one entry and entries sort by (energy, bits).  Energies come from
-    one :func:`dense_energies` call over ``states`` as given, and an
-    entry keeps the energy of its first row.  The float64 sums can round
-    a row differently in a batch of another shape, so the caller's
-    choice of rows fixes the energies' last bits.
+    one and the distinct rows sort by (energy, bits).  Energies come
+    from one :func:`dense_energies` call over ``states`` as given, and a
+    distinct row keeps the energy of its first occurrence.  The linear
+    part of that call, the BLAS product ``x @ linear``, can round a row
+    of a non-integer map differently in a batch of another shape, so the
+    caller's choice of rows fixes the energies' last bits.  Rows merge
+    on their packed bytes in numpy, and no bitstring is built;
+    :func:`sampleset_from_states_reference` is the per-row merge this is
+    tested against.
     """
+    energies = dense_energies(dense, states)
+    rows = states.astype(np.uint8)
+    first, summed = _distinct_rows(rows, np.asarray(counts, dtype=np.int64))
+    order = np.argsort(energies[first], kind="stable")  # distinct rows are in bits order
+    pick = first[order]
+    return SampleSet._from_arrays(rows[pick], energies[pick], summed[order], meta)
+
+
+def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row's first occurrence in a (rows, n)
+    uint8 0/1 matrix, in bits order, and the sum of its rows' counts.
+
+    Each row packs into bytes, most significant bit first, so the packed
+    rows, compared as raw bytes, sort as the bitstrings do.
+    """
+    packed = np.packbits(rows, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    summed = np.zeros(len(first), dtype=np.int64)
+    np.add.at(summed, inverse.reshape(-1), counts)
+    return first, summed
+
+
+def sampleset_from_states_reference(dense: DenseQubo, states: np.ndarray,
+                                    counts: Iterable[int], meta: dict) -> SampleSet:
+    """The set of :func:`sampleset_from_states`, merged one row at a time
+    through a dict of bitstrings: the reference the fast merge is tested
+    against."""
     energies = dense_energies(dense, states)
     chars = np.asarray(states).astype(np.uint8) + ord("0")
     by_bits: dict[str, list] = {}
@@ -412,10 +515,10 @@ def postprocess_sampleset(q: Qubo, samples: SampleSet) -> SampleSet:
     x = states.astype(np.float64)
     _bitflip_pass(q, dense, x)
     # The distinct improved rows, in bits order, are the batch evaluated.
-    keys, inverse = np.unique(x.astype(np.uint8), axis=0, return_inverse=True)
-    counts = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(counts, inverse.reshape(-1), [e.multiplicity for e in samples.entries])
-    return sampleset_from_states(dense, keys, counts, {**samples.meta, "postprocessed": True})
+    rows = x.astype(np.uint8)
+    first, counts = _distinct_rows(rows, samples.counts())
+    return sampleset_from_states(dense, rows[first], counts,
+                                 {**samples.meta, "postprocessed": True})
 
 
 def _bitflip_pass(q: Qubo, dense: DenseQubo, x: np.ndarray) -> None:
@@ -474,10 +577,17 @@ def save_sampleset(samples: SampleSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+# The energies and multiplicities a sample CSV may hold.
+_ENERGY_TEXT = re.compile(r"-?[0-9]+(\.[0-9]*)?([eE][-+]?[0-9]+)?")
+_COUNT_TEXT = re.compile(r"-?[0-9]+")
+
+
 def load_sampleset(path) -> SampleSet:
     """The set :func:`save_sampleset` wrote to ``path``; ValueError naming
-    ``path`` and the first row that is malformed, repeats a bitstring or
-    is not after the row before it in (energy, bits) order."""
+    ``path`` and the first row that is malformed (an energy that is not
+    finite, a multiplicity that is not plain decimal digits among
+    others), repeats a bitstring or is not after the row before it in
+    (energy, bits) order."""
     lines = Path(path).read_text().strip().splitlines()
     meta: dict = {}
     start = 0
@@ -490,11 +600,19 @@ def load_sampleset(path) -> SampleSet:
     seen: set[str] = set()
     for line in lines[start + 1:]:
         try:
-            bits, energy, mult = line.split(",")
-            key, mult = (float(energy), bits), int(mult)
+            bits, energy, mult_text = line.split(",")
+            key, mult = (float(energy), bits), int(mult_text)
         except ValueError:
             raise ValueError(f"{path}: row {line!r} is not three fields: bits, a number "
                              "and an integer") from None
+        # float() and int() also read what save_sampleset never writes:
+        # nan, inf, 1e999, blanks, underscores and non-ASCII digits.
+        if not (_ENERGY_TEXT.fullmatch(energy) and math.isfinite(key[0])):
+            raise ValueError(f"{path}: row {line!r} has energy {energy!r}, which is not a "
+                             "finite decimal number")
+        if not _COUNT_TEXT.fullmatch(mult_text):
+            raise ValueError(f"{path}: row {line!r} has multiplicity {mult_text!r}, which is "
+                             "not a decimal integer")
         if set(bits) - {"0", "1"}:
             raise ValueError(f"{path}: {bits!r} is not a 0/1 string")
         if entries and len(bits) != len(entries[0].bits):

@@ -513,6 +513,29 @@ class TestSweep:
         cleaned_records = pq.sweep(cleaned_plan)
         assert cleaned_records[0].best_energy <= raw_records[0].best_energy
 
+    @pytest.mark.parametrize("postprocess", [False, True])
+    def test_a_sweep_builds_no_bitstrings(self, tiny, tmp_path, monkeypatch, postprocess):
+        # Sample sets stay arrays from the sampler to the score: reading
+        # any set's entries during the sweep fails its cell.
+        small_path = tmp_path / "small.json"
+        pq.save_instance(pq.bundled_instance("press-small"), small_path)
+        plan = load_plan(write_plan(
+            tmp_path, tiny, instances=[str(small_path)],
+            solvers=[{"name": "sa", "params": {"steps": 40, "restarts": 10}},
+                     {"name": "random", "params": {"shots": 30}},
+                     {"name": "lrqaoa", "params": {"p": 1, "shots": 50}},
+                     {"name": "brute"}],
+            seeds=[0, 1], postprocess=postprocess))
+        expected = pq.sweep(plan, workers=1)
+
+        def no_entries(self):
+            raise AssertionError("a sweep read SampleSet.entries")
+
+        monkeypatch.setattr(SampleSet, "entries", property(no_entries))
+        records = pq.sweep(plan, workers=1)
+        assert [r.error for r in records] == [None] * 96
+        assert records == expected
+
 
 def mixed_plan(tmp_path, tiny):
     small_path = tmp_path / "small.json"

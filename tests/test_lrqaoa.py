@@ -564,6 +564,36 @@ class TestFirstLayer:
         assert peak - base < state + state // 2
         assert state + tables <= lrqaoa.statevector_peak_bytes(n)
 
+    def test_peak_bytes_bound_a_split_map_with_a_large_first_table(self):
+        # A chain over bits 0-14 and bit 15 uncoupled: the first table holds
+        # half the state, and its complex copy and the product write's
+        # temporary each take 8 bytes per amplitude beside the state.
+        chain = chain_qubo(np.random.default_rng(0), 15)
+        q = Qubo(n=16, coeffs={**chain.coeffs, (15, 15): Fraction(3)}, offset=chain.offset)
+        assert lrqaoa.cost_split(q) == (0, [(0, 15), (15, 16)])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pq.run_lrqaoa(q, pq.lr_schedule(2), 1000, [0, 1])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        tables = [f.table.size for f in lrqaoa.cost_factors(q)]
+        assert tables == [2**15, 2]
+        estimate = lrqaoa.statevector_peak_bytes(q.n, tables)
+        assert estimate == (16 << 16) + 24 * (2**15 + 2) + 16 * 2**15
+        # The unsplit figure, 24 bytes per amplitude, is exceeded; the
+        # estimate holds with one pass's block temporary beside it.
+        assert lrqaoa.statevector_peak_bytes(q.n) < peak <= estimate + 8 * lrqaoa._BLOCK_FLOATS
+
+    def test_peak_bytes_of_one_table_is_the_state_and_the_diagonal(self):
+        for n in (1, 12, 26):
+            assert lrqaoa.statevector_peak_bytes(n, [1 << n]) == \
+                lrqaoa.statevector_peak_bytes(n) == 24 << n
+        # two small tables: the product write's temporary is its fixed minimum
+        assert lrqaoa.statevector_peak_bytes(5, [8, 8]) == \
+            (16 << 5) + 24 * 16 + 16 * lrqaoa._FUSED_TEMP_ENTRIES
+
     def test_schedule_without_layers_is_rejected(self, tiny):
         q = pq.build_qubo(tiny, pq.RoundedVariant())
         with pytest.raises(ValueError, match="layer count"):

@@ -469,6 +469,74 @@ class TestFloatRange:
         assert float(pq.qubo_energy(q, "11")) == energies[0]
 
 
+
+def random_int_map(rng, n, scale):
+    """A map on every pair with integer coefficients in [-scale, scale]."""
+    coeffs = {(i, j): Fraction(int(rng.integers(-scale, scale + 1)))
+              for i in range(n) for j in range(i, n)}
+    return Qubo(n=n, coeffs=coeffs, offset=Fraction(int(rng.integers(-scale, scale + 1))))
+
+
+class TestIntExactEnergies:
+    """The GEMM energies of int-exact maps against the einsum reference."""
+
+    @staticmethod
+    def assert_same_floats(q, states):
+        dense = as_dense(q)
+        assert dense.int_exact
+        fast = pq.qubo.dense_energies(dense, states)
+        ref = pq.qubo.dense_energies_reference(dense, states)
+        assert [repr(e) for e in fast.tolist()] == [repr(e) for e in ref.tolist()]
+        assert fast.tobytes() == ref.tobytes()
+        for row, e in zip(states, fast):
+            assert e == float(pq.qubo_energy(q, "".join(str(int(b)) for b in row)))
+        return fast
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_maps_with_negative_coefficients(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        q = random_int_map(rng, n, scale=int(rng.choice([3, 1000, 10**9])))
+        assert any(c < 0 for c in q.coeffs.values())
+        states = rng.integers(0, 2, size=(int(rng.integers(1, 200)), n), dtype=np.int8)
+        self.assert_same_floats(q, states)
+
+    @pytest.mark.parametrize("n", [2, 7, 30])
+    def test_magnitudes_just_below_the_exact_bound(self, n):
+        rng = np.random.default_rng(n)
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        # abs_total = (pairs + 1) * c, the largest below 2**52
+        c = (2**52 - 1) // (len(pairs) + 1)
+        coeffs = {pair: Fraction(c * int(rng.choice([-1, 1]))) for pair in pairs}
+        q = Qubo(n=n, coeffs=coeffs, offset=Fraction(-c))
+        assert 2**52 - (len(pairs) + 1) <= (len(pairs) + 1) * c < 2**52
+        states = rng.integers(0, 2, size=(300, n), dtype=np.int8)
+        self.assert_same_floats(q, np.vstack([states, np.ones((1, n)), np.zeros((1, n))]))
+
+    def test_zero_energies_are_positive_zero(self):
+        # Negative couplings times zero bits give -0.0 terms; every energy
+        # of this map is 0 on the states below.
+        q = Qubo(n=3, coeffs={(0, 0): Fraction(-3), (0, 1): Fraction(3), (1, 2): Fraction(-4),
+                              (2, 2): Fraction(4)}, offset=Fraction(0))
+        states = np.array([[0, 0, 0], [1, 1, 0], [0, 1, 0], [0, 1, 1], [1, 1, 1]])
+        energies = self.assert_same_floats(q, states)
+        assert [repr(e) for e in energies.tolist()] == ["0.0"] * 5
+        shifted = Qubo(n=2, coeffs={(0, 0): Fraction(5), (0, 1): Fraction(-2)},
+                       offset=Fraction(-5))
+        assert repr(self.assert_same_floats(shifted, np.array([[1, 0]])).tolist()[0]) == "0.0"
+
+    def test_only_int_exact_maps_skip_the_reference(self, monkeypatch):
+        def refused(dense, states):
+            raise AssertionError("the einsum reference ran")
+
+        ints = random_int_map(np.random.default_rng(0), 5, scale=9)
+        halves = Qubo(n=2, coeffs={(0, 1): Fraction(1, 2)}, offset=Fraction(0))
+        monkeypatch.setattr(pq.qubo, "dense_energies_reference", refused)
+        pq.qubo.dense_energies(as_dense(ints), np.ones((2, 5)))
+        with pytest.raises(AssertionError, match="reference ran"):
+            pq.qubo.dense_energies(as_dense(halves), np.ones((2, 2)))
+
+
 class TestFlipDelta:
     @settings(deadline=None, max_examples=40)
     @given(data=st.data())

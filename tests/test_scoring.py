@@ -22,8 +22,8 @@ from pressqubo.bench import (
     score_samples_reference,
 )
 from pressqubo.errors import TooLarge
-from pressqubo.qubo import Qubo, full_spectrum, spectrum_peak_bytes
-from pressqubo.solvers import SampleEntry, SampleSet, brute_force_qubo
+from pressqubo.qubo import Qubo, as_dense, full_spectrum, spectrum_peak_bytes
+from pressqubo.solvers import SampleEntry, SampleSet, brute_force_qubo, sampleset_from_states
 
 VARIANTS = (
     pq.RawVariant(Fraction(1000), Fraction(10**6)),
@@ -114,6 +114,37 @@ class TestAgainstReference:
             q = pq.build_qubo(inst, variant)
             samples = pq.simulated_anneal(q, pq.SaConfig(steps=200, restarts=100), [1])[0]
             assert score_samples(samples, inst, q) == score_samples_reference(samples, inst, q)
+
+
+class TestArrayBuiltSets:
+    """A set from sampleset_from_states scores as the same set built from entries."""
+
+    @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.kind)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_scores(self, variant, seed):
+        inst = fractional_instance(seed)
+        q = pq.build_qubo(inst, variant)
+        mixed = mixed_samples(inst, q, np.random.default_rng(seed))
+        rows = np.repeat(mixed.states(), 2, axis=0)  # every row twice
+        arrays = sampleset_from_states(as_dense(q), rows, np.repeat(mixed.counts(), 2), {})
+        entries = SampleSet(entries=arrays.entries)
+        assert arrays.total == 2 * mixed.total
+        scored = score_samples(arrays, inst, q)
+        assert scored == score_samples(entries, inst, q)
+        assert scored == score_samples_reference(entries, inst, q)
+        assert 0 < scored.n_valid < scored.total
+        assert all(type(m) is int for m, _ in scored.valid)
+
+    def test_counts_past_int64_score_in_the_reference(self, tiny):
+        q = pq.build_qubo(tiny, VARIANTS[0])
+        samples = mixed_samples(tiny, q, np.random.default_rng(0), rows=8)
+        huge = SampleSet(entries=tuple(SampleEntry(e.bits, e.energy, e.multiplicity * 2**70)
+                                       for e in samples.entries))
+        with pytest.raises(OverflowError):
+            huge.counts()
+        scored = score_samples(huge, tiny, q)
+        assert scored == score_samples_reference(huge, tiny, q)
+        assert scored.total == samples.total * 2**70
 
 
 class TestFallbacks:

@@ -676,6 +676,24 @@ class TestSampleSetIO:
         with pytest.raises(ValueError, match=re.escape(f"{path}: row {row!r} is not three")):
             pq.load_sampleset(path)
 
+    @pytest.mark.parametrize("row", ["01,nan,1", "01,inf,1", "01,-inf,1", "01,1e999,1",
+                                     "01,-1e999,1", "01,1_0.5,1", "01, 1.0,1", "01,1.0,1_0",
+                                     "01,1.0, 1", "01,1.0,+1"])
+    def test_rejects_what_save_never_writes(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text("bits,energy,multiplicity\n00,0.5,1\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: row {row!r} has ")):
+            pq.load_sampleset(path)
+
+    def test_reads_every_float_save_writes(self, tmp_path):
+        energies = [-1e300, -2.5, -1e-05, 0.0, 5e-324, 1e-07, 3.0, 1.5e+16,
+                    1.7976931348623157e+308]
+        samples = SampleSet(entries=tuple(SampleEntry(format(k, "04b"), e, 10**k)
+                                          for k, e in enumerate(energies)), meta={"m": 1})
+        path = tmp_path / "ok.csv"
+        pq.save_sampleset(samples, path)
+        assert pq.load_sampleset(path) == samples
+
     def test_rejects_non_csv(self, tmp_path):
         path = tmp_path / "nope.csv"
         path.write_text("hello\n")
@@ -711,3 +729,106 @@ class TestSampleSetFromStates:
         assert samples.meta == {"solver": "test"}
         for e in samples.entries:
             assert abs(e.energy - float(pq.qubo_energy(q, e.bits))) <= dense.energy_guard
+
+
+def merge_cases():
+    """(map, states, counts) for the fast merge: duplicates, ties, counts
+    above one, one row, one variable and packed widths of 1 to 9 bytes."""
+    rng = np.random.default_rng(11)
+    cases = {}
+    for n in (1, 3, 8, 13, 70):
+        q = random_integer_qubo(rng, n) if n % 2 else random_fraction_qubo(rng, n)
+        pool = rng.integers(0, 2, size=(max(2, n // 2), n), dtype=np.int8)
+        states = pool[rng.integers(0, len(pool), size=60)]
+        cases[f"n{n}-duplicates"] = (q, states, rng.integers(1, 5, size=len(states)))
+    # popcount energies: every row ties with the rows of its weight
+    weights = Qubo(n=11, coeffs={(i, i): Fraction(1) for i in range(11)}, offset=Fraction(0))
+    states = rng.integers(0, 2, size=(300, 11)).astype(np.float64)
+    cases["ties"] = (weights, states, np.ones(len(states), dtype=np.int64))
+    flat = Qubo(n=9, coeffs={}, offset=Fraction(1, 3))
+    cases["all-equal"] = (flat, rng.integers(0, 2, size=(50, 9), dtype=np.uint8), [2] * 50)
+    cases["one-row"] = (random_fraction_qubo(rng, 5), np.array([[1, 0, 1, 1, 0]]), [7])
+    cases["one-variable"] = (Qubo(n=1, coeffs={(0, 0): Fraction(-1)}, offset=Fraction(0)),
+                             np.array([[1], [0], [1], [1]]), [1, 2, 3, 4])
+    return cases
+
+
+MERGE_CASES = merge_cases()
+
+
+class TestFastMerge:
+    """sampleset_from_states against the per-row merge it replaced."""
+
+    @pytest.mark.parametrize("case", sorted(MERGE_CASES))
+    def test_equals_the_reference(self, case):
+        q, states, counts = MERGE_CASES[case]
+        dense = as_dense(q)
+        fast = sampleset_from_states(dense, states, counts, {"case": case})
+        ref = solvers.sampleset_from_states_reference(dense, states, counts, {"case": case})
+        assert fast.states().dtype == np.uint8
+        np.testing.assert_array_equal(fast.states(), ref.states())
+        np.testing.assert_array_equal(fast.counts(), ref.counts())
+        assert fast.total == ref.total == int(np.sum(counts))
+        assert fast.best == ref.best
+        assert [repr(e.energy) for e in fast.entries] == [repr(e.energy) for e in ref.entries]
+        assert fast == ref and ref == fast
+
+    def test_a_row_keeps_its_first_occurrences_energy(self, monkeypatch):
+        # Energies may differ between copies of one row (the batch's BLAS
+        # rounding); give every row its own energy to see which one is kept.
+        q, states, counts = MERGE_CASES["n13-duplicates"]
+        monkeypatch.setattr(solvers, "dense_energies",
+                            lambda dense, rows: -np.arange(len(rows), dtype=np.float64))
+        fast = sampleset_from_states(as_dense(q), states, counts, {})
+        ref = solvers.sampleset_from_states_reference(as_dense(q), states, counts, {})
+        assert fast == ref
+        first = {}
+        for r, row in enumerate(states):
+            first.setdefault(row.tobytes(), -float(r))
+        assert sorted(first.values()) == [e.energy for e in fast.entries]
+
+    def test_the_cases_hold_what_they_name(self):
+        def distinct(case):
+            return len(sampleset_from_states(as_dense(MERGE_CASES[case][0]),
+                                             *MERGE_CASES[case][1:], {}).counts())
+
+        assert distinct("n70-duplicates") < 60 and distinct("n1-duplicates") <= 2
+        ties = sampleset_from_states(as_dense(MERGE_CASES["ties"][0]), *MERGE_CASES["ties"][1:],
+                                     {})
+        energies = [e.energy for e in ties.entries]
+        assert len(set(energies)) < len(energies) and (ties.counts() > 1).any()
+        assert np.packbits(MERGE_CASES["n70-duplicates"][1], axis=1).shape[1] == 9
+
+    def test_entries_are_built_once_on_first_read(self, monkeypatch):
+        q, states, counts = MERGE_CASES["n13-duplicates"]
+        samples = sampleset_from_states(as_dense(q), states, counts, {})
+        built = []
+        real = solvers.SampleEntry
+        monkeypatch.setattr(solvers, "SampleEntry",
+                            lambda *args: built.append(args) or real(*args))
+        samples.states(), samples.counts(), samples.total
+        assert built == []
+        first = samples.entries
+        assert len(built) == len(first) and samples.entries is first
+
+    def test_a_set_cannot_be_changed(self):
+        q, states, counts = MERGE_CASES["n8-duplicates"]
+        samples = sampleset_from_states(as_dense(q), states, counts, {})
+        for array in (samples.states(), samples.counts()):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        for name in ("entries", "meta", "_arrays"):
+            with pytest.raises(AttributeError):
+                setattr(samples, name, None)
+        with pytest.raises(TypeError):
+            hash(samples)
+
+    def test_equality_is_entries_and_meta(self):
+        q, states, counts = MERGE_CASES["one-row"]
+        samples = sampleset_from_states(as_dense(q), states, counts, {"seed": 1})
+        [entry] = samples.entries
+        assert samples == SampleSet(entries=(entry,), meta={"seed": 1})
+        assert samples != SampleSet(entries=(entry,), meta={"seed": 2})
+        assert samples != SampleSet(entries=(SampleEntry(entry.bits, entry.energy, 8),),
+                                    meta={"seed": 1})
+        assert repr(samples) == repr(SampleSet(entries=(entry,), meta={"seed": 1}))
