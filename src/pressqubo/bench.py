@@ -27,7 +27,8 @@ caller scores a set once and reads every metric from that result.
 ``score_samples_reference`` keeps the per-entry decode, validate and
 price loop in Fractions; it is what the fast pass is tested against,
 and it scores whenever the fast pass cannot (data too large for int64,
-no variable map or one naming other ids, empty or malformed sets).
+no variable map or one naming other ids, rows of another width than
+the map's).
 
 Reports are deterministic: records are ordered by their grid key and
 wall-clock timings are kept off the exported files, so re-running an
@@ -118,19 +119,14 @@ def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     exactly one machine and no machine's load exceeds its capacity; its
     cost is an integer over the instance's common cost denominator.
     Whenever the instance's data do not fit int64 safely, the variable
-    map is missing or names other ids than the instance, the set is
-    empty, its bitstrings are malformed or a count does not fit int64,
-    :func:`score_samples_reference` scores instead, so those cases keep
-    the reference's results and errors.
+    map is missing or names other ids than the instance, or the rows
+    are not ``q.n`` bits wide, :func:`score_samples_reference` scores
+    instead, so those cases keep the reference's results and errors.
     """
     arrays = model._scaled_int_arrays(inst)
     vm = q.varmap
-    try:
-        states, counts = samples.states(), samples.counts()
-    except (ValueError, OverflowError):  # the reference names a malformed entry
-        states = None                       # and sums counts past int64 exactly
-    if (arrays is None or vm is None or states is None or not len(states)
-            or states.shape[1] != q.n
+    states, counts = samples.states(), samples.counts()
+    if (arrays is None or vm is None or states.shape[1] != q.n
             or set(vm.toolkits) != set(inst.toolkits) or set(vm.machines) != set(inst.machines)):
         return score_samples_reference(samples, inst, q)
     C, W, H, cost_denominator = arrays
@@ -148,10 +144,10 @@ def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
 def score_samples_reference(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     """Decode each entry once, and validate and price the decodable ones."""
     valid = []
-    for bits, mult in samples.iter_bits():
-        assignment = qubo.decode(q, bits).as_assignment()
+    for e in samples.entries:
+        assignment = qubo.decode(q, e.bits).as_assignment()
         if assignment is not None and model.validate_assignment(inst, assignment).feasible:
-            valid.append((mult, model.solution_cost(inst, assignment)))
+            valid.append((e.multiplicity, model.solution_cost(inst, assignment)))
     return ScoredSamples(total=samples.total, valid=tuple(valid))
 
 

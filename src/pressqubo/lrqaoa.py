@@ -214,9 +214,6 @@ class CostFactor:
         return (1 << (n - self.hi), 1 << (self.hi - self.lo), 1 << (self.lo - self.core),
                 1 << self.core)
 
-    def table_shape(self) -> tuple[int, ...]:
-        return (1 << (self.hi - self.lo), 1, 1 << self.core)
-
 
 def cost_split(q: Qubo) -> tuple[int, list[tuple[int, int]]]:
     """The core width ``k`` and the blocks ``[lo, hi)`` that cover ``[k, n)``.

@@ -410,8 +410,13 @@ def load_json(path, **kwargs):
 
 
 def load_instance(path) -> Instance:
+    """The instance in the JSON file ``path``; a ValueError names the file."""
     # parse_float=Fraction keeps decimal literals exact (no binary float hop)
-    return instance_from_dict(load_json(path, parse_float=Fraction))
+    doc = load_json(path, parse_float=Fraction)
+    try:
+        return instance_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

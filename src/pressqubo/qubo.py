@@ -703,19 +703,15 @@ def save_qubo(q: Qubo, path) -> None:
 
 
 def load_qubo(path) -> Qubo:
+    """The map :func:`save_qubo` wrote to ``path``; a line that does not
+    parse is a ValueError naming the file and the line."""
     text = Path(path).read_text().strip().splitlines()
     if not text:
         raise ValueError(f"empty coefficient file {path}")
-    head = text[0].split()
-    if len(head) != 2:
-        raise ValueError("header must be 'n offset'")
-    n, offset = int(head[0]), as_fraction(head[1])
+    n, offset = _coo_fields(path, text[0], "n offset", (int, as_fraction))
     coeffs = {}
     for line in text[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"bad coefficient line: {line!r}")
-        i, j, c = int(parts[0]), int(parts[1]), as_fraction(parts[2])
+        i, j, c = _coo_fields(path, line, "i j coefficient", (int, int, as_fraction))
         if (i, j) in coeffs:
             raise ValueError(f"{path}: line {line!r} repeats coefficient ({i}, {j})")
         coeffs[(i, j)] = c
@@ -727,6 +723,17 @@ def load_qubo(path) -> Qubo:
             raise ValueError(f"sidecar {sc} lays out {varmap.n} variables, "
                              f"the header of {path} {n}")
     return Qubo(n=n, coeffs=coeffs, offset=offset, varmap=varmap)
+
+
+def _coo_fields(path, line: str, form: str, parsers) -> list:
+    """The fields of one coefficient-file line, each read by its parser."""
+    parts = line.split()
+    try:
+        if len(parts) != len(parsers):
+            raise ValueError(f"need {len(parsers)} fields, got {len(parts)}")
+        return [parse(part) for parse, part in zip(parsers, parts)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line!r} is not '{form}': {exc}") from None
 
 
 def _varmap_doc(vm: VariableMap) -> dict:

@@ -12,23 +12,26 @@ order.  Determinism: every sampler derives all randomness from its seed
 calls return identical results regardless of scheduling.  Annealing
 takes one map or a sequence of them; the maps of one size and several
 seeds run in one stacked step loop, where every map reads the same
-restart draws on its own temperature ladder.  Stacking, and reusing the
-last restart draws for an identical next loop, change neither a
-restart's stream nor its arithmetic: each (map, seed) set equals the
-set of a call with that map and seed alone.
+restart draws on its own temperature ladder.  The draws of a chunk of
+seeds are made once, in the call, and every step loop of that chunk
+reads them.  Stacking and sharing change neither a restart's stream
+nor its arithmetic: each (map, seed) set equals the set of a call with
+that map and seed alone.
 
-A sample set keeps its samples as arrays from the sampler to the
-score: the distinct rows as a uint8 matrix, their energies and their
-counts.  ``sampleset_from_states`` merges duplicate rows on their packed
-bytes in numpy, post-processing and scoring read the matrix and the
-counts, and a bitstring is built only when a caller reads a set's
-``entries`` (saving a set to CSV does).
+A sample set is its arrays: the distinct rows as a uint8 matrix, their
+energies and their counts.  ``sampleset_from_states`` merges duplicate
+rows on their packed bytes in numpy, a set built from entries (as
+``load_sampleset`` builds one) reads them into the same arrays, and
+post-processing and scoring read the matrix and the counts.  A
+bitstring is built only when a caller reads a set's ``entries``
+(saving a set to CSV does).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import mmap
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,31 +67,38 @@ class SampleSet:
     the requested number of shots or restarts.  Energies are evaluated
     in float64, which is exact for all-integer coefficient maps.
 
-    A set made by :func:`sampleset_from_states` holds its samples as
-    arrays: the distinct rows as a read-only (k, n) uint8 0/1 matrix,
-    their float64 energies and their int64 counts.  ``total``, ``best``,
-    :meth:`states` and :meth:`counts` read the arrays; ``entries``, one
-    :class:`SampleEntry` with a bitstring per row, is built on its first
-    read and cached.  A set made from ``entries`` (as
-    :func:`load_sampleset` makes it) keeps them as given, and
-    :meth:`states` and :meth:`counts` convert them.  Two sets are equal
-    when their entries and meta are; a set cannot be changed.
+    A set holds its samples as arrays: the distinct rows as a read-only
+    (k, n) uint8 0/1 matrix, their float64 energies and their int64
+    counts.  ``SampleSet(entries, meta)`` reads the entries into them in
+    the given order, and raises ValueError when the bitstrings differ in
+    length, hold a character other than 0 and 1, or a multiplicity does
+    not fit int64; :func:`sampleset_from_states` fills them from a
+    sampler's rows.  ``entries``, one :class:`SampleEntry` with a
+    bitstring per row, is built on its first read and cached.  Two sets
+    are equal when their entries and meta are; a set cannot be changed.
     """
 
     def __init__(self, entries: Iterable[SampleEntry], meta: dict | None = None):
-        object.__setattr__(self, "_entries", tuple(entries))
-        object.__setattr__(self, "_arrays", None)
-        object.__setattr__(self, "meta", {} if meta is None else meta)
+        entries = tuple(entries)
+        n = len(entries[0].bits) if entries else 0
+        flat = bits_to_vector("".join(e.bits for e in entries))
+        if any(len(e.bits) != n for e in entries) or (flat > 1).any():
+            raise ValueError("sample bitstrings are not 0/1 strings of one length")
+        try:
+            counts = np.array([e.multiplicity for e in entries], dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a sample multiplicity does not fit int64") from None
+        self._init(flat.reshape(len(entries), n),
+                   np.array([e.energy for e in entries], dtype=np.float64), counts,
+                   {} if meta is None else meta, entries)
 
-    @classmethod
-    def _from_arrays(cls, rows: np.ndarray, energies: np.ndarray, counts: np.ndarray,
-                     meta: dict) -> SampleSet:
-        self = cls.__new__(cls)
+    def _init(self, rows: np.ndarray, energies: np.ndarray, counts: np.ndarray, meta: dict,
+              entries: tuple[SampleEntry, ...] | None = None) -> SampleSet:
         for array in (rows, energies, counts):
             array.setflags(write=False)
-        object.__setattr__(self, "_entries", None)
-        object.__setattr__(self, "_arrays", (rows, energies, counts))
-        object.__setattr__(self, "meta", meta)
+        for name, value in (("_rows", rows), ("_energies", energies), ("_counts", counts),
+                            ("_entries", entries), ("meta", meta)):
+            object.__setattr__(self, name, value)
         return self
 
     def __setattr__(self, name, value):
@@ -110,54 +120,29 @@ class SampleSet:
     @property
     def entries(self) -> tuple[SampleEntry, ...]:
         if self._entries is None:
-            rows, energies, counts = self._arrays
-            n = rows.shape[1]
-            chars = (rows + ord("0")).tobytes().decode()
+            n = self._rows.shape[1]
+            chars = (self._rows + ord("0")).tobytes().decode()
             object.__setattr__(self, "_entries", tuple(
-                SampleEntry(chars[k * n:(k + 1) * n], energy, count)
-                for k, (energy, count) in enumerate(zip(energies.tolist(), counts.tolist()))))
+                SampleEntry(chars[k * n:(k + 1) * n], energy, count) for k, (energy, count)
+                in enumerate(zip(self._energies.tolist(), self._counts.tolist()))))
         return self._entries
 
     @property
     def total(self) -> int:
-        if self._arrays is None:
-            return sum(e.multiplicity for e in self._entries)
-        return int(self._arrays[2].sum())
+        return sum(self._counts.tolist())  # exact where the int64 sum would wrap
 
     @property
     def best(self) -> SampleEntry:
-        if self._arrays is None:
-            return self._entries[0]
-        rows, energies, counts = self._arrays
-        return SampleEntry((rows[0] + ord("0")).tobytes().decode(), float(energies[0]),
-                           int(counts[0]))
-
-    def iter_bits(self) -> Iterable[tuple[str, int]]:
-        for e in self.entries:
-            yield e.bits, e.multiplicity
+        return SampleEntry((self._rows[0] + ord("0")).tobytes().decode(),
+                           float(self._energies[0]), int(self._counts[0]))
 
     def states(self) -> np.ndarray:
-        """The entries' bits as an (entries x n) uint8 0/1 matrix.
-
-        Raises ValueError when the bitstrings differ in length or hold a
-        character other than 0 and 1.
-        """
-        if self._arrays is not None:
-            return self._arrays[0]
-        n = len(self._entries[0].bits) if self._entries else 0
-        if any(len(e.bits) != n for e in self._entries):
-            raise ValueError(f"sample bitstrings differ in length (first has {n})")
-        flat = bits_to_vector("".join(e.bits for e in self._entries))
-        if (flat > 1).any():
-            raise ValueError("sample bitstrings hold characters other than 0 and 1")
-        return flat.reshape(len(self._entries), n)
+        """The rows as a read-only (entries x n) uint8 0/1 matrix."""
+        return self._rows
 
     def counts(self) -> np.ndarray:
-        """The entries' multiplicities as an int64 array; OverflowError
-        when one does not fit int64."""
-        if self._arrays is not None:
-            return self._arrays[2]
-        return np.array([e.multiplicity for e in self._entries], dtype=np.int64)
+        """The rows' multiplicities as a read-only int64 array."""
+        return self._counts
 
 
 def sampleset_from_states(dense: DenseQubo, states: np.ndarray,
@@ -180,7 +165,7 @@ def sampleset_from_states(dense: DenseQubo, states: np.ndarray,
     first, summed = _distinct_rows(rows, np.asarray(counts, dtype=np.int64))
     order = np.argsort(energies[first], kind="stable")  # distinct rows are in bits order
     pick = first[order]
-    return SampleSet._from_arrays(rows[pick], energies[pick], summed[order], meta)
+    return SampleSet.__new__(SampleSet)._init(rows[pick], energies[pick], summed[order], meta)
 
 
 def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,8 +275,13 @@ _LOOP_FLOATS = 1 << 16
 # for seeds 0-19, for no speed gain over two seeds (11.0 MiB of draws).
 _DRAW_BYTES = 1 << 24
 
-# The last (key, draws) of _restart_draws, or nothing.
-_last_draws: list[tuple[tuple, tuple[np.ndarray, ...]]] = []
+
+def _mapped(shape: tuple[int, int], dtype) -> np.ndarray:
+    """A zeroed array in an anonymous mapping of its own, unmapped when
+    freed.  Draws on the heap left holes that smaller blocks fragmented (a
+    ladder-anneal sweep peaked 3.5 MiB higher); tracemalloc does not see it."""
+    count, dtype = shape[0] * shape[1], np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
 
 
 def _restart_draws(seeds: Sequence[int], restarts: int, n: int,
@@ -303,18 +293,13 @@ def _restart_draws(seeds: Sequence[int], restarts: int, n: int,
     its start state (rows, n) as uint8, then its flip indices and its
     uniforms, stored as (steps, rows) so each step reads contiguous
     columns.  The indices are int64 draws kept in the smallest unsigned
-    type that holds ``n - 1``.  The arrays are read-only; the last set
-    is kept for an identical next call and dropped before a new set is
-    drawn.
+    type that holds ``n - 1``.  The arrays are read-only, as every step
+    loop of the seeds reads them.
     """
-    key = (tuple(seeds), restarts, n, steps)
-    if _last_draws and _last_draws[0][0] == key:
-        return _last_draws[0][1]
-    _last_draws.clear()
     rows = len(seeds) * restarts
-    starts = np.empty((rows, n), dtype=np.uint8)
-    flips = np.empty((steps, rows), dtype=np.min_scalar_type(n - 1))
-    uniforms = np.empty((steps, rows))
+    starts = _mapped((rows, n), np.uint8)
+    flips = _mapped((steps, rows), np.min_scalar_type(n - 1))
+    uniforms = _mapped((steps, rows), np.float64)
     row = 0
     for seed in seeds:
         for r in range(restarts):
@@ -326,7 +311,6 @@ def _restart_draws(seeds: Sequence[int], restarts: int, n: int,
     draws = (starts, flips, uniforms)
     for array in draws:
         array.setflags(write=False)
-    _last_draws.append((key, draws))
     return draws
 
 
@@ -344,10 +328,11 @@ def simulated_anneal(q: Qubo | Sequence[Qubo], cfg: SaConfig,
     For one map, returns one set per seed, in order, each equal to
     :func:`simulated_anneal_reference` of that seed, the per-seed kernel
     this is tested against.  For a sequence of maps, returns one such
-    list per map.  Maps of one size share the restart draws and run in
-    one step loop, up to ``_LOOP_FLOATS`` state floats and, past one
-    seed, ``_DRAW_BYTES`` of draws per loop, each map on its own
-    temperature ladder; maps of different sizes run in separate loops.
+    list per map.  Each chunk of seeds is drawn once, and the maps of
+    one size share those draws and run in one step loop, up to
+    ``_LOOP_FLOATS`` state floats and, past one seed, ``_DRAW_BYTES`` of
+    draws per loop, each map on its own temperature ladder; maps of
+    different sizes run in separate loops.
     No row's arithmetic depends on the rows beside it.
     """
     seeds = list(seeds)
@@ -364,28 +349,31 @@ def simulated_anneal(q: Qubo | Sequence[Qubo], cfg: SaConfig,
         seeds_per_loop = max(1, min(blocks // len(same), _DRAW_BYTES // seed_draws))
         for k in range(0, len(seeds), seeds_per_loop):
             chunk = seeds[k:k + seeds_per_loop]
+            draws = _restart_draws(chunk, cfg.restarts, n, cfg.steps)
             maps_per_loop = max(1, blocks // len(chunk))
             for v in range(0, len(same), maps_per_loop):
                 part = same[v:v + maps_per_loop]
                 temps = np.stack([ladders[m] for m in part])
-                sets = _anneal_batch([denses[m] for m in part], temps, cfg, chunk)
+                sets = _anneal_batch([denses[m] for m in part], temps, cfg, chunk, draws)
                 for m, seed_sets in zip(part, sets):
                     results[m] += seed_sets
+            del draws  # freed before the next chunk draws, not after
     return results[0] if one else results
 
 
 def _anneal_batch(denses: Sequence[DenseQubo], temps: np.ndarray, cfg: SaConfig,
-                  seeds: Sequence[int]) -> list[list[SampleSet]]:
+                  seeds: Sequence[int], draws: tuple[np.ndarray, ...]) -> list[list[SampleSet]]:
     """Anneal the restarts of ``seeds`` on every map of ``denses`` (one
-    size) in one step loop, map ``v`` on the ladder ``temps[v]``; one
-    list of per-seed sets per map.
+    size) in one step loop, map ``v`` on the ladder ``temps[v]``, from
+    ``draws``, the :func:`_restart_draws` of ``seeds``; one list of
+    per-seed sets per map.
 
     Rows are stacked map-major: row ``v * rows + k * R + r`` is restart
     ``r`` of ``seeds[k]`` on map ``v``, and it reads draw row ``k * R + r``
     and the concatenated map rows ``v * n + i``.
     """
     R, n, steps, V = cfg.restarts, denses[0].n, cfg.steps, len(denses)
-    starts, flips, uniforms = _restart_draws(seeds, R, n, steps)
+    starts, flips, uniforms = draws
     rows = len(starts)
     linear = np.concatenate([d.linear for d in denses])
     couplings = np.concatenate([d.couplings for d in denses])
@@ -584,15 +572,21 @@ _COUNT_TEXT = re.compile(r"-?[0-9]+")
 
 def load_sampleset(path) -> SampleSet:
     """The set :func:`save_sampleset` wrote to ``path``; ValueError naming
-    ``path`` and the first row that is malformed (an energy that is not
-    finite, a multiplicity that is not plain decimal digits among
-    others), repeats a bitstring or is not after the row before it in
-    (energy, bits) order."""
+    ``path`` when the meta line is not a JSON object, and naming the
+    first row that is malformed (an energy that is not finite, a
+    multiplicity that is not plain decimal digits or is past int64
+    among others), repeats a bitstring or is not after the row before
+    it in (energy, bits) order."""
     lines = Path(path).read_text().strip().splitlines()
     meta: dict = {}
     start = 0
     if lines and lines[0].startswith("# meta: "):
-        meta = json.loads(lines[0][len("# meta: "):])
+        try:
+            meta = json.loads(lines[0][len("# meta: "):])
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise ValueError(f"{path}: the meta line is not a JSON object")
         start = 1
     if not lines[start:] or lines[start] != "bits,energy,multiplicity":
         raise ValueError(f"{path} is not a sample CSV")
@@ -610,9 +604,9 @@ def load_sampleset(path) -> SampleSet:
         if not (_ENERGY_TEXT.fullmatch(energy) and math.isfinite(key[0])):
             raise ValueError(f"{path}: row {line!r} has energy {energy!r}, which is not a "
                              "finite decimal number")
-        if not _COUNT_TEXT.fullmatch(mult_text):
+        if not _COUNT_TEXT.fullmatch(mult_text) or mult >= 2**63:  # past int64
             raise ValueError(f"{path}: row {line!r} has multiplicity {mult_text!r}, which is "
-                             "not a decimal integer")
+                             "not a decimal integer of at most 2**63 - 1")
         if set(bits) - {"0", "1"}:
             raise ValueError(f"{path}: {bits!r} is not a 0/1 string")
         if entries and len(bits) != len(entries[0].bits):

@@ -104,7 +104,7 @@ def test_criterion_04_single_layer_sampling_finds_optimum():
         q = pq.build_qubo(inst, variant)
         samples = pq.run_lrqaoa(q, pq.lr_schedule(1, 0.9, 0.6), shots=1000, seeds=[0])[0]
         hit = False
-        for bits, _ in samples.iter_bits():
+        for bits in [e.bits for e in samples.entries]:
             assignment = pq.decode(q, bits).as_assignment()
             if assignment is None or not pq.validate_assignment(inst, assignment).feasible:
                 continue
@@ -141,7 +141,7 @@ def test_criterion_05_depth_improves_success_probability():
 def best_valid_cost(samples, inst, q):
     """Lowest decoded feasible cost in a sample set, or +inf."""
     costs = []
-    for bits, _ in samples.iter_bits():
+    for bits in [e.bits for e in samples.entries]:
         assignment = pq.decode(q, bits).as_assignment()
         if assignment is None or not pq.validate_assignment(inst, assignment).feasible:
             continue
@@ -239,7 +239,7 @@ def test_criterion_09_metric_identities(tiny):
         pno = scored.percent_near_opt(opt)
         direct = 0
         total = 0
-        for bits, mult in samples.iter_bits():
+        for bits, mult in [(e.bits, e.multiplicity) for e in samples.entries]:
             total += mult
             a = pq.decode(q, bits).as_assignment()
             if a is None or not pq.validate_assignment(tiny, a).feasible:

@@ -142,7 +142,7 @@ class TestMultiplicationIdentity:
             pno = scored.percent_near_opt(Fraction(2))
             direct = 0
             total = 0
-            for bits, mult in samples.iter_bits():
+            for bits, mult in [(e.bits, e.multiplicity) for e in samples.entries]:
                 total += mult
                 a = pq.decode(tiny_qubo, bits).as_assignment()
                 if a is None or not pq.validate_assignment(tiny, a).feasible:

@@ -636,6 +636,38 @@ class TestMalformedInput:
         assert err.startswith(f"error: sidecar {sidecar}: ") and "Traceback" not in err
         assert named in err
 
+    @pytest.mark.parametrize("text, line, why", [
+        ("2\n0 0 1\n", "2", "need 2 fields, got 1"),
+        ("2 0 5\n0 0 1\n", "2 0 5", "need 2 fields, got 3"),
+        ("x 0\n0 0 1\n", "x 0", "invalid literal for int()"),
+        ("2 1/0\n0 0 1\n", "2 1/0", "zero denominator in '1/0'"),
+        ("2 0\n0 0 1\n0 1\n", "0 1", "need 3 fields, got 2"),
+        ("2 0\n0 0 1\n0 x 1\n", "0 x 1", "invalid literal for int() with base 10: 'x'"),
+        ("2 0\n0 0 1/0\n", "0 0 1/0", "zero denominator in '1/0'"),
+    ])
+    def test_coefficient_file_errors_name_the_file_and_the_line(self, tmp_path, capsys,
+                                                                text, line, why):
+        path = tmp_path / "q.coo"
+        path.write_text(text)
+        assert run("solve", path, "--solver", "random", "-o", tmp_path / "s.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: line {line!r} is not ")
+        assert why in err and "Traceback" not in err
+
+    def test_sweep_names_the_instance_with_bad_content(self, instance_file, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        doc = json.loads(instance_file.read_text())
+        doc["cost"][0][0] = -1
+        bad.write_text(json.dumps(doc))
+        plan = {"instances": ["inst.json", "bad.json"], "variants": [{"kind": "rounded"}],
+                "solvers": [{"name": "random", "params": {"shots": 5}}], "seeds": [0]}
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run("sweep", plan_path, "-o", tmp_path / "out") == 2
+        assert capsys.readouterr().err == f"error: {bad}: negative cost value\n"
+        assert run("build", bad, "--variant", "rounded", "-o", tmp_path / "q.coo") == 2
+        assert capsys.readouterr().err == f"error: {bad}: negative cost value\n"
+
     def test_repeated_coefficient_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "q.coo"
         path.write_text("2 0\n0 1 -1\n0 0 1\n0 1 5\n")

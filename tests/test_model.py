@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -348,11 +349,11 @@ class TestInstanceIO:
             '{"id": "x", "toolkits": ["a"], "machines": ["c"],'
             ' "cost": [[-1]], "workload": [[1]], "capacity": [1]}'
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
             pq.load_instance(path)
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"id": "x"}')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
             pq.load_instance(path)

@@ -4,7 +4,9 @@
 once over common-denominator int64 arrays; ``score_samples_reference``
 decodes, validates and prices one entry at a time in Fractions.  Both
 must return equal ``ScoredSamples`` on every input and raise the same
-errors where the fast pass hands over to the reference.
+errors where the fast pass hands over to the reference.  A set that
+does not fit the arrays (mixed widths, a character other than 0/1, a
+count past int64) is refused when it is built, before any scoring.
 """
 
 from fractions import Fraction
@@ -83,7 +85,8 @@ class TestAgainstReference:
         inst = fractional_instance(seed)
         q = pq.build_qubo(inst, VARIANTS[0])
         kinds = set()
-        for bits, _ in mixed_samples(inst, q, np.random.default_rng(seed)).iter_bits():
+        for e in mixed_samples(inst, q, np.random.default_rng(seed)).entries:
+            bits = e.bits
             candidate = pq.decode(q, bits).candidate
             sizes = {len(ms) for ms in candidate.values()}
             if 0 in sizes:
@@ -135,16 +138,26 @@ class TestArrayBuiltSets:
         assert 0 < scored.n_valid < scored.total
         assert all(type(m) is int for m, _ in scored.valid)
 
-    def test_counts_past_int64_score_in_the_reference(self, tiny):
+    @pytest.mark.parametrize("count", [2**63, 2**70, -2**63 - 1])
+    def test_counts_past_int64_are_refused(self, tiny, count):
         q = pq.build_qubo(tiny, VARIANTS[0])
         samples = mixed_samples(tiny, q, np.random.default_rng(0), rows=8)
-        huge = SampleSet(entries=tuple(SampleEntry(e.bits, e.energy, e.multiplicity * 2**70)
+        entries = [SampleEntry(e.bits, e.energy, e.multiplicity) for e in samples.entries]
+        entries[-1] = SampleEntry(entries[-1].bits, 0.0, count)
+        with pytest.raises(ValueError, match="multiplicity does not fit int64"):
+            SampleSet(entries=entries)
+        entries[-1] = SampleEntry(entries[-1].bits, 0.0, 2**63 - 1)
+        assert SampleSet(entries=entries).counts()[-1] == 2**63 - 1
+
+    def test_a_total_past_int64_is_exact(self, tiny):
+        q = pq.build_qubo(tiny, VARIANTS[0])
+        samples = mixed_samples(tiny, q, np.random.default_rng(0), rows=8)
+        huge = SampleSet(entries=tuple(SampleEntry(e.bits, e.energy, e.multiplicity * 2**60)
                                        for e in samples.entries))
-        with pytest.raises(OverflowError):
-            huge.counts()
+        assert int(huge.counts().sum()) != huge.total == samples.total * 2**60  # wraps in int64
         scored = score_samples(huge, tiny, q)
         assert scored == score_samples_reference(huge, tiny, q)
-        assert scored.total == samples.total * 2**70
+        assert scored.total == samples.total * 2**60 >= 2**63 and scored.n_valid > 0
 
 
 class TestFallbacks:
@@ -184,15 +197,30 @@ class TestFallbacks:
 
     @pytest.mark.parametrize("make", [lambda n: "01", lambda n: "2" + "0" * (n - 1),
                                       lambda n: " " + "1" * (n - 1)])
-    def test_malformed_bits_raise_like_the_reference(self, tiny, make):
+    def test_malformed_bits_are_refused_when_the_set_is_built(self, tiny, make):
         q = pq.build_qubo(tiny, VARIANTS[0])
-        samples = SampleSet(entries=(SampleEntry("0" * q.n, 0.0, 1),
-                                     SampleEntry(make(q.n), 0.0, 1)))
+        with pytest.raises(ValueError, match="sample bitstrings"):
+            SampleSet(entries=(SampleEntry("0" * q.n, 0.0, 1), SampleEntry(make(q.n), 0.0, 1)))
+
+    @pytest.mark.parametrize("width", [1, 5, 7, 40])
+    def test_rows_of_another_width_raise_like_the_reference(self, tiny, width):
+        q = pq.build_qubo(tiny, VARIANTS[0])
+        assert width != q.n
+        samples = SampleSet(entries=(SampleEntry("0" * width, 0.0, 1),
+                                     SampleEntry("1" * width, 0.0, 2)))
         with pytest.raises(ValueError) as ref:
             score_samples_reference(samples, tiny, q)
         with pytest.raises(ValueError) as fast:
             score_samples(samples, tiny, q)
         assert str(fast.value) == str(ref.value)
+        assert f"length {q.n}" in str(fast.value)
+
+    def test_an_empty_set_of_the_maps_width(self, tiny):
+        q = pq.build_qubo(tiny, VARIANTS[0])
+        empty = sampleset_from_states(as_dense(q), np.zeros((0, q.n), dtype=np.uint8),
+                                      np.zeros(0, dtype=np.int64), {})
+        assert empty.states().shape == (0, q.n)
+        assert score_samples(empty, tiny, q) == ScoredSamples(total=0, valid=())
 
 
 class TestStates:
@@ -207,9 +235,8 @@ class TestStates:
 
     @pytest.mark.parametrize("rows", [("01", "011"), ("012",), ("0/1",), ("0a",), ("é0",)])
     def test_rejects_malformed_entries(self, rows):
-        samples = SampleSet(entries=tuple(SampleEntry(b, 0.0, 1) for b in rows))
         with pytest.raises(ValueError):
-            samples.states()
+            SampleSet(entries=tuple(SampleEntry(b, 0.0, 1) for b in rows))
 
 
 def test_zero_cost_optimum_scores_ratio_one():

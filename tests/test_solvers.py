@@ -1,8 +1,10 @@
 import math
 import re
 import tracemalloc
+import weakref
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -241,6 +243,55 @@ def stacked_and_alone(q, cfg, seeds):
             [simulated_anneal_reference(q, cfg, k) for k in seeds])
 
 
+def peak_bytes_of_anneal(monkeypatch, maps, cfg, seeds):
+    """The traced peak of one simulated_anneal call plus the most bytes of
+    restart draws alive at once, which tracemalloc does not see (the draws
+    live in mappings of their own)."""
+    live = [0, 0]  # bytes of draws alive, most bytes alive
+    draw = solvers._restart_draws
+
+    def drop(nbytes):
+        live[0] -= nbytes
+
+    def recording(*args):
+        arrays = draw(*args)
+        for array in arrays:
+            live[0] += array.nbytes
+            weakref.finalize(array, drop, array.nbytes)
+        live[1] = max(live)
+        return arrays
+
+    monkeypatch.setattr(solvers, "_restart_draws", recording)
+    tracemalloc.start()
+    try:
+        pq.simulated_anneal(maps, cfg, seeds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert live[0] == 0  # every draw is freed by the time the call returns
+    return peak + live[1]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The (maps, seeds) of every step loop and the seeds of every
+    restart draw made while the fixture is alive."""
+    record = SimpleNamespace(loops=[], draws=[])
+    batch, draw = solvers._anneal_batch, solvers._restart_draws
+
+    def recording_batch(denses, temps, cfg, seeds, draws):
+        record.loops.append((len(denses), list(seeds)))
+        return batch(denses, temps, cfg, seeds, draws)
+
+    def recording_draw(seeds, restarts, n, steps):
+        record.draws.append(list(seeds))
+        return draw(seeds, restarts, n, steps)
+
+    monkeypatch.setattr(solvers, "_anneal_batch", recording_batch)
+    monkeypatch.setattr(solvers, "_restart_draws", recording_draw)
+    return record
+
+
 class TestStackedAnneal:
     """All seeds of one call in one step loop, against the per-seed reference."""
 
@@ -268,22 +319,22 @@ class TestStackedAnneal:
         q = random_fraction_qubo(rng, 300, terms=400)
         stacked, alone = stacked_and_alone(q, pq.SaConfig(steps=40, restarts=13), [1, 2])
         assert stacked == alone
-        assert solvers._last_draws[0][1][1].dtype == np.uint16
+        assert solvers._restart_draws([1, 2], 13, 300, 40)[1].dtype == np.uint16
 
-    def test_loops_split_at_the_float_budget_without_splitting_a_block(self):
+    def test_loops_split_at_the_float_budget_without_splitting_a_block(self, recorded):
         rng = np.random.default_rng(8)
         q = random_fraction_qubo(rng, 9)
         assert solvers._LOOP_FLOATS == 1 << 16
         cfg = pq.SaConfig(steps=20, restarts=4000)  # 36,000 floats a seed: one seed a loop
         stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2])
         assert stacked == alone
-        assert solvers._last_draws[0][0] == ((2,), 4000, 9, 20)
+        assert recorded.draws == [[3], [1], [2]]
         cfg = pq.SaConfig(steps=5, restarts=8000)  # one block over the budget still runs whole
         stacked, alone = stacked_and_alone(q, cfg, [0, 1])
         assert stacked == alone
-        assert solvers._last_draws[0][0] == ((1,), 8000, 9, 5)
+        assert recorded.draws[3:] == [[0], [1]]
 
-    def test_seeds_stack_only_within_the_draw_budget(self, monkeypatch):
+    def test_seeds_stack_only_within_the_draw_budget(self, monkeypatch, recorded):
         rng = np.random.default_rng(4)
         q = random_integer_qubo(rng, 9)
         assert solvers._DRAW_BYTES == 1 << 24
@@ -291,23 +342,24 @@ class TestStackedAnneal:
         monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * 40 * 30 * 9)  # two seeds' draws
         stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2, 5, 4])
         assert stacked == alone
-        assert solvers._last_draws[0][0] == ((4,), 40, 9, 30)
+        assert recorded.draws == [[3, 1], [2, 5], [4]]
         monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * 40 * 30 * 9 - 1)
         stacked, alone = stacked_and_alone(q, cfg, [3, 1])
         assert stacked == alone
-        assert solvers._last_draws[0][0] == ((1,), 40, 9, 30)
+        assert recorded.draws[3:] == [[3], [1]]
 
-    def test_results_do_not_depend_on_earlier_calls(self):
+    def test_results_do_not_depend_on_earlier_calls(self, recorded):
         rng = np.random.default_rng(2)
         a, b = random_integer_qubo(rng, 7), random_fraction_qubo(rng, 11)
         cfg, other = pq.SaConfig(steps=30, restarts=13), pq.SaConfig(steps=25, restarts=77)
         for q, c in ((a, cfg), (b, cfg), (a, cfg), (a, other), (a, cfg)):
             stacked, alone = stacked_and_alone(q, c, [0, 1])
             assert stacked == alone
-            assert len(solvers._last_draws) == 1
-            key, draws = solvers._last_draws[0]
-            assert key == ((0, 1), c.restarts, q.n, c.steps)
-            assert not any(array.flags.writeable for array in draws)
+            assert not any(isinstance(value, np.ndarray) for value in vars(solvers).values())
+        # Every call draws its own, even the same draws as the call before.
+        assert recorded.draws == [[0, 1]] * 5
+        draws = solvers._restart_draws([0, 1], 13, 7, 30)
+        assert not any(array.flags.writeable for array in draws)
 
     def test_empty_and_negative_seeds(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
@@ -315,37 +367,26 @@ class TestStackedAnneal:
         with pytest.raises(ValueError, match="non-negative"):
             pq.simulated_anneal(q, pq.SaConfig(steps=5, restarts=3), seeds=[0, -1])
 
-    def test_peak_memory_of_a_two_seed_batch(self):
+    def test_peak_memory_of_a_two_seed_batch(self, monkeypatch):
         rng = np.random.default_rng(1)
         q = random_integer_qubo(rng, 40)
         as_dense(q)
         cfg = pq.SaConfig(steps=1280, restarts=500)
         attempts = 2 * cfg.restarts * cfg.steps
-        solvers._last_draws.clear()
-        tracemalloc.start()
-        try:
-            pq.simulated_anneal(q, cfg, seeds=[0, 1])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes_of_anneal(monkeypatch, q, cfg, [0, 1])
         # The draws take 9 B per flip attempt (a uint8 index and a float64
         # uniform); a lone call of the reference holds 16 B per attempt.
-        assert peak < 10 * attempts
+        assert 9 * attempts < peak < 10 * attempts
 
-    def test_peak_memory_of_one_map_over_many_seeds(self):
+    def test_peak_memory_of_one_map_over_many_seeds(self, monkeypatch):
         rng = np.random.default_rng(3)
         q = random_integer_qubo(rng, 14)  # nine (map, seed) blocks fit the state budget
         as_dense(q)
         cfg = pq.SaConfig(steps=1280, restarts=500)
-        solvers._last_draws.clear()
-        tracemalloc.start()
-        try:
-            pq.simulated_anneal(q, cfg, seeds=range(6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # Loops of two seeds: each holds two seeds' draws, 9 B per attempt.
-        assert peak < 10 * 2 * cfg.restarts * cfg.steps
+        peak = peak_bytes_of_anneal(monkeypatch, q, cfg, range(6))
+        # Loops of two seeds: each holds two seeds' draws, 9 B per attempt,
+        # and frees them before the next loop draws.
+        assert 9 * 2 * cfg.restarts * cfg.steps < peak < 10 * 2 * cfg.restarts * cfg.steps
 
 
 def default_variant_maps(name):
@@ -358,24 +399,10 @@ def reference_per_map(maps, cfg, seeds):
     return [[simulated_anneal_reference(q, cfg, k) for k in seeds] for q in maps]
 
 
-@pytest.fixture
-def loops(monkeypatch):
-    """The (maps, seeds) of every step loop run while the fixture is alive."""
-    calls = []
-    original = solvers._anneal_batch
-
-    def recording(denses, temps, cfg, seeds):
-        calls.append((len(denses), list(seeds)))
-        return original(denses, temps, cfg, seeds)
-
-    monkeypatch.setattr(solvers, "_anneal_batch", recording)
-    return calls
-
-
 class TestStackedMaps:
     """Several maps in one step loop, against the per-map, per-seed reference."""
 
-    def test_random_maps_of_one_size_on_their_own_ladders(self, loops):
+    def test_random_maps_of_one_size_on_their_own_ladders(self, recorded):
         rng = np.random.default_rng(31)
         for n in (2, 6, 13):
             maps = [random_integer_qubo(rng, n), random_fraction_qubo(rng, n),
@@ -384,7 +411,8 @@ class TestStackedMaps:
             assert len(ladders) == 3
             cfg = pq.SaConfig(steps=int(rng.integers(1, 50)), restarts=17)
             assert pq.simulated_anneal(maps, cfg, [5, 0]) == reference_per_map(maps, cfg, [5, 0])
-        assert loops == [(3, [5, 0])] * 3
+        assert recorded.loops == [(3, [5, 0])] * 3
+        assert recorded.draws == [[5, 0]] * 3
 
     def test_given_temperatures(self):
         rng = np.random.default_rng(4)
@@ -393,42 +421,47 @@ class TestStackedMaps:
         assert pq.simulated_anneal(maps, cfg, [1, 2]) == reference_per_map(maps, cfg, [1, 2])
 
     @pytest.mark.parametrize("name", ["press-small", "press-03x2"])
-    def test_default_variants_of_a_bundled_instance(self, name, loops):
+    def test_default_variants_of_a_bundled_instance(self, name, recorded):
         maps = default_variant_maps(name)
         assert len(maps) == 12 and len({q.n for q in maps}) == 1
         cfg = pq.SaConfig(steps=60, restarts=30)
         assert pq.simulated_anneal(maps, cfg, [0, 2]) == reference_per_map(maps, cfg, [0, 2])
-        assert loops == [(12, [0, 2])]
+        assert recorded.loops == [(12, [0, 2])]
+        assert recorded.draws == [[0, 2]]
 
-    def test_budget_splits_a_batch_across_maps(self, loops):
+    def test_budget_splits_a_batch_across_maps(self, recorded):
         rng = np.random.default_rng(12)
         maps = [random_fraction_qubo(rng, 9) for _ in range(4)]
         cfg = pq.SaConfig(steps=15, restarts=2000)  # 18,000 floats a block: 3 blocks a loop
         assert pq.simulated_anneal(maps, cfg, [0, 1]) == reference_per_map(maps, cfg, [0, 1])
-        assert loops == [(3, [0]), (1, [0]), (3, [1]), (1, [1])]
+        assert recorded.loops == [(3, [0]), (1, [0]), (3, [1]), (1, [1])]
+        assert recorded.draws == [[0], [1]]  # both loops of a seed read one draw
 
-    def test_maps_fill_a_loop_before_seeds(self, loops):
+    def test_maps_fill_a_loop_before_seeds(self, recorded):
         rng = np.random.default_rng(13)
         maps = [random_integer_qubo(rng, 9), random_fraction_qubo(rng, 9)]
         cfg = pq.SaConfig(steps=15, restarts=1000)  # 9,000 floats a block: 7 blocks a loop
         seeds = [0, 1, 2, 3, 4]
         assert pq.simulated_anneal(maps, cfg, seeds) == reference_per_map(maps, cfg, seeds)
-        assert loops == [(2, [0, 1, 2]), (2, [3, 4])]
+        assert recorded.loops == [(2, [0, 1, 2]), (2, [3, 4])]
+        assert recorded.draws == [[0, 1, 2], [3, 4]]
 
-    def test_block_over_the_budget_runs_whole(self, loops):
+    def test_block_over_the_budget_runs_whole(self, recorded):
         rng = np.random.default_rng(14)
         maps = [random_integer_qubo(rng, 9), random_integer_qubo(rng, 9)]
         cfg = pq.SaConfig(steps=5, restarts=8000)  # 72,000 floats a block
         assert pq.simulated_anneal(maps, cfg, [7]) == reference_per_map(maps, cfg, [7])
-        assert loops == [(1, [7]), (1, [7])]
+        assert recorded.loops == [(1, [7]), (1, [7])]
+        assert recorded.draws == [[7]]
 
-    def test_maps_of_different_sizes_run_in_separate_loops(self, loops):
+    def test_maps_of_different_sizes_run_in_separate_loops(self, recorded):
         rng = np.random.default_rng(15)
         maps = [random_integer_qubo(rng, 5), random_fraction_qubo(rng, 7),
                 random_fraction_qubo(rng, 5)]
         cfg = pq.SaConfig(steps=30, restarts=9)
         assert pq.simulated_anneal(maps, cfg, [3]) == reference_per_map(maps, cfg, [3])
-        assert loops == [(2, [3]), (1, [3])]
+        assert recorded.loops == [(2, [3]), (1, [3])]
+        assert recorded.draws == [[3], [3]]  # the sizes draw start states of their own
 
     def test_one_map_or_a_sequence(self, tiny):
         q = pq.build_qubo(tiny, pq.RoundedVariant())
@@ -439,21 +472,15 @@ class TestStackedMaps:
         with pytest.raises(ValueError, match="non-negative"):
             pq.simulated_anneal([q], cfg, [-1])
 
-    def test_maps_share_the_restart_draws(self):
+    def test_maps_share_the_restart_draws(self, monkeypatch):
         rng = np.random.default_rng(1)
         maps = [random_integer_qubo(rng, 40) for _ in range(3)]
         for q in maps:
             as_dense(q)
         cfg = pq.SaConfig(steps=1280, restarts=500)  # 20,000 floats a block: one loop
-        solvers._last_draws.clear()
-        tracemalloc.start()
-        try:
-            pq.simulated_anneal(maps, cfg, [0])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes_of_anneal(monkeypatch, maps, cfg, [0])
         # One map's draws take 9 B per flip attempt; three maps' would take 27 B.
-        assert peak < 12 * cfg.restarts * cfg.steps
+        assert 9 * cfg.restarts * cfg.steps < peak < 12 * cfg.restarts * cfg.steps
 
 
 class TestBitflipPostprocess:
@@ -529,7 +556,7 @@ class TestBitflipPostprocess:
 def reference_postprocess(q, samples):
     """bits -> multiplicity after running the reference kernel per entry."""
     out = {}
-    for bits, mult in samples.iter_bits():
+    for bits, mult in [(e.bits, e.multiplicity) for e in samples.entries]:
         improved = pq.bitflip_postprocess(q, bits)
         out[improved] = out.get(improved, 0) + mult
     return out
@@ -625,7 +652,7 @@ class TestBatchedPostprocess:
                         pq.ScaledVariant(Fraction(1)), pq.RoundedVariant()):
             q = pq.build_qubo(inst, variant)
             samples = pq.simulated_anneal(q, pq.SaConfig(), [0])[0]
-            assert_batched_matches_reference(q, [bits for bits, _ in samples.iter_bits()])
+            assert_batched_matches_reference(q, [e.bits for e in samples.entries])
             cleaned = pq.postprocess_sampleset(q, samples)
             assert {e.bits: e.multiplicity for e in cleaned.entries} == \
                 reference_postprocess(q, samples)
@@ -633,10 +660,11 @@ class TestBatchedPostprocess:
 
     def test_rejects_malformed_rows(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
-        for bits in ("01", "0120" + "0" * (q.n - 4)):
-            samples = SampleSet(entries=(SampleEntry(bits, 0.0, 1),), meta={})
-            with pytest.raises(ValueError):
-                pq.postprocess_sampleset(q, samples)
+        samples = SampleSet(entries=(SampleEntry("01", 0.0, 1),), meta={})
+        with pytest.raises(ValueError, match=f"length {q.n}"):
+            pq.postprocess_sampleset(q, samples)
+        with pytest.raises(ValueError, match="not 0/1 strings of one length"):
+            SampleSet(entries=(SampleEntry("0120" + "0" * (q.n - 4), 0.0, 1),), meta={})
 
 
 class TestSampleSetIO:
@@ -693,6 +721,27 @@ class TestSampleSetIO:
         path = tmp_path / "ok.csv"
         pq.save_sampleset(samples, path)
         assert pq.load_sampleset(path) == samples
+
+    def test_multiplicities_up_to_int64(self, tmp_path):
+        path = tmp_path / "ok.csv"
+        path.write_text(f"bits,energy,multiplicity\n01,0.5,{2**63 - 1}\n10,1.5,{2**63 - 1}\n")
+        samples = pq.load_sampleset(path)
+        assert samples.counts().tolist() == [2**63 - 1] * 2
+        assert samples.total == 2**64 - 2
+        for count in (2**63, 10**20):
+            row = f"10,1.5,{count}"
+            path.write_text(f"bits,energy,multiplicity\n01,0.5,1\n{row}\n")
+            with pytest.raises(ValueError, match=re.escape(f"{path}: row {row!r} has "
+                                                           "multiplicity")):
+                pq.load_sampleset(path)
+
+    @pytest.mark.parametrize("meta", ["{bad", "[1]", "3", "null", '"text"', ""])
+    def test_meta_that_is_not_a_json_object_names_the_file(self, tmp_path, meta):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# meta: {meta}\nbits,energy,multiplicity\n01,0.5,1\n")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: the meta line is not a JSON object")):
+            pq.load_sampleset(path)
 
     def test_rejects_non_csv(self, tmp_path):
         path = tmp_path / "nope.csv"
@@ -817,7 +866,7 @@ class TestFastMerge:
         for array in (samples.states(), samples.counts()):
             with pytest.raises(ValueError):
                 array[0] = 0
-        for name in ("entries", "meta", "_arrays"):
+        for name in ("entries", "meta", "_rows", "_counts"):
             with pytest.raises(AttributeError):
                 setattr(samples, name, None)
         with pytest.raises(TypeError):
