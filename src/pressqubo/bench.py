@@ -114,8 +114,9 @@ def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     """Validate and price every entry in one exact integer pass.
 
     The decision bits of all entries, taken from the set's state matrix
-    with its counts, form an (entries, toolkits, machines) 0/1 array, so
-    no bitstring is built.  An entry is valid when every toolkit selects
+    by :meth:`~pressqubo.qubo.VariableMap.choices` in the instance's id
+    order, form an (entries, toolkits, machines) 0/1 array, so no
+    bitstring is built.  An entry is valid when every toolkit selects
     exactly one machine and no machine's load exceeds its capacity; its
     cost is an integer over the instance's common cost denominator.
     Whenever the instance's data do not fit int64 safely, the variable
@@ -130,8 +131,7 @@ def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
             or set(vm.toolkits) != set(inst.toolkits) or set(vm.machines) != set(inst.machines)):
         return score_samples_reference(samples, inst, q)
     C, W, H, cost_denominator = arrays
-    idx = np.array([[vm.decision_index[t, m] for m in inst.machines] for t in inst.toolkits])
-    X = states[:, idx]  # (entries, toolkits, machines)
+    X = vm.choices(states, inst.toolkits, inst.machines)  # (entries, toolkits, machines)
     ok = (X.sum(axis=2) == 1).all(axis=1)
     ok &= (np.einsum("etm,tm->em", X, W) <= H).all(axis=1)
     costs = np.einsum("etm,tm->e", X, C)
@@ -226,8 +226,7 @@ def _run_lrqaoa(maps: Sequence[Qubo], params: Mapping,
 
 def _run_brute(maps: Sequence[Qubo], params: Mapping,
                seeds: Sequence[int]) -> list[list[SampleSet]]:
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
+    solvers.check_seeds(seeds)
     results = []
     for q in maps:
         bits, _ = solvers.brute_force_qubo(q)  # the same minimum for every seed

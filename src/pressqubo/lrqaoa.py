@@ -99,7 +99,7 @@ import numpy as np
 from .errors import check_size
 from .qubo import (Qubo, _cached, as_dense, full_spectrum, index_states, minimum_states,
                    normalize_qubo)
-from .solvers import SampleSet, sampleset_from_states
+from .solvers import SampleSet, check_seeds, sampleset_from_states
 
 # Qubits per fused mixer group; 4 was fastest at 22 qubits on one BLAS thread.
 MIXER_GROUP_QUBITS = 4
@@ -622,8 +622,7 @@ def run_lrqaoa(q: Qubo, sched: RampSchedule, shots: int,
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
+    check_seeds(seeds)
     # The frame state has the true state's magnitudes.  The cumulative
     # distribution goes into the first half of the state's float64 view:
     # float i holds |a_i|**2, written in ascending blocks, so a block

@@ -14,7 +14,9 @@ in how constraint penalties are weighted:
   an assignment scale of 1.  This flattens the coefficient spread.
 
 Every variant reads its parameters with :func:`~pressqubo.model.as_fraction`,
-as plans do, and requires them to be positive.
+as plans do, and requires them to be positive.  :func:`penalty_weights`
+is the variant policy: it alone tells the variants apart and returns
+the preprocessed costs and every weight :func:`build_qubo` compiles with.
 
 Capacity inequalities are turned into equalities with slack variables,
 each split into binary digits ``[2^0, ..., 2^(r-1), h - 2^r + 1]`` so
@@ -26,6 +28,8 @@ is written with position ``i`` holding variable ``i`` (so its integer
 value reads variable 0 as the least-significant bit).  :class:`VariableMap`
 derives it from the names and slack weights; :func:`_varmap_from_doc`
 enforces it, accepting only the sidecar :func:`save_qubo` would write.
+:meth:`VariableMap.choices` is the one reader of the decision bits:
+decoding and scoring take them from it.
 A compiled :class:`Qubo` and its sidecar record only the coefficients
 and that layout, not the variant that built them.
 
@@ -226,6 +230,16 @@ class VariableMap:
         return cls(inst.toolkits, inst.machines,
                    {m: slack_coefficients(inst.capacity[m]) for m in inst.machines})
 
+    def choices(self, states: np.ndarray, toolkits: Sequence[str] | None = None,
+                machines: Sequence[str] | None = None) -> np.ndarray:
+        """The (rows, toolkits, machines) decision bits of a (rows, n) 0/1
+        matrix: entry ``[r, a, b]`` is row ``r``'s bit for the ``a``-th
+        toolkit on the ``b``-th machine.  The ids come in the order given,
+        by default in the map's own; KeyError for an id the map lacks."""
+        toolkits = self.toolkits if toolkits is None else toolkits
+        machines = self.machines if machines is None else machines
+        return states[:, [[self.decision_index[t, m] for m in machines] for t in toolkits]]
+
 
 @dataclass(frozen=True)
 class Qubo:
@@ -298,20 +312,20 @@ class _Accumulator:
         self.offset += weight * const * const
 
 
-def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
-    """Compile a sanitized instance into binary-quadratic form.
+def penalty_weights(inst: Instance, variant: VariantSpec) -> tuple:
+    """The weights ``variant`` compiles a sanitized instance with:
+    ``(cost, f_obj, f_assign, w_assign, f_cap, w_cap)``.
 
-    The objective and both constraint families, added as squared
-    penalty terms, are compiled the same way for every variant; the
-    variant decides only the data preprocessing and the weights (see the
-    module docstring).  Identical inputs produce coefficient-identical
-    results.
+    ``cost`` is the costs after the variant's preprocessing (rounded
+    divides them by the smallest positive cost) and ``f_obj`` their
+    factor; ``f_assign`` is the coefficient of each bit of an
+    exactly-once term and ``w_assign`` the term's weight; ``f_cap``
+    maps each machine with a capacity term to its factor, and ``w_cap``
+    is the weight of every capacity term.  A machine with no workload
+    and no capacity has a vacuous constraint and no entry.
     """
     if not inst.is_sanitized():
         raise ValueError("instance must be sanitized (integral workloads and capacities)")
-    varmap = VariableMap.for_instance(inst)
-    acc = _Accumulator()
-
     cost = dict(inst.cost)
     if isinstance(variant, RoundedVariant):
         positive = [c for c in cost.values() if c > 0]
@@ -321,32 +335,36 @@ def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
         cost = {k: Fraction(int(c // c_min)) if c > 0 else Fraction(0) for k, c in cost.items()}
 
     v_obj = value_range(list(cost.values()))
-    v_cap = {
-        m: value_range(
-            [inst.workload[t, m] for t in inst.toolkits]
-            + [Fraction(w) for w in varmap.slack_weights[m]]
-        )
-        for m in inst.machines
-    }
-    # No workload and no capacity: the machine's constraint is vacuous.
+    # Workloads are >= 0 and the slack digits sum to h, so the range of
+    # a capacity term's affine part is the sum of its coefficients.
+    v_cap = {m: sum(inst.workload[t, m] for t in inst.toolkits) + inst.capacity[m]
+             for m in inst.machines}
     machines = [m for m in inst.machines if v_cap[m] != 0]
-    # The weights: a factor on every cost, the coefficient and weight of
-    # each exactly-once term, and each capacity equality's factor and weight.
     if isinstance(variant, RawVariant):
-        f_obj, f_assign, w_assign = Fraction(1), Fraction(1), variant.toolkit_penalty
-        f_cap, w_cap = dict.fromkeys(machines, Fraction(1)), variant.machine_penalty
-    else:
-        scale = variant.assignment_scale if isinstance(variant, ScaledVariant) else Fraction(1)
-        v_max = max([v_obj, scale * inst.n_machines, *v_cap.values()])
-        f_obj = v_max / v_obj if v_obj else Fraction(1)  # a zero range: every cost is 0
-        # ls times v_max over the exactly-once range ls * machines
-        f_assign, w_assign = v_max / inst.n_machines, Fraction(1)
-        f_cap, w_cap = {m: v_max / v_cap[m] for m in machines}, Fraction(1)
+        return (cost, Fraction(1), Fraction(1), variant.toolkit_penalty,
+                dict.fromkeys(machines, Fraction(1)), variant.machine_penalty)
+    scale = variant.assignment_scale if isinstance(variant, ScaledVariant) else Fraction(1)
+    v_max = max([v_obj, scale * inst.n_machines, *v_cap.values()])
+    f_obj = v_max / v_obj if v_obj else Fraction(1)  # a zero range: every cost is 0
+    # ls times v_max over the exactly-once range ls * machines
+    return (cost, f_obj, v_max / inst.n_machines, Fraction(1),
+            {m: v_max / v_cap[m] for m in machines}, Fraction(1))
 
-    for t in inst.toolkits:
-        for m in inst.machines:
-            i = varmap.decision_index[t, m]
-            acc.add(i, i, cost[t, m] * f_obj)
+
+def build_qubo(inst: Instance, variant: VariantSpec) -> Qubo:
+    """Compile a sanitized instance into binary-quadratic form.
+
+    The objective and both constraint families, added as squared
+    penalty terms, are compiled the same way for every variant; the
+    variant decides only the data preprocessing and the weights, which
+    :func:`penalty_weights` returns.  Identical inputs produce
+    coefficient-identical results.
+    """
+    cost, f_obj, f_assign, w_assign, f_cap, w_cap = penalty_weights(inst, variant)
+    varmap = VariableMap.for_instance(inst)
+    acc = _Accumulator()
+    for (t, m), i in varmap.decision_index.items():
+        acc.add(i, i, cost[t, m] * f_obj)
     for t in inst.toolkits:
         terms = {varmap.decision_index[t, m]: f_assign for m in inst.machines}
         acc.add_squared_affine(terms, -f_assign, w_assign)
@@ -398,16 +416,11 @@ def decode(q: Qubo, bits: str) -> DecodedSample:
     if q.varmap is None:
         raise ValueError("QUBO carries no variable map; cannot decode")
     vm = q.varmap
-    candidate = {
-        t: frozenset(m for m in vm.machines if bits[vm.decision_index[t, m]] == "1")
-        for t in vm.toolkits
-    }
-    slack = {
-        m: sum(
-            w for j, w in enumerate(vm.slack_weights[m]) if bits[vm.slack_index[m, j]] == "1"
-        )
-        for m in vm.machines
-    }
+    x = bits_to_vector(bits)
+    candidate = {t: frozenset(m for m, bit in zip(vm.machines, row) if bit)
+                 for t, row in zip(vm.toolkits, vm.choices(x[None, :])[0].tolist())}
+    slack = {m: sum(w for j, w in enumerate(vm.slack_weights[m]) if x[vm.slack_index[m, j]])
+             for m in vm.machines}
     return DecodedSample(candidate=candidate, slack=slack)
 
 

@@ -145,6 +145,12 @@ class SampleSet:
         return self._counts
 
 
+def check_seeds(seeds: Sequence[int]) -> None:
+    """ValueError unless every seed is >= 0, as every seeded sampler needs."""
+    if any(s < 0 for s in seeds):
+        raise ValueError("seeds must be non-negative")
+
+
 def sampleset_from_states(dense: DenseQubo, states: np.ndarray,
                           counts: Sequence[int] | np.ndarray, meta: dict) -> SampleSet:
     """Merge the rows of a (rows, n) 0/1 matrix into a :class:`SampleSet`.
@@ -173,13 +179,22 @@ def _distinct_rows(rows: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np
     uint8 0/1 matrix, in bits order, and the sum of its rows' counts.
 
     Each row packs into bytes, most significant bit first, so the packed
-    rows, compared as raw bytes, sort as the bitstrings do.
+    rows, compared as raw bytes, sort as the bitstrings do.  ValueError
+    when a sum does not fit int64.
     """
     packed = np.packbits(rows, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    inverse = inverse.reshape(-1)
     summed = np.zeros(len(first), dtype=np.int64)
-    np.add.at(summed, inverse.reshape(-1), counts)
+    np.add.at(summed, inverse, counts)
+    # The int64 sums wrap silently, which they can only when the counts'
+    # magnitudes sum past int64; then the exact sums decide.
+    if max(int(counts.max(initial=0)), -int(counts.min(initial=0))) * len(counts) >= 2**63:
+        exact = np.zeros(len(first), dtype=object)
+        np.add.at(exact, inverse, counts.astype(object))
+        if ((exact < -2**63) | (exact >= 2**63)).any():
+            raise ValueError("a sample multiplicity does not fit int64")
     return first, summed
 
 
@@ -232,11 +247,10 @@ class SaConfig:
             if not (self.t_start >= self.t_end > 0):
                 raise ValueError("need t_start >= t_end > 0")
 
-    def temperatures(self, q: Qubo) -> np.ndarray:
-        """The ``steps`` temperatures of the geometric ladder on ``q``."""
-        return self._ladder(as_dense(q))
-
-    def _ladder(self, dense: DenseQubo) -> np.ndarray:
+    def temperatures(self, q: Qubo | DenseQubo) -> np.ndarray:
+        """The ``steps`` temperatures of the geometric ladder on ``q``, a
+        map or its dense mirror."""
+        dense = q if isinstance(q, DenseQubo) else as_dense(q)
         t_start = self.t_start
         t_end = self.t_end
         if t_start is None:
@@ -336,11 +350,10 @@ def simulated_anneal(q: Qubo | Sequence[Qubo], cfg: SaConfig,
     No row's arithmetic depends on the rows beside it.
     """
     seeds = list(seeds)
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
+    check_seeds(seeds)
     one = isinstance(q, Qubo)
     denses = [as_dense(m) for m in ([q] if one else q)]
-    ladders = [cfg._ladder(d) for d in denses]
+    ladders = [cfg.temperatures(d) for d in denses]
     results: list[list[SampleSet]] = [[] for _ in denses]
     for n in dict.fromkeys(d.n for d in denses):
         same = [v for v, d in enumerate(denses) if d.n == n]
@@ -413,7 +426,7 @@ def simulated_anneal_reference(q: Qubo, cfg: SaConfig, seed: int) -> SampleSet:
     """The set :func:`simulated_anneal` returns for ``seed``, one restart
     stream at a time: the reference the stacked kernel is tested against."""
     dense = as_dense(q)
-    temps = cfg.temperatures(q)
+    temps = cfg.temperatures(dense)
     R, n, steps = cfg.restarts, q.n, cfg.steps
 
     states = np.empty((R, n), dtype=np.float64)
@@ -452,8 +465,7 @@ def random_sample(q: Qubo, shots: int, seeds: Sequence[int]) -> list[SampleSet]:
     """Uniform random bitstrings with evaluated energies, one set per seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
+    check_seeds(seeds)
     dense = as_dense(q)
     results = []
     for seed in seeds:

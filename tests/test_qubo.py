@@ -250,18 +250,39 @@ def reference_scaled_energy(inst, scale, bits, rounded=False):
     return energy
 
 
+def two_by_two(cost, workload, capacity):
+    """A 2 x 2 instance from row-major cost and workload lists."""
+    keys = [(t, m) for t in ("t1", "t2") for m in ("m1", "m2")]
+    return pq.Instance(id="edge", toolkits=("t1", "t2"), machines=("m1", "m2"),
+                       cost=dict(zip(keys, cost)), workload=dict(zip(keys, workload)),
+                       capacity=dict(zip(("m1", "m2"), capacity)))
+
+
+@pytest.fixture(params=["tiny", "vacuous-machine", "zero-capacity-load"])
+def formula_instance(request, tiny):
+    """``tiny``, and two instances with a capacity term at an edge: a
+    vacuous machine (capacity 0, no workload), and a machine of capacity
+    0 that a toolkit still loads, so its range is its workload alone."""
+    if request.param == "vacuous-machine":
+        return two_by_two([3, 5, 7, 2], [1, 0, 2, 0], [2, 0])
+    if request.param == "zero-capacity-load":
+        return two_by_two([3, 5, 7, 2], [1, 3, 2, 0], [3, 0])
+    return tiny
+
+
 class TestBuildScaledAndRounded:
     @pytest.mark.parametrize("scale", [Fraction(1), Fraction(1, 10)])
-    def test_scaled_energy_matches_direct_formula(self, tiny, scale):
-        q = pq.build_qubo(tiny, pq.ScaledVariant(scale))
-        for bits in all_bits(q.n):
-            assert pq.qubo_energy(q, bits) == reference_scaled_energy(tiny, scale, bits)
-
-    def test_rounded_energy_matches_direct_formula(self, tiny):
-        q = pq.build_qubo(tiny, pq.RoundedVariant())
+    def test_scaled_energy_matches_direct_formula(self, formula_instance, scale):
+        q = pq.build_qubo(formula_instance, pq.ScaledVariant(scale))
         for bits in all_bits(q.n):
             assert pq.qubo_energy(q, bits) == reference_scaled_energy(
-                tiny, Fraction(1), bits, rounded=True
+                formula_instance, scale, bits)
+
+    def test_rounded_energy_matches_direct_formula(self, formula_instance):
+        q = pq.build_qubo(formula_instance, pq.RoundedVariant())
+        for bits in all_bits(q.n):
+            assert pq.qubo_energy(q, bits) == reference_scaled_energy(
+                formula_instance, Fraction(1), bits, rounded=True
             )
 
     def test_rounded_divides_costs_by_minimum(self):
@@ -572,6 +593,17 @@ class TestVariableMap:
     def test_repeated_empty_or_non_string_names_are_refused(self, toolkits, machines):
         with pytest.raises(ValueError, match="distinct string names"):
             pq.VariableMap(toolkits, machines, dict.fromkeys(machines, ()))
+
+    def test_choices_gather_the_decision_bits_in_the_order_asked(self):
+        vm = pq.VariableMap(("a", "b", "c"), ("x", "y"), {"x": (1, 2), "y": (1,)})
+        states = np.random.default_rng(5).integers(0, 2, size=(7, vm.n), dtype=np.uint8)
+        gather = np.array([[vm.decision_index[t, m] for m in vm.machines] for t in vm.toolkits])
+        assert np.array_equal(vm.choices(states), states[:, gather])
+        assert np.array_equal(vm.choices(states, ("c", "b", "a"), ("y", "x")),
+                              states[:, gather[::-1, ::-1]])
+        assert vm.choices(states[:0]).shape == (0, 3, 2)
+        with pytest.raises(KeyError):
+            vm.choices(states, ("a", "d"))
 
 
 class TestDecode:

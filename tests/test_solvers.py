@@ -822,6 +822,21 @@ class TestFastMerge:
         assert [repr(e.energy) for e in fast.entries] == [repr(e.energy) for e in ref.entries]
         assert fast == ref and ref == fast
 
+    def test_a_sum_past_int64_is_refused_not_wrapped(self):
+        # On -x0 - x1 the bit-flip pass takes both 00 and 01 to 11.
+        q = Qubo(n=2, coeffs={(0, 0): Fraction(-1), (1, 1): Fraction(-1)}, offset=Fraction(0))
+        big = 2**63 - 1
+        samples = SampleSet([SampleEntry("00", 0.0, big), SampleEntry("01", -1.0, big)])
+        ones = np.ones((2, 2), dtype=np.uint8)
+        for merge in (lambda: pq.postprocess_sampleset(q, samples),
+                      lambda: sampleset_from_states(as_dense(q), ones, [big, 2], {}),
+                      lambda: solvers.sampleset_from_states_reference(as_dense(q), ones,
+                                                                      [big, 2], {})):
+            with pytest.raises(ValueError, match="a sample multiplicity does not fit int64"):
+                merge()
+        at_limit = sampleset_from_states(as_dense(q), ones, [big - 2, 2], {})
+        assert at_limit.counts().tolist() == [big]
+
     def test_a_row_keeps_its_first_occurrences_energy(self, monkeypatch):
         # Energies may differ between copies of one row (the batch's BLAS
         # rounding); give every row its own energy to see which one is kept.
