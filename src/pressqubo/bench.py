@@ -21,14 +21,14 @@ valid sample at all; folding them to 0 would conflate "found nothing
 valid" with "found only poor solutions".
 
 ``score_samples`` scores all entries of a sample set in one exact
-integer pass over the instance's common-denominator int64 arrays; the
+integer pass over the instance's common-denominator integer arrays
+(int64, or Python ints for data past int64's safe range); the
 three metrics are methods of the ``ScoredSamples`` it returns, so a
 caller scores a set once and reads every metric from that result.
 ``score_samples_reference`` keeps the per-entry decode, validate and
 price loop in Fractions; it is what the fast pass is tested against,
-and it scores whenever the fast pass cannot (data too large for int64,
-no variable map or one naming other ids, rows of another width than
-the map's).
+and it scores whenever the fast pass cannot (no variable map or one
+naming other ids, rows of another width than the map's).
 
 Reports are deterministic: records are ordered by their grid key and
 wall-clock timings are kept off the exported files, so re-running an
@@ -118,19 +118,20 @@ def score_samples(samples: SampleSet, inst: Instance, q: Qubo) -> ScoredSamples:
     order, form an (entries, toolkits, machines) 0/1 array, so no
     bitstring is built.  An entry is valid when every toolkit selects
     exactly one machine and no machine's load exceeds its capacity; its
-    cost is an integer over the instance's common cost denominator.
-    Whenever the instance's data do not fit int64 safely, the variable
-    map is missing or names other ids than the instance, or the rows
-    are not ``q.n`` bits wide, :func:`score_samples_reference` scores
-    instead, so those cases keep the reference's results and errors.
+    cost is an integer over the instance's common cost denominator, and
+    the sums are int64 or Python ints as :func:`model._scaled_int_arrays`
+    holds the data, so they are exact at any magnitude.  Whenever the
+    variable map is missing or names other ids than the instance, or
+    the rows are not ``q.n`` bits wide, :func:`score_samples_reference`
+    scores instead, so those cases keep the reference's results and
+    errors.
     """
-    arrays = model._scaled_int_arrays(inst)
     vm = q.varmap
     states, counts = samples.states(), samples.counts()
-    if (arrays is None or vm is None or states.shape[1] != q.n
+    if (vm is None or states.shape[1] != q.n
             or set(vm.toolkits) != set(inst.toolkits) or set(vm.machines) != set(inst.machines)):
         return score_samples_reference(samples, inst, q)
-    C, W, H, cost_denominator = arrays
+    C, W, H, cost_denominator = model._scaled_int_arrays(inst)
     X = vm.choices(states, inst.toolkits, inst.machines)  # (entries, toolkits, machines)
     ok = (X.sum(axis=2) == 1).all(axis=1)
     ok &= (np.einsum("etm,tm->em", X, W) <= H).all(axis=1)

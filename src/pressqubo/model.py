@@ -9,11 +9,12 @@ This module holds the instance data and its JSON form, the integer
 sanitization step (capacities floored, workloads ceiled), feasibility
 checking, a seeded synthetic instance generator, and the exhaustive
 oracle every quality metric is scored against: a split-half (meet in
-the middle) int64 search, with plain Fraction enumeration as fallback.
+the middle) search over the instance's common-denominator integers,
+int64 while they are small enough and Python ints past that.
 
 All numeric data is kept as exact :class:`fractions.Fraction` values;
-floats only appear at the raw-input boundary and inside vectorized
-search kernels (which are refined back to exact arithmetic).
+floats only appear at the raw-input boundary, and the oracle searches
+over exact integers.
 """
 
 from __future__ import annotations
@@ -215,39 +216,35 @@ def solution_cost(inst: Instance, a: Assignment) -> Fraction:
 
 
 def _scaled_int_arrays(inst: Instance):
-    """Common-denominator int64 views ``(C, W, H, cost_denominator)``.
+    """Common-denominator integer views ``(C, W, H, cost_denominator)``.
 
     ``C`` is the (toolkits x machines) cost matrix times
     ``cost_denominator``; ``W`` and ``H`` are the workloads and the
     capacities over one shared denominator of their own, so loads and
-    capacities compare exactly.  The sums of ``C`` and ``W`` are bounded
-    by 2^60, so no 0/1 selection of their entries overflows.
+    capacities compare exactly.
 
-    Returns None when the scaled values cannot be held safely in int64;
-    callers then fall back to exact Fraction arithmetic.
+    The arrays are int64 when every scaled value is at most 2^40 and the
+    sums of ``C`` and ``W`` are at most 2^60, so no 0/1 selection of their
+    entries overflows; otherwise they are object arrays of Python ints.
+    Either way every sum and comparison over them is exact.
     """
     def scale(values: list[Fraction]):
-        denom = math.lcm(*(v.denominator for v in values)) if values else 1
-        scaled = [v * denom for v in values]
-        if any(abs(s.numerator) > (1 << 40) for s in scaled):
-            return None
-        return [int(s) for s in scaled], denom
+        denom = math.lcm(*(v.denominator for v in values))
+        return [int(v * denom) for v in values], denom
 
     T, M = inst.n_toolkits, inst.n_machines
-    costs = scale([inst.cost[t, m] for t in inst.toolkits for m in inst.machines])
-    cap_work = scale(
+    c_flat, cost_denominator = scale(
+        [inst.cost[t, m] for t in inst.toolkits for m in inst.machines])
+    wh_flat, _ = scale(
         [inst.workload[t, m] for t in inst.toolkits for m in inst.machines]
         + [inst.capacity[m] for m in inst.machines]
     )
-    if costs is None or cap_work is None:
-        return None
-    c_flat, cost_denominator = costs
-    wh_flat, _ = cap_work
-    C = np.array(c_flat, dtype=np.int64).reshape(T, M)
-    W = np.array(wh_flat[: T * M], dtype=np.int64).reshape(T, M)
-    H = np.array(wh_flat[T * M :], dtype=np.int64)
-    if int(C.sum()) > (1 << 60) or int(W.sum()) > (1 << 60):
-        return None
+    fits = (max(c_flat + wh_flat) <= (1 << 40) and sum(c_flat) <= (1 << 60)
+            and sum(wh_flat[: T * M]) <= (1 << 60))
+    dtype = np.int64 if fits else object
+    C = np.array(c_flat, dtype=dtype).reshape(T, M)
+    W = np.array(wh_flat[: T * M], dtype=dtype).reshape(T, M)
+    H = np.array(wh_flat[T * M :], dtype=dtype)
     return C, W, H, cost_denominator
 
 
@@ -273,16 +270,14 @@ def exact_solve(inst: Instance) -> Solution:
     combined with the whole second half as outer sums, infeasible
     entries masked.  ``k`` grows in row-major order within a chunk and
     from chunk to chunk, so ``np.argmin`` keeps the tie-break as long
-    as a later chunk wins only when strictly cheaper.
+    as a later chunk wins only when strictly cheaper.  The sums run on
+    the instance's common-denominator integers from
+    :func:`_scaled_int_arrays`, int64 or Python ints, so the result is
+    exact at any magnitude.
     """
     T, M = inst.n_toolkits, inst.n_machines
-    total = M**T
-    check_size(f"the search over {M}^{T} assignments", total)
-    arrays = _scaled_int_arrays(inst)
-    if arrays is not None:
-        best = _exact_solve_int(arrays, T, M)
-    else:
-        best = _exact_solve_fraction(inst, T, M, total)
+    check_size(f"the search over {M}^{T} assignments", M**T)
+    best = _exact_solve_int(_scaled_int_arrays(inst), T, M)
     if best is None:
         raise Infeasible(f"instance {inst.id!r} has no feasible assignment")
     assignment = _assignment_from_index(inst, best)
@@ -305,7 +300,7 @@ def _exact_solve_int(arrays, T: int, M: int):
     cost_lo, load_lo = _half_enumeration(C[T // 2 :], W[T // 2 :], M)
     n_lo = len(cost_lo)
     rows = max(1, _ENUM_CHUNK // n_lo)
-    masked = np.iinfo(np.int64).max  # above every feasible cost, which is <= 2^60
+    masked = int(C.sum()) + 1  # above every cost: the costs are >= 0
     best_cost, best_k = masked, None
     for start in range(0, len(cost_hi), rows):
         cost = np.add.outer(cost_hi[start : start + rows], cost_lo)
@@ -318,7 +313,8 @@ def _exact_solve_int(arrays, T: int, M: int):
 
 
 def _exact_solve_fraction(inst: Instance, T: int, M: int, total: int):
-    # Exact fallback for data whose rationals do not fit the int64 fast path.
+    # Per-assignment Fraction enumeration: the reference the split-half
+    # search is tested against.
     best: tuple[Fraction, int] | None = None
     caps = [inst.capacity[m] for m in inst.machines]
     w = [[inst.workload[t, m] for m in inst.machines] for t in inst.toolkits]

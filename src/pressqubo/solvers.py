@@ -72,8 +72,8 @@ class SampleSet:
     counts.  ``SampleSet(entries, meta)`` reads the entries into them in
     the given order, and raises ValueError when the bitstrings differ in
     length, hold a character other than 0 and 1, or a multiplicity does
-    not fit int64; :func:`sampleset_from_states` fills them from a
-    sampler's rows.  ``entries``, one :class:`SampleEntry` with a
+    not fit int64 or is below 1; :func:`sampleset_from_states` fills them
+    from a sampler's rows.  ``entries``, one :class:`SampleEntry` with a
     bitstring per row, is built on its first read and cached.  Two sets
     are equal when their entries and meta are; a set cannot be changed.
     """
@@ -88,6 +88,8 @@ class SampleSet:
             counts = np.array([e.multiplicity for e in entries], dtype=np.int64)
         except OverflowError:
             raise ValueError("a sample multiplicity does not fit int64") from None
+        if (counts < 1).any():
+            raise ValueError("a sample multiplicity is below 1")
         self._init(flat.reshape(len(entries), n),
                    np.array([e.energy for e in entries], dtype=np.float64), counts,
                    {} if meta is None else meta, entries)

@@ -360,6 +360,13 @@ class TestPlanExpansion:
         assert params == {**SOLVERS["sa"].defaults, "t_start": 5.0}
 
 
+def test_a_plan_that_is_not_an_object_is_refused(tmp_path):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps([{"instances": []}]))
+    with pytest.raises(ValueError, match="plan must be a JSON object"):
+        load_plan(path)
+
+
 class TestSolverRegistry:
     def test_parameter_types_come_from_the_registry(self):
         assert SOLVERS["sa"].kind("steps") is int

@@ -236,6 +236,19 @@ class TestSweepAndReport:
         rows = json.loads(capsys.readouterr().out)
         assert isinstance(rows, list) and rows
 
+    def test_report_json_metrics(self, sweep_dir, capsys):
+        assert run("report", sweep_dir, "--json") == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and rows == json.loads((sweep_dir / "report.json").read_text())["metrics"]
+
+    @pytest.mark.parametrize("content", [{"metrics": [], "best_penalties": []}, {}])
+    def test_select_best_without_scored_runs(self, tmp_path, capsys, content):
+        (tmp_path / "report.json").write_text(json.dumps(content))
+        assert run("report", tmp_path, "--select-best") == 0
+        assert capsys.readouterr().out == "no scored runs to select from\n"
+        assert run("report", tmp_path, "--select-best", "--json") == 0
+        assert json.loads(capsys.readouterr().out) == []
+
     @pytest.mark.parametrize("content, flags", [
         ([], ()),
         ([], ("--select-best",)),

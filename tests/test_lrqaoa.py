@@ -636,6 +636,12 @@ class TestRun:
         assert samples.total == 321
         assert samples.meta["params"]["p"] == 5
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_no_shots_is_refused(self, tiny, shots):
+        q = pq.build_qubo(tiny, pq.ScaledVariant(Fraction(1)))
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            pq.run_lrqaoa(q, pq.lr_schedule(1), shots=shots, seeds=[0])
+
     def test_all_zero_rejected(self):
         q = Qubo(n=2, coeffs={}, offset=Fraction(0))
         with pytest.raises(ValueError):

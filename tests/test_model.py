@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,27 @@ def make_instance(cost, workload, capacity):
         },
         capacity={machines[j]: Fraction(capacity[j]) for j in range(M)},
     )
+
+
+class TestInstanceChecks:
+    @pytest.mark.parametrize("change, message", [
+        (lambda i: {"toolkits": ()}, "at least one toolkit and one machine"),
+        (lambda i: {"machines": ()}, "at least one toolkit and one machine"),
+        (lambda i: {"toolkits": ("t1", "t2", "t1")}, "duplicate toolkit ids"),
+        (lambda i: {"machines": ("m1", "m1")}, "duplicate machine ids"),
+        (lambda i: {"cost": {k: c for k, c in i.cost.items() if k != ("t2", "m1")}},
+         "cost must cover exactly toolkits x machines"),
+        (lambda i: {"cost": {**i.cost, ("t3", "m1"): 1}},
+         "cost must cover exactly toolkits x machines"),
+        (lambda i: {"workload": {k: w for k, w in i.workload.items() if k != ("t1", "m2")}},
+         "workload must cover exactly toolkits x machines"),
+        (lambda i: {"capacity": {"m1": 1}}, "capacity must cover exactly the machines"),
+        (lambda i: {"capacity": {"m1": 1, "m2": 1, "m3": 1}},
+         "capacity must cover exactly the machines"),
+    ])
+    def test_malformed_instances_are_refused(self, tiny, change, message):
+        with pytest.raises(ValueError, match=message):
+            replace(tiny, **change(tiny))
 
 
 class TestSanitize:
@@ -221,6 +243,61 @@ class TestSplitHalfOracle:
         else:
             assert _index_of(inst, pq.exact_solve(inst)) == expected
 
+    @pytest.mark.parametrize("M,T", [(1, 4), (2, 1), (2, 7), (2, 10), (3, 6)])
+    @pytest.mark.parametrize("kind", ["random", "ties", "infeasible"])
+    @pytest.mark.parametrize("past", ["costs", "loads"])
+    def test_data_past_int64_match_fraction_reference(self, M, T, kind, past, monkeypatch):
+        # Costs c * 2^41 plus a share of 1 / (2^61 - 1), equal within a
+        # tied row; or workloads times 2^41 plus 1/3 and capacities times
+        # 2^41 plus T/3, which keeps every assignment's feasibility.
+        # Either way the integers leave int64's safe range.
+        inst = _generated(T, M, 1, kind)
+        if past == "costs":
+            inst = replace(inst, cost={k: c * 2**41 + Fraction(int(c) % 3, 2**61 - 1)
+                                       for k, c in inst.cost.items()})
+        else:
+            inst = replace(inst, workload={k: w * 2**41 + Fraction(1, 3)
+                                           for k, w in inst.workload.items()},
+                           capacity={m: h * 2**41 + Fraction(T, 3)
+                                     for m, h in inst.capacity.items()})
+        arrays = model._scaled_int_arrays(inst)
+        assert all(a.dtype == object for a in arrays[:3])
+        expected = model._exact_solve_fraction(inst, T, M, M**T)
+        assert (expected is None) == (kind == "infeasible")
+        monkeypatch.setattr(model, "_exact_solve_fraction", None)  # the search must not need it
+        for chunk in (1 << 20, 8, 1):  # one chunk, a few rows each, one row each
+            monkeypatch.setattr(model, "_ENUM_CHUNK", chunk)
+            assert model._exact_solve_int(arrays, T, M) == expected
+        if expected is None:
+            with pytest.raises(Infeasible):
+                pq.exact_solve(inst)
+        else:
+            assert _index_of(inst, pq.exact_solve(inst)) == expected
+
+    def test_big_ladder_costs_keep_the_optimum(self):
+        # press-16x2 against the Fraction reference, and press-19x2 (too
+        # slow for the reference) against its int64 optimum, within the
+        # same memory bound as the int64 search.
+        for name in ("press-16x2", "press-19x2"):
+            inst = pq.bundled_instance(name)
+            big = replace(inst, cost={k: c * 2**41 + Fraction(1, 7)
+                                      for k, c in inst.cost.items()})
+            assert model._scaled_int_arrays(big)[0].dtype == object
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                sol = pq.exact_solve(big)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - base <= 32 * 2**20
+            small = pq.exact_solve(inst)
+            assert sol.assignment == small.assignment
+            assert sol.cost == small.cost * 2**41 + Fraction(inst.n_toolkits, 7)
+            T, M = inst.n_toolkits, inst.n_machines
+            if name == "press-16x2":
+                assert _index_of(big, sol) == model._exact_solve_fraction(big, T, M, M**T)
+
     def test_tied_optima_in_different_chunks(self, monkeypatch):
         # Equal costs everywhere; unit workloads with m0 holding exactly
         # one toolkit make the optima k = 2^8 - 1 - 2^j, j = 0..7.  With
@@ -333,6 +410,14 @@ class TestInstanceIO:
         assert inst.cost["a", "b"] == Fraction(107, 10)
         assert inst.workload["a", "b"] == Fraction(21, 10)
         assert inst.capacity["b"] == Fraction(9, 10)
+
+    def test_roundtrip_of_decimal_costs(self, tmp_path):
+        inst = make_instance([[Fraction("10.7"), Fraction("0.25")], [3, Fraction("1e-3")]],
+                             [[1, 2], [2, 1]], [3, 3])
+        path = tmp_path / "decimal.json"
+        pq.save_instance(inst, path)
+        assert model.instance_to_dict(inst)["cost"] == [[10.7, 0.25], [3, 0.001]]
+        assert pq.load_instance(path) == inst
 
     def test_ragged_matrix_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

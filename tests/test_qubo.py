@@ -691,6 +691,12 @@ class TestEncodeErrors:
             pq.encode_assignment(q, {"t1": "m1", "t2": "m2"},
                                  {"m1": 2, "m2": 0})  # capacity is 1
 
+    def test_a_map_without_a_layout_is_refused(self, tiny):
+        q = pq.build_qubo(tiny, pq.RoundedVariant())
+        bare = Qubo(n=q.n, coeffs=q.coeffs, offset=q.offset)
+        with pytest.raises(ValueError, match="no variable map"):
+            pq.encode_assignment(bare, {"t1": "m1", "t2": "m2"})
+
     def test_residual_slack_rejects_overload(self, tiny):
         with pytest.raises(ValueError):
             pq.residual_slack(tiny, {"t1": "m1", "t2": "m1"})
@@ -749,6 +755,13 @@ class TestQuboIO:
         path = tmp_path / "bad.coo"
         path.write_text("2\n")
         with pytest.raises(ValueError):
+            pq.load_qubo(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_rejects_an_empty_file(self, tmp_path, text):
+        path = tmp_path / "empty.coo"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty coefficient file"):
             pq.load_qubo(path)
 
     def test_rejects_sidecar_of_another_size(self, tiny, tmp_path):

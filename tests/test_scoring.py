@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pressqubo as pq
-from pressqubo import Instance, model
+from pressqubo import Instance, bench, model
 from pressqubo.bench import (
     SweepCell,
     ScoredSamples,
@@ -163,12 +163,32 @@ class TestArrayBuiltSets:
 class TestFallbacks:
     def test_costs_beyond_int64_scaling(self, tiny):
         big = with_costs(tiny, {k: c * 2**41 for k, c in tiny.cost.items()})
-        assert model._scaled_int_arrays(big) is None
+        assert model._scaled_int_arrays(big)[0].dtype == object
         q = pq.build_qubo(big, VARIANTS[0])
         samples = mixed_samples(big, q, np.random.default_rng(0), rows=16)
         fast = score_samples(samples, big, q)
         assert fast == score_samples_reference(samples, big, q)
         assert fast.n_valid > 0
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_workloads_beyond_int64_scaling(self, tiny, seed, monkeypatch):
+        # Workloads times 2^41 plus 1 and capacities times 2^41 plus T
+        # keep every assignment's feasibility and leave int64's safe range.
+        inst = tiny if seed is None else model.generate_instance(4, 3, 3, seed)
+        T = inst.n_toolkits
+        big = Instance(id=inst.id, toolkits=inst.toolkits, machines=inst.machines, cost=inst.cost,
+                       workload={k: w * 2**41 + 1 for k, w in inst.workload.items()},
+                       capacity={m: h * 2**41 + T for m, h in inst.capacity.items()})
+        assert model._scaled_int_arrays(big)[1].dtype == object
+        for variant in VARIANTS:
+            q = pq.build_qubo(big, variant)
+            samples = mixed_samples(big, q, np.random.default_rng(seed), rows=24)
+            expected = score_samples_reference(samples, big, q)
+            with monkeypatch.context() as patch:  # the integer pass must not hand over
+                patch.setattr(bench, "score_samples_reference", None)
+                fast = score_samples(samples, big, q)
+            assert fast == expected
+            assert 0 < fast.n_valid < fast.total
 
     def test_foreign_machine_id_raises_like_the_reference(self, tiny):
         rename = {"m1": "m1", "m2": "zz"}

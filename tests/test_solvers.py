@@ -132,6 +132,12 @@ class TestRandomSample:
         assert keys == sorted(keys)
         assert len({e.bits for e in samples.entries}) == len(samples.entries)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_no_shots_is_refused(self, tiny, shots):
+        q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            pq.random_sample(q, shots, [0])
+
 
 class TestSimulatedAnneal:
     def test_finds_global_minimum_on_tiny(self, tiny):
@@ -178,6 +184,17 @@ class TestSimulatedAnneal:
             pq.simulated_anneal(Qubo(n=1, coeffs={}, offset=Fraction(0)), pq.SaConfig(), [-1])
         with pytest.raises(ValueError):
             pq.SaConfig(t_start=1.0, t_end=2.0)
+
+    def test_one_step_ladder_is_its_start_temperature(self, tiny):
+        q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
+        assert pq.SaConfig(steps=1).temperatures(q).tolist() == [float(q.max_abs_coefficient())]
+        assert pq.SaConfig(steps=1, t_start=2.0, t_end=1.0).temperatures(q).tolist() == [2.0]
+
+    def test_given_end_above_the_maps_scale_is_refused(self):
+        q = Qubo(n=2, coeffs={(0, 1): Fraction(-3)}, offset=Fraction(0))
+        with pytest.raises(ValueError, match="need t_start >= t_end > 0"):
+            pq.SaConfig(t_end=4.0).temperatures(q)
+        assert set(pq.SaConfig(steps=5, t_end=3.0).temperatures(q).tolist()) == {3.0}
 
     @pytest.mark.parametrize("temps", [
         {"t_start": math.inf}, {"t_start": math.nan}, {"t_end": math.inf},
@@ -748,6 +765,26 @@ class TestSampleSetIO:
         path.write_text("hello\n")
         with pytest.raises(ValueError):
             pq.load_sampleset(path)
+
+
+class TestSampleSetMultiplicities:
+    @pytest.mark.parametrize("count", [0, -1, -2**63])
+    def test_a_multiplicity_below_one_is_refused(self, count):
+        entries = [SampleEntry("01", 0.0, 2), SampleEntry("10", 1.0, count)]
+        with pytest.raises(ValueError, match="a sample multiplicity is below 1"):
+            SampleSet(entries=entries)
+        entries[-1] = SampleEntry("10", 1.0, 1)
+        assert SampleSet(entries=entries).total == 3
+
+    def test_a_negative_count_cannot_push_a_share_past_one(self):
+        # The optimum's encoding three times and the all-zero string -2
+        # times once gave total 1 and percent_valid 3.0.
+        inst = pq.bundled_instance("press-small")
+        q = pq.build_qubo(inst, pq.RoundedVariant())
+        choice = pq.exact_solve(inst).assignment.choice
+        best = pq.encode_assignment(q, choice, pq.residual_slack(inst, choice))
+        with pytest.raises(ValueError, match="a sample multiplicity is below 1"):
+            SampleSet(entries=(SampleEntry(best, 0.0, 3), SampleEntry("0" * q.n, 0.0, -2)))
 
 
 class TestSampleSetFromStates:
