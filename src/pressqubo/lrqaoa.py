@@ -190,7 +190,7 @@ def precompute_diagonal(q: Qubo) -> np.ndarray:
     they are tested against, computed afresh on every call.
     """
     check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n))
-    return full_spectrum(normalize_qubo(q)).astype(np.float64)
+    return full_spectrum(normalize_qubo(q))
 
 
 @dataclass(frozen=True)
@@ -224,27 +224,32 @@ def cost_split(q: Qubo) -> tuple[int, list[tuple[int, int]]]:
     blocks are then merged while the merged table has at most
     ``2**ceil(n/2)`` entries, which bounds the passes over the state.
     A map that does not split gives ``k = 0`` and the one block
-    ``[0, n)``.
+    ``[0, n)``.  Linear in ``n`` and the number of coefficients.
     """
     n = q.n
     reach = list(range(n))  # the highest variable coupled to i from above
     for i, j in q.coeffs:
         reach[i] = max(reach[i], j)
-    best = None
-    for k in range(n):
-        blocks, lo, end = [], k, k
-        for i in range(k, n):
-            end = max(end, reach[i])
-            if end == i:
-                blocks.append((lo, i + 1))
-                lo = i + 1
-        size = sum(1 << (k + hi - lo) for lo, hi in blocks)
-        if best is None or size < best[0]:
-            best = (size, k, blocks)
-    _, k, blocks = best
-    merged = blocks[:1]
-    for lo, hi in blocks[1:]:
-        if k + hi - merged[-1][0] <= (n + 1) // 2:
+    # The blocks of [k, n) for k = n - 1 down to 0, as the linked list
+    # ((lo, hi), rest), lowest block first, so ``best`` keeps its blocks
+    # without a copy: bit k opens a block that takes in every block
+    # starting at or below reach[k].  ``total`` is the sum of 2**width
+    # over the blocks, so core k has tables of total << k entries.
+    above, total, best = None, 0, None
+    for k in range(n - 1, -1, -1):
+        hi = k + 1
+        while above is not None and above[0][0] <= reach[k]:
+            (lo, hi), above = above
+            total -= 1 << (hi - lo)
+        above = ((k, hi), above)
+        total += 1 << (hi - k)
+        if best is None or total <= best[0] << (best[1] - k):
+            best = (total, k, above)
+    _, k, above = best
+    merged: list[tuple[int, int]] = []
+    while above is not None:
+        (lo, hi), above = above
+        if merged and k + hi - merged[-1][0] <= (n + 1) // 2:
             merged[-1] = (merged[-1][0], hi)
         else:
             merged.append((lo, hi))
@@ -260,15 +265,17 @@ def cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
     core bits first and the block bits re-indexed after them, so a map
     that does not split has one factor whose table is byte-equal to the
     diagonal.  Built on first use and cached on ``q``; the tables are
-    read-only.
+    read-only.  Over the size guard, the refusal names the
+    :func:`statevector_peak_bytes` of the split's tables.
     """
-    check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n))
     return _cached(q, "_cost_factors", _build_cost_factors)
 
 
 def _build_cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
-    normed = normalize_qubo(q)
     core, blocks = cost_split(q)
+    tables = [1 << (core + hi - lo) for lo, hi in blocks]
+    check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n, tables))
+    normed = normalize_qubo(q)
     factors = []
     for pos, (lo, hi) in enumerate(blocks):
         def place(i: int) -> int:
@@ -277,7 +284,7 @@ def _build_cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
         coeffs = {(place(i), place(j)): c for (i, j), c in normed.coeffs.items()
                   if lo <= j < hi or (pos == 0 and j < core)}
         sub = Qubo(n=core + hi - lo, coeffs=coeffs, offset=normed.offset if pos == 0 else 0)
-        table = full_spectrum(sub).astype(np.float64)
+        table = full_spectrum(sub)
         table.setflags(write=False)
         factors.append(CostFactor(core, lo, hi, table))
     return tuple(factors)

@@ -506,14 +506,8 @@ BUNDLED_SHAPES: dict[str, tuple[int, int, int, int]] = {
 }
 
 # The six ladder instances (22..60 binary variables), largest problems last.
-BENCH_INSTANCE_NAMES: tuple[str, ...] = (
-    "press-03x2",
-    "press-09x2",
-    "press-13x2",
-    "press-16x2",
-    "press-18x2",
-    "press-19x2",
-)
+BENCH_INSTANCE_NAMES: tuple[str, ...] = tuple(name for name in BUNDLED_SHAPES
+                                              if name != "press-small")
 
 
 def bundled_instance(name: str) -> Instance:

@@ -635,56 +635,55 @@ def spectrum_peak_bytes(n: int) -> int:
 
 
 def full_spectrum(q: Qubo) -> np.ndarray:
-    """Energies of all 2**n bitstrings, indexed by bitstring value.
+    """Float64 energies of all 2**n bitstrings, indexed by bitstring value.
 
-    Exact integer arithmetic when possible, float64 otherwise.  Guarded
-    at 2**26 states.
-
-    The linear terms and couplings come from the cached float mirror
-    (:func:`as_dense`); for an ``int_exact`` map every value lies below
-    2**52, so the cast to int64 is exact.  The variables are split into
-    two halves whose half-spectra are combined with one cross-coupling
-    matrix product, so the cost is a few dense passes over the output
-    instead of one pass per coefficient.
+    Guarded at 2**26 states.  The linear terms and couplings come from
+    the cached float mirror (:func:`as_dense`).  The variables are split
+    into two halves whose half-spectra are combined with one
+    cross-coupling matrix product, so the cost is a few dense passes
+    over the output instead of one pass per coefficient.  For an
+    ``int_exact`` map every partial sum, in any order, is an integer
+    below 2**52 in magnitude, so every energy is exact whatever the
+    BLAS summation order.
     """
     check_size(f"the full spectrum of {q.n} variables", 1 << q.n, spectrum_peak_bytes(q.n))
     dense = as_dense(q)
     n_lo = q.n // 2
-    dtype = np.int64 if dense.int_exact else np.float64
-    linear = np.ascontiguousarray(dense.linear, dtype=dtype)
     upper = np.triu(dense.couplings, 1)
 
     def half(lo: int, hi: int):
         # Every state of variables lo..hi-1 and its energy without the rest.
-        states = index_states(np.arange(1 << (hi - lo)), hi - lo).astype(dtype)
-        block = np.ascontiguousarray(upper[lo:hi, lo:hi], dtype=dtype)
-        return states, states @ linear[lo:hi] + np.einsum("ri,ij,rj->r", states, block, states)
+        states = index_states(np.arange(1 << (hi - lo)), hi - lo).astype(np.float64)
+        block = np.ascontiguousarray(upper[lo:hi, lo:hi])
+        linear = states @ dense.linear[lo:hi]
+        return states, linear + np.einsum("ri,ij,rj->r", states, block, states)
 
     lo_states, e_lo = half(0, n_lo)
     hi_states, e_hi = half(n_lo, q.n)
-    cross = np.ascontiguousarray(upper[:n_lo, n_lo:].T, dtype=dtype)  # couples high to low
+    cross = np.ascontiguousarray(upper[:n_lo, n_lo:].T)  # couples high to low
     # state index = hi * 2**n_lo + lo (variable 0 is the LSB)
     energies = (hi_states @ cross) @ lo_states.T
     energies += e_hi[:, None]
     energies += e_lo[None, :]
-    energies += int(q.offset) if dense.int_exact else dense.offset
+    energies += dense.offset
     return energies.reshape(-1)
 
 
 def minimum_states(q: Qubo) -> tuple[list[int], Fraction]:
     """Exact argmin set (as bitstring values) and minimum energy.
 
-    Float candidates within the rigorous error band are re-evaluated
-    with exact rationals, so the result is bit-exact for any input.
+    The candidates are the states whose float energy lies within twice
+    the rigorous error band of the float minimum.  The band is 0 for an
+    ``int_exact`` map, whose float energies are exact, so its candidates
+    are the minimum set; any other map's are re-evaluated with exact
+    rationals, so the result is bit-exact for any input.
     """
     energies = full_spectrum(q)
     dense = as_dense(q)
-    if dense.int_exact:
-        emin = int(energies.min())
-        ks = np.flatnonzero(energies == emin)
-        return [int(k) for k in ks], Fraction(emin)
     emin = float(energies.min())
     ks = np.flatnonzero(energies <= emin + 2 * dense.energy_guard)
+    if dense.int_exact:
+        return [int(k) for k in ks], Fraction(emin)
     exact = {int(k): qubo_energy(q, index_to_bits(int(k), q.n)) for k in ks}
     best = min(exact.values())
     return sorted(k for k, e in exact.items() if e == best), best

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import pressqubo as pq
+from pressqubo.cli import main
 from pressqubo.errors import SIZE_GUARD, TooLarge, check_size
 from pressqubo.qubo import Qubo, full_spectrum
 
@@ -47,3 +48,33 @@ def test_each_caller_refuses_the_first_size_above_the_guard_without_allocating(n
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_huge_sizes_are_written_as_powers_of_two():
+    # Digits below 2^53, and from there the power of two at or below.
+    with pytest.raises(TooLarge, match=r"^a has 9007199254740991 entries, over the 2\^26 guard$"):
+        check_size("a", 2**53 - 1)
+    with pytest.raises(TooLarge, match=r"^a has 2\^53 entries, over the 2\^26 guard$"):
+        check_size("a", 2**53)
+    with pytest.raises(TooLarge, match=r"^a has over 2\^3169 entries, over the 2\^26 guard$"):
+        check_size("a", 3**2000)
+    with pytest.raises(TooLarge, match=r"^a has 2\^1040 entries, over the 2\^26 guard "
+                                       r"\(it needs about 2\^1014 GiB\)$"):
+        check_size("a", 2**1040, 17 << 1040)
+    # 2^83 bytes is 2^53 GiB, the first size written as a power.
+    with pytest.raises(TooLarge, match=r"\(it needs about 9007199254740991\.0 GiB\)$"):
+        check_size("a", 2**60, 2**83 - 2**30)
+    with pytest.raises(TooLarge, match=r"\(it needs about 2\^53 GiB\)$"):
+        check_size("a", 2**60, 2**83)
+
+
+@pytest.mark.parametrize("solver", ["brute", "lrqaoa"])
+def test_cli_refuses_a_huge_declared_map_in_one_line(solver, tmp_path, capsys):
+    path = tmp_path / "f.coo"
+    path.write_text("2000 0\n")
+    assert main(["solve", str(path), "--solver", solver, "-o",
+                 str(tmp_path / "s.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and len(err) < 200
+    assert "has 2^2000 entries, over the 2^26 guard (it needs about 2^197" in err
+    assert not (tmp_path / "s.csv").exists()

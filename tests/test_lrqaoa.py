@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -806,3 +807,155 @@ class TestCircuitShape:
         assert stats == pq.CircuitStats(qubits=10**6, edges=2, colors=2, p=3,
                                          two_qubit_interactions=6, cost_layer_depth=6)
         assert peak < 2**20
+
+
+def cost_split_reference(q):
+    """:func:`lrqaoa.cost_split` as one scan of the blocks per core width,
+    quadratic in ``n``: the rule it must agree with."""
+    n = q.n
+    reach = list(range(n))
+    for i, j in q.coeffs:
+        reach[i] = max(reach[i], j)
+    best = None
+    for k in range(n):
+        blocks, lo, end = [], k, k
+        for i in range(k, n):
+            end = max(end, reach[i])
+            if end == i:
+                blocks.append((lo, i + 1))
+                lo = i + 1
+        size = sum(1 << (k + hi - lo) for lo, hi in blocks)
+        if best is None or size < best[0]:
+            best = (size, k, blocks)
+    _, k, blocks = best
+    merged = blocks[:1]
+    for lo, hi in blocks[1:]:
+        if k + hi - merged[-1][0] <= (n + 1) // 2:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return k, merged
+
+
+def random_sparse_qubo(rng, n, pairs):
+    """``pairs`` random couplings (some long-range) over ``n`` bits."""
+    coeffs = {}
+    for _ in range(pairs):
+        i, j = sorted(int(v) for v in rng.integers(0, n, size=2))
+        coeffs[i, j] = Fraction(int(rng.integers(1, 9)))
+    return Qubo(n=n, coeffs=coeffs, offset=Fraction(0))
+
+
+def found_split_map():
+    """A chain over bits 0-25 and an uncoupled bit 26: 27 qubits in two blocks."""
+    chain = {(i, i + 1): Fraction(1) for i in range(25)}
+    return Qubo(n=27, coeffs=chain, offset=Fraction(0))
+
+
+class TestCostSplitLinear:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_the_scan_per_core_width(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 3 == 0:
+            q = random_block_qubo(rng, fractions=False)
+        else:
+            n = int(rng.integers(1, 40))
+            q = random_sparse_qubo(rng, n, int(rng.integers(0, 2 * n)))
+        assert lrqaoa.cost_split(q) == cost_split_reference(q)
+
+    @pytest.mark.parametrize("q", [split_qubo(4, [6, 6]), split_qubo(0, [3, 3, 3]),
+                                   found_split_map(), chain_qubo(np.random.default_rng(1), 9),
+                                   Qubo(n=33, coeffs={}, offset=Fraction(1))],
+                             ids=["split", "blocks", "found", "chain", "empty"])
+    def test_matches_on_shaped_maps(self, q):
+        assert lrqaoa.cost_split(q) == cost_split_reference(q)
+
+    def test_press_maps_match(self):
+        for name in ("press-03x2", "press-19x2", "press-small"):
+            q = pq.build_qubo(pq.bundled_instance(name), pq.RoundedVariant())
+            assert lrqaoa.cost_split(q) == cost_split_reference(q)
+
+
+class TestCostFactorsGuard:
+    def test_split_map_is_refused_with_its_own_estimate(self):
+        q = found_split_map()
+        assert lrqaoa.cost_split(q) == (0, [(0, 26), (26, 27)])
+        estimate = lrqaoa.statevector_peak_bytes(27, [2**26, 2])
+        assert f"{estimate / 2**30:.1f}" == "4.5"
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match=r"^the statevector of 27 qubits has 134217728 "
+                                               r"entries, over the 2\^26 guard \(it needs "
+                                               r"about 4\.5 GiB\)$"):
+                pq.run_lrqaoa(q, pq.lr_schedule(1), shots=10, seeds=[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    def test_a_huge_declared_map_is_refused_at_once(self, n):
+        q = Qubo(n=n, coeffs={}, offset=Fraction(0))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge) as exc:
+            pq.run_lrqaoa(q, pq.lr_schedule(1), shots=10, seeds=[0])
+        assert time.perf_counter() - start < 1.0
+        message = str(exc.value)
+        assert message.startswith(f"the statevector of {n} qubits has 2^{n} entries, over the "
+                                  f"2^26 guard (it needs about 2^")
+        assert len(message) < 200
+
+    def test_huge_chain_split_is_linear(self):
+        n = 20_000
+        q = Qubo(n=n, coeffs={(i, i + 1): Fraction(1) for i in range(n - 1)}, offset=Fraction(0))
+        start = time.perf_counter()
+        assert lrqaoa.cost_split(q) == (0, [(0, n)])
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("signs", [(1, -1), (3, -2)], ids=["normalized-int", "int"])
+    def test_integer_unsplit_chain_is_the_diagonal_byte_for_byte(self, signs):
+        n = 12
+        chain = {(i, i + 1): Fraction(signs[i % 2]) for i in range(n - 1)}
+        q = Qubo(n=n, coeffs={**chain, (0, 0): Fraction(-1)}, offset=Fraction(2))
+        assert as_dense(q).int_exact
+        assert as_dense(pq.normalize_qubo(q)).int_exact == (signs == (1, -1))
+        assert lrqaoa.cost_split(q) == (0, [(0, n)])
+        [factor] = lrqaoa.cost_factors(q)
+        diag = pq.precompute_diagonal(q)
+        assert factor.table.dtype == diag.dtype == np.float64
+        assert factor.table.tobytes() == diag.tobytes()
+        normed = pq.normalize_qubo(q)
+        for k in range(0, 1 << n, 97):
+            exact = pq.qubo_energy(normed, index_to_bits(k, n))
+            if as_dense(normed).int_exact:
+                assert Fraction(diag[k]) == exact
+            else:
+                assert diag[k] == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("build", ["precompute_diagonal", "cost_factors"])
+    def test_unsplit_table_is_built_without_a_copy(self, build):
+        # The table is the spectrum itself: 8 bytes per amplitude and the
+        # small half enumerations, not a second full-size array.
+        n = 18
+        q = Qubo(n=n, coeffs={(i, i + 1): Fraction(1 + i % 3) for i in range(n - 1)},
+                 offset=Fraction(0))
+        assert lrqaoa.cost_split(q) == (0, [(0, n)])
+        as_dense(pq.normalize_qubo(q))
+        tracemalloc.start()
+        try:
+            getattr(lrqaoa, build)(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 << n
+
+
+class TestUnreachedShapeChecks:
+    def test_edge_coloring_refuses_a_self_loop(self):
+        with pytest.raises(ValueError, match="self-loops"):
+            pq.edge_coloring([(1, 1)])
+
+    def test_circuit_stats_refuses_a_negative_layer_count(self):
+        q = Qubo(n=2, coeffs={(0, 1): Fraction(1)}, offset=Fraction(0))
+        with pytest.raises(ValueError, match="layer count must be >= 0"):
+            pq.circuit_stats(q, -1)

@@ -442,3 +442,21 @@ class TestInstanceIO:
         path.write_text('{"id": "x"}')
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}: ")):
             pq.load_instance(path)
+
+
+class TestUnreachedDocumentChecks:
+    def test_instance_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="instance document must be a JSON object"):
+            model.instance_from_dict([{"id": "x"}])
+
+    def test_toolkits_must_be_a_list(self):
+        doc = {"id": "x", "toolkits": "ab", "machines": ["c"], "cost": [[1]],
+               "workload": [[1]], "capacity": [1]}
+        with pytest.raises(ValueError, match="toolkits and machines must be lists of ids"):
+            model.instance_from_dict(doc)
+
+
+def test_ladder_names_come_from_the_bundled_table():
+    assert model.BENCH_INSTANCE_NAMES == ("press-03x2", "press-09x2", "press-13x2",
+                                          "press-16x2", "press-18x2", "press-19x2")
+    assert all(name in BUNDLED_SHAPES for name in model.BENCH_INSTANCE_NAMES)

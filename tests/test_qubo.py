@@ -790,3 +790,69 @@ class TestQuboIO:
         assert loaded.n == q.n
         assert loaded.coeffs == q.coeffs
         assert loaded.offset == q.offset
+
+
+def int_map_at_the_exact_bound(rng, n):
+    """An integer map on every pair whose coefficient and offset magnitudes
+    sum to 2**52 - 1, the largest total ``as_dense`` calls int-exact."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    top = (2**52 - 1) // (len(pairs) + 1)
+    coeffs = {pair: Fraction(int(rng.integers(1, top + 1)) * int(rng.choice([-1, 1])))
+              for pair in pairs}
+    rest = 2**52 - 1 - sum(abs(c) for c in coeffs.values())
+    return Qubo(n=n, coeffs=coeffs, offset=Fraction(rest * int(rng.choice([-1, 1]))))
+
+
+class TestFullSpectrumIsFloat64:
+    """Every map's spectrum takes the float64 path; int-exact maps stay exact."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 11])
+    def test_int_maps_just_below_the_bound_are_exact_at_every_state(self, n):
+        q = int_map_at_the_exact_bound(np.random.default_rng(n), n)
+        assert sum(abs(c) for c in q.coeffs.values()) + abs(q.offset) == 2**52 - 1
+        assert as_dense(q).int_exact
+        spectrum = full_spectrum(q)
+        assert spectrum.dtype == np.float64
+        assert spectrum.shape == (1 << n,)
+        for k, e in enumerate(spectrum.tolist()):
+            assert Fraction(e) == pq.qubo_energy(q, index_to_bits(k, n))
+
+    def test_rational_maps_are_float64_too(self):
+        q = Qubo(n=3, coeffs={(0, 1): Fraction(1, 3), (2, 2): Fraction(-5, 7)}, offset=Fraction(1))
+        assert full_spectrum(q).dtype == np.float64
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_int_minimum_set_never_evaluates_exactly(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 10))
+        # Few distinct values, so the minimum is often tied.
+        coeffs = {(i, j): Fraction(int(rng.integers(-2, 3)))
+                  for i in range(n) for j in range(i, n)}
+        q = Qubo(n=n, coeffs=coeffs, offset=Fraction(int(rng.integers(-3, 4))))
+        energies = [pq.qubo_energy(q, index_to_bits(k, n)) for k in range(1 << n)]
+        best = min(energies)
+
+        def refused(q, bits):
+            raise AssertionError("qubo_energy ran")
+
+        monkeypatch.setattr(pq.qubo, "qubo_energy", refused)
+        ks, energy = minimum_states(q)
+        assert ks == [k for k, e in enumerate(energies) if e == best]
+        assert energy == best and type(energy) is Fraction
+        halves = Qubo(n=2, coeffs={(0, 1): Fraction(1, 2)}, offset=Fraction(0))
+        with pytest.raises(AssertionError, match="qubo_energy ran"):
+            minimum_states(halves)
+
+    def test_int_minimum_at_the_bound(self, monkeypatch):
+        q = int_map_at_the_exact_bound(np.random.default_rng(7), 9)
+        energies = [pq.qubo_energy(q, index_to_bits(k, 9)) for k in range(1 << 9)]
+        monkeypatch.setattr(pq.qubo, "qubo_energy", None)
+        assert minimum_states(q) == ([energies.index(min(energies))], min(energies))
+
+
+class TestUnreachedInputChecks:
+    def test_slack_bound_must_be_a_non_negative_integer(self):
+        with pytest.raises(ValueError, match="capacity must be non-negative"):
+            pq.slack_coefficients(-1)
+        with pytest.raises(ValueError, match="capacity must be integral, got 2.5"):
+            pq.slack_coefficients(2.5)

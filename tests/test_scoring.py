@@ -1,7 +1,7 @@
 """The integer scoring pass against its exact-fraction reference.
 
 ``score_samples`` validates and prices all entries of a sample set at
-once over common-denominator int64 arrays; ``score_samples_reference``
+once over common-denominator integer arrays; ``score_samples_reference``
 decodes, validates and prices one entry at a time in Fractions.  Both
 must return equal ``ScoredSamples`` on every input and raise the same
 errors where the fast pass hands over to the reference.  A set that

@@ -933,3 +933,20 @@ class TestFastMerge:
         assert samples != SampleSet(entries=(SampleEntry(entry.bits, entry.energy, 8),),
                                     meta={"seed": 1})
         assert repr(samples) == repr(SampleSet(entries=(entry,), meta={"seed": 1}))
+
+
+class TestUnreachedSampleSetChecks:
+    def test_attributes_cannot_be_deleted(self):
+        q, states, counts = MERGE_CASES["one-row"]
+        samples = sampleset_from_states(as_dense(q), states, counts, {"seed": 1})
+        for name in ("meta", "_rows"):
+            with pytest.raises(AttributeError, match="cannot be changed"):
+                delattr(samples, name)
+        assert samples.meta == {"seed": 1}
+
+    def test_comparison_with_another_type_is_not_implemented(self):
+        q, states, counts = MERGE_CASES["one-row"]
+        samples = sampleset_from_states(as_dense(q), states, counts, {})
+        assert samples.__eq__(samples.entries) is NotImplemented
+        assert samples != samples.entries
+        assert samples != 5
