@@ -6,7 +6,7 @@ constructions, sampled with classical or simulated-quantum solvers, and
 scored against an exhaustive reference optimum.
 """
 
-from .errors import GenerationFailed, Infeasible, PressQuboError, TooLarge
+from .errors import GenerationFailed, Infeasible, PressQuboError, TooLarge, WorkerDied
 from .model import (
     Assignment,
     FeasibilityReport,

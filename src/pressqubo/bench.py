@@ -42,7 +42,6 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -51,7 +50,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import lrqaoa, model, qubo, solvers
-from .errors import PressQuboError
+from .errors import PressQuboError, WorkerDied
 from .model import Instance, Solution
 from .qubo import Qubo, VariantSpec, variant_label, variant_sort_key
 from .solvers import SampleSet
@@ -525,7 +524,9 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     processes, in plan order.  When there are fewer groups than
     workers, the largest groups are split so every worker gets a job;
     when there are still fewer jobs than workers, the pool has one
-    process per job, and one job runs in this process.
+    process per job, and one job runs in this process.  Only a sweep
+    with a pool imports ``concurrent.futures``, and it raises
+    :class:`~pressqubo.errors.WorkerDied` when a pool process dies.
     A plan that yields two cells of one grid key (a repeated seed,
     entry or instance id, or two spellings of one penalty value or
     solver parameter value) raises ValueError before any cell runs.
@@ -575,9 +576,17 @@ def sweep(plan: Mapping, workers: int = 1, base_dir=None) -> list[RunRecord]:
     # more than there are jobs.
     workers = min(workers, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for group_records in pool.map(_run_group, jobs):
-                records += group_records
+        # Imported here: a one-process sweep never loads the pool's modules.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for group_records in pool.map(_run_group, jobs):
+                    records += group_records
+        except BrokenProcessPool as exc:
+            raise WorkerDied("a sweep worker process died (for example, killed for "
+                             "memory)") from exc
     else:
         for job in jobs:
             records += _run_group(job)

@@ -21,12 +21,11 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import astuple, fields
 from pathlib import Path
 
 from . import bench, lrqaoa, model, qubo, solvers
-from .errors import GenerationFailed, Infeasible, TooLarge
+from .errors import GenerationFailed, Infeasible, TooLarge, WorkerDied
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,9 +137,8 @@ def cmd_sweep(args) -> int:
     plan = bench.load_plan(args.plan)
     try:
         records = bench.sweep(plan, workers=args.workers, base_dir=Path(args.plan).parent)
-    except BrokenProcessPool:
-        print("error: a sweep worker process died (for example, killed for memory); "
-              "no reports were written", file=sys.stderr)
+    except WorkerDied as exc:
+        print(f"error: {exc}; no reports were written", file=sys.stderr)
         return EXIT_TOO_LARGE
     paths = bench.export_report(records, args.output, plan=plan)
     failed = sum(1 for r in records if r.error is not None)

@@ -21,6 +21,11 @@ class GenerationFailed(PressQuboError):
     """The instance generator could not produce a feasible instance."""
 
 
+class WorkerDied(PressQuboError):
+    """A process of a pooled sweep died (for example, killed for memory),
+    so the sweep has no records to return."""
+
+
 def check_size(what: str, entries: int, peak_bytes: int | None = None) -> None:
     """TooLarge naming ``what``, and the ``peak_bytes`` it would need if
     given, when ``entries`` exceeds :data:`SIZE_GUARD`.

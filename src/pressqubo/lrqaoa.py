@@ -266,12 +266,15 @@ def cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
     that does not split has one factor whose table is byte-equal to the
     diagonal.  Built on first use and cached on ``q``; the tables are
     read-only.  Over the size guard, the refusal names the
-    :func:`statevector_peak_bytes` of the split's tables.
+    :func:`statevector_peak_bytes` of the split's tables; past 64
+    qubits it names that of one full table, without pricing a split.
     """
     return _cached(q, "_cost_factors", _build_cost_factors)
 
 
 def _build_cost_factors(q: Qubo) -> tuple[CostFactor, ...]:
+    if q.n > 64:  # no split of so many qubits fits the guard: refuse at once
+        check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n))
     core, blocks = cost_split(q)
     tables = [1 << (core + hi - lo) for lo, hi in blocks]
     check_size(f"the statevector of {q.n} qubits", 1 << q.n, statevector_peak_bytes(q.n, tables))

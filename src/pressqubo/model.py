@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import GenerationFailed, Infeasible, check_size
 
-_ENUM_CHUNK = 1 << 20
+_ENUM_CHUNK = 1 << 16
 
 
 def as_fraction(value) -> Fraction:
@@ -266,9 +266,10 @@ def exact_solve(inst: Instance) -> Solution:
 
     Split-half search: the costs and per-machine loads of the first
     ``T // 2`` toolkits and of the rest are enumerated once each; row
-    chunks of the first half (at most ``_ENUM_CHUNK`` entries each) are
-    combined with the whole second half as outer sums, infeasible
-    entries masked.  ``k`` grows in row-major order within a chunk and
+    chunks of the first half are combined with the whole second half as
+    outer sums of at most ``_ENUM_CHUNK`` (2^16) entries or one row,
+    infeasible entries masked, and each chunk's sums are freed before
+    the next are formed.  ``k`` grows in row-major order within a chunk and
     from chunk to chunk, so ``np.argmin`` keeps the tie-break as long
     as a later chunk wins only when strictly cheaper.  The sums run on
     the instance's common-denominator integers from
@@ -309,6 +310,7 @@ def _exact_solve_int(arrays, T: int, M: int):
         i = int(np.argmin(cost))  # row-major: k = start * n_lo + i
         if cost.flat[i] < best_cost:
             best_cost, best_k = int(cost.flat[i]), start * n_lo + i
+        del cost  # freed before the next chunk's sums are formed
     return best_k
 
 

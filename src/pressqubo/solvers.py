@@ -12,10 +12,13 @@ order.  Determinism: every sampler derives all randomness from its seed
 calls return identical results regardless of scheduling.  Annealing
 takes one map or a sequence of them; the maps of one size and several
 seeds run in one stacked step loop, where every map reads the same
-restart draws on its own temperature ladder.  The draws of a chunk of
-seeds are made once, in the call, and every step loop of that chunk
-reads them.  Stacking and sharing change neither a restart's stream
-nor its arithmetic: each (map, seed) set equals the set of a call with
+restart draws on its own temperature ladder.  The start states and
+flips of a chunk of seeds are drawn once, in the call, and every step
+loop of that chunk reads them; a loop draws the uniforms
+``_DRAW_STEPS`` steps at a time from each restart's stream, which a
+later loop of the chunk restores to its state after the flips.
+Stacking, sharing and chunking change neither a restart's stream nor
+its arithmetic: each (map, seed) set equals the set of a call with
 that map and seed alone.
 
 A sample set is its arrays: the distinct rows as a uint8 matrix, their
@@ -29,6 +32,7 @@ bitstring is built only when a caller reads a set's ``entries``
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import mmap
@@ -283,51 +287,69 @@ class SaConfig:
 # ladder-anneal sweep peaked at 46.5 MiB RSS when each map ran alone,
 # 47.4 MiB at 2^15 floats, 47.9 MiB at 2^16, 48.4 MiB at 2^17.
 _LOOP_FLOATS = 1 << 16
-# Bytes of restart draws (restarts x steps x 9 B per seed: a flip index
-# byte, two past 256 variables, and a uniform) a loop may hold once it
-# stacks seeds; the state budget does not bound them, as they grow with
-# the steps and not with the variables.  One small map of 500 restarts x 1,280 steps stacked nine
-# seeds under the state budget alone and peaked at 50.8 MiB (tracemalloc)
-# for seeds 0-19, for no speed gain over two seeds (11.0 MiB of draws).
+# Steps of uniforms a step loop draws at a time.  Each restart's stream
+# fills its column of one (chunk, rows) buffer that every map of the
+# loop reads, so the uniforms a loop holds do not grow with the steps.
+# A float64 uniform consumes one 64-bit output of the stream, so a
+# restart's uniforms drawn in chunks are the bits of one whole draw.
+_DRAW_STEPS = 256
+# Bytes of restart draws a loop may hold once it stacks seeds: per
+# restart, its flips (a byte per step, two past 256 variables) and one
+# chunk of float64 uniforms; its stream's Generator, about 0.9 KiB, is
+# not counted.  The state budget does not bound them, as the flips grow
+# with the steps and not with the variables.  When every seed held all
+# its uniforms (9 B per restart and step), one small map of 500
+# restarts x 1,280 steps stacked nine seeds under the state budget alone
+# and peaked at 50.8 MiB (tracemalloc) for seeds 0-19, for no speed gain
+# over two seeds (11.0 MiB of draws).
 _DRAW_BYTES = 1 << 24
 
 
 def _mapped(shape: tuple[int, int], dtype) -> np.ndarray:
     """A zeroed array in an anonymous mapping of its own, unmapped when
     freed.  Draws on the heap left holes that smaller blocks fragmented (a
-    ladder-anneal sweep peaked 3.5 MiB higher); tracemalloc does not see it."""
+    ladder-anneal sweep peaked 3.5 MiB higher); tracemalloc does not see it.
+    MemoryError naming the bytes when the system refuses the mapping."""
     count, dtype = shape[0] * shape[1], np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, count * dtype.itemsize), dtype, count).reshape(shape)
+    size = count * dtype.itemsize
+    try:
+        buffer = mmap.mmap(-1, size)
+    except OSError as exc:
+        if exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"the system refused a mapping of {size} bytes for annealing "
+                          "draws") from None
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 def _restart_draws(seeds: Sequence[int], restarts: int, n: int,
-                   steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every restart's random streams for ``seeds``, stacked seed by seed.
+                   steps: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Every restart's start state and flips for ``seeds``, stacked seed
+    by seed, and its stream.
 
     Row ``k * restarts + r`` holds restart ``r`` of ``seeds[k]``, drawn
     from ``default_rng([seed, r])`` exactly as a lone restart draws it:
-    its start state (rows, n) as uint8, then its flip indices and its
-    uniforms, stored as (steps, rows) so each step reads contiguous
-    columns.  The indices are int64 draws kept in the smallest unsigned
-    type that holds ``n - 1``.  The arrays are read-only, as every step
-    loop of the seeds reads them.
+    its start state (rows, n) as uint8, then its flip indices, stored as
+    (steps, rows) so each step reads contiguous columns.  The indices
+    are int64 draws kept in the smallest unsigned type that holds
+    ``n - 1``.  The two arrays are read-only, as every step loop of the
+    seeds reads them.  The third item holds each row's Generator where
+    its flips end: its uniforms come next, and a step loop draws them
+    ``_DRAW_STEPS`` steps at a time.
     """
     rows = len(seeds) * restarts
     starts = _mapped((rows, n), np.uint8)
     flips = _mapped((steps, rows), np.min_scalar_type(n - 1))
-    uniforms = _mapped((steps, rows), np.float64)
-    row = 0
+    streams = []
     for seed in seeds:
         for r in range(restarts):
             rng = np.random.default_rng([seed, r])
-            starts[row] = rng.integers(0, 2, size=n)
-            flips[:, row] = rng.integers(0, n, size=steps)
-            uniforms[:, row] = rng.random(steps)
-            row += 1
-    draws = (starts, flips, uniforms)
-    for array in draws:
+            starts[len(streams)] = rng.integers(0, 2, size=n)
+            flips[:, len(streams)] = rng.integers(0, n, size=steps)
+            streams.append(rng)
+    for array in (starts, flips):
         array.setflags(write=False)
-    return draws
+    return starts, flips, streams
 
 
 def simulated_anneal(q: Qubo | Sequence[Qubo], cfg: SaConfig,
@@ -344,11 +366,15 @@ def simulated_anneal(q: Qubo | Sequence[Qubo], cfg: SaConfig,
     For one map, returns one set per seed, in order, each equal to
     :func:`simulated_anneal_reference` of that seed, the per-seed kernel
     this is tested against.  For a sequence of maps, returns one such
-    list per map.  Each chunk of seeds is drawn once, and the maps of
-    one size share those draws and run in one step loop, up to
-    ``_LOOP_FLOATS`` state floats and, past one seed, ``_DRAW_BYTES`` of
-    draws per loop, each map on its own temperature ladder; maps of
-    different sizes run in separate loops.
+    list per map.  The start states and flips of each chunk of seeds are
+    drawn once, and the maps of one size share those draws and run in
+    one step loop, up to ``_LOOP_FLOATS`` state floats and, past one
+    seed, ``_DRAW_BYTES`` of draws per loop, each map on its own
+    temperature ladder; maps of different sizes run in separate loops.
+    A loop draws the uniforms ``_DRAW_STEPS`` steps at a time, so they
+    do not grow with ``steps``; when the maps of a chunk take more than
+    one loop, every later loop restores each restart's stream to its
+    state after the flips and draws the same uniforms again.
     No row's arithmetic depends on the rows beside it.
     """
     seeds = list(seeds)
@@ -360,35 +386,42 @@ def simulated_anneal(q: Qubo | Sequence[Qubo], cfg: SaConfig,
     for n in dict.fromkeys(d.n for d in denses):
         same = [v for v, d in enumerate(denses) if d.n == n]
         blocks = _LOOP_FLOATS // (cfg.restarts * n)  # (map, seed) blocks per loop
-        seed_draws = cfg.restarts * cfg.steps * (8 + np.min_scalar_type(n - 1).itemsize)
+        seed_draws = cfg.restarts * (cfg.steps * np.min_scalar_type(n - 1).itemsize
+                                     + 8 * min(cfg.steps, _DRAW_STEPS))
         seeds_per_loop = max(1, min(blocks // len(same), _DRAW_BYTES // seed_draws))
         for k in range(0, len(seeds), seeds_per_loop):
             chunk = seeds[k:k + seeds_per_loop]
             draws = _restart_draws(chunk, cfg.restarts, n, cfg.steps)
             maps_per_loop = max(1, blocks // len(chunk))
-            for v in range(0, len(same), maps_per_loop):
+            loops = range(0, len(same), maps_per_loop)
+            after_flips = [rng.bit_generator.state for rng in draws[2]] if len(loops) > 1 else []
+            for v in loops:
+                if v:
+                    for rng, state in zip(draws[2], after_flips):
+                        rng.bit_generator.state = state
                 part = same[v:v + maps_per_loop]
                 temps = np.stack([ladders[m] for m in part])
                 sets = _anneal_batch([denses[m] for m in part], temps, cfg, chunk, draws)
                 for m, seed_sets in zip(part, sets):
                     results[m] += seed_sets
-            del draws  # freed before the next chunk draws, not after
+            del draws, after_flips  # freed before the next chunk draws, not after
     return results[0] if one else results
 
 
 def _anneal_batch(denses: Sequence[DenseQubo], temps: np.ndarray, cfg: SaConfig,
-                  seeds: Sequence[int], draws: tuple[np.ndarray, ...]) -> list[list[SampleSet]]:
+                  seeds: Sequence[int], draws: tuple) -> list[list[SampleSet]]:
     """Anneal the restarts of ``seeds`` on every map of ``denses`` (one
     size) in one step loop, map ``v`` on the ladder ``temps[v]``, from
     ``draws``, the :func:`_restart_draws` of ``seeds``; one list of
-    per-seed sets per map.
+    per-seed sets per map.  The streams of ``draws`` must stand where
+    their flips end; the loop draws their uniforms.
 
     Rows are stacked map-major: row ``v * rows + k * R + r`` is restart
     ``r`` of ``seeds[k]`` on map ``v``, and it reads draw row ``k * R + r``
     and the concatenated map rows ``v * n + i``.
     """
     R, n, steps, V = cfg.restarts, denses[0].n, cfg.steps, len(denses)
-    starts, flips, uniforms = draws
+    starts, flips, streams = draws
     rows = len(starts)
     linear = np.concatenate([d.linear for d in denses])
     couplings = np.concatenate([d.couplings for d in denses])
@@ -398,7 +431,13 @@ def _anneal_batch(denses: Sequence[DenseQubo], temps: np.ndarray, cfg: SaConfig,
     map_start = np.arange(0, V * n, n)[:, None]
     # d / -T is -d / T bit for bit, so each map's ladder is negated once.
     neg_temps = -temps.T[:, :, None]  # (steps, V, 1)
+    uniforms = _mapped((min(steps, _DRAW_STEPS), rows), np.float64)
     for s in range(steps):
+        u = s % _DRAW_STEPS
+        if u == 0:  # every restart's next chunk of uniforms
+            block = uniforms[:min(_DRAW_STEPS, steps - s)]
+            for row, rng in enumerate(streams):
+                block[:, row] = rng.random(len(block))
         i = flips[s]
         at = (row_start + i).reshape(-1)
         map_i = (map_start + i).reshape(-1)
@@ -406,9 +445,10 @@ def _anneal_batch(denses: Sequence[DenseQubo], temps: np.ndarray, cfg: SaConfig,
             "rn,rn->r", couplings.take(map_i, axis=0), states)
         d_e = (1.0 - 2.0 * flat.take(at)) * field_i
         # dE <= 0 always passes: exp(0) = 1 > any uniform draw in [0, 1)
-        accept = uniforms[s] < np.exp(np.maximum(d_e, 0.0).reshape(V, rows) / neg_temps[s])
+        accept = uniforms[u] < np.exp(np.maximum(d_e, 0.0).reshape(V, rows) / neg_temps[s])
         at = at[accept.reshape(-1)]
         flat[at] = 1.0 - flat[at]
+    del uniforms, block  # unmapped before the sets are built
 
     results = []
     for v, dense in enumerate(denses):

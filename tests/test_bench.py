@@ -1,13 +1,20 @@
+import concurrent.futures
 import inspect
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pressqubo as pq
+from pressqubo.errors import WorkerDied
 from pressqubo.bench import (
     SOLVERS,
     RunRecord,
@@ -590,6 +597,67 @@ class RecordingPool:
         return map(fn, RecordingPool.jobs)
 
 
+# Run in a fresh interpreter: the pool's modules loaded by the time a
+# one-process sweep has run, and those loaded after a pooled one.
+POOL_IMPORT_SCRIPT = """
+import json, sys
+import pressqubo, pressqubo.cli
+pool = ("concurrent.futures.process", "multiprocessing")
+loaded = [[m for m in pool if m in sys.modules]]
+plan, out = sys.argv[1:]
+codes = [pressqubo.cli.main(["sweep", plan, "-o", out + "-1"])]
+loaded.append([m for m in pool if m in sys.modules])
+codes.append(pressqubo.cli.main(["sweep", plan, "-o", out + "-2", "--workers", "2"]))
+loaded.append([m for m in pool if m in sys.modules])
+print(json.dumps([codes, loaded]))
+"""
+
+
+class TestPoolOnlyWhenPooling:
+    def small_plan(self, tmp_path):
+        small_path = tmp_path / "small.json"
+        pq.save_instance(pq.bundled_instance("press-small"), small_path)
+        plan = {"instances": [str(small_path)],
+                "variants": [{"kind": "rounded"}, {"kind": "scaled", "ls": [1]}],
+                "solvers": [{"name": "sa", "params": {"steps": 30, "restarts": 10}},
+                            {"name": "random", "params": {"shots": 20}}],
+                "seeds": [0, 1]}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        return path
+
+    def test_a_one_process_sweep_loads_no_pool(self, tmp_path):
+        plan_path = self.small_plan(tmp_path)
+        src = str(Path(pq.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", POOL_IMPORT_SCRIPT, str(plan_path), str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        codes, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert codes == [0, 0]
+        assert loaded[:2] == [[], []]
+        assert loaded[2] == ["concurrent.futures.process", "multiprocessing"]
+        for name in ("runs.csv", "metrics.csv", "report.json"):
+            one, two = (tmp_path / f"out-{k}" / name for k in (1, 2))
+            assert one.read_bytes() == two.read_bytes()
+        plan = load_plan(plan_path)
+        assert pq.sweep(plan, workers=2) == per_cell_records(plan)
+
+    def test_a_dead_pool_process_is_worker_died(self, tmp_path, monkeypatch):
+        class BrokenPool(RecordingPool):
+            def map(self, fn, jobs):
+                raise BrokenProcessPool("a process in the pool was terminated abruptly")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BrokenPool)
+        plan = load_plan(self.small_plan(tmp_path))
+        with pytest.raises(WorkerDied, match=r"^a sweep worker process died \(for example, "
+                                             r"killed for memory\)$") as exc:
+            pq.sweep(plan, workers=2)
+        assert isinstance(exc.value.__cause__, BrokenProcessPool)
+        assert isinstance(exc.value, pq.PressQuboError)
+
+
 class TestGroupedSweep:
     def test_grouped_sweep_matches_cells_run_alone(self, tiny, tmp_path):
         plan = mixed_plan(tmp_path, tiny)
@@ -643,7 +711,7 @@ class TestGroupedSweep:
             tmp_path, tiny, variants=[{"kind": "rounded"}],
             solvers=[{"name": "random", "params": {"shots": 20}}], seeds=list(range(8))))
         expected = per_cell_records(plan)
-        monkeypatch.setattr(pq.bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         builds = []
         original = pq.qubo.build_qubo
 
@@ -665,7 +733,7 @@ class TestGroupedSweep:
             solvers=[{"name": "random", "params": {"shots": 20}}], seeds=seeds))
         expected = per_cell_records(plan)
         monkeypatch.setattr(RecordingPool, "max_workers", None)
-        monkeypatch.setattr(pq.bench, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert pq.sweep(plan, workers=3) == expected
         assert RecordingPool.max_workers == pool_size  # None: one job runs in this process
 

@@ -1,3 +1,5 @@
+import concurrent.futures
+import errno
 import functools
 import json
 import multiprocessing
@@ -156,6 +158,22 @@ class TestSolve:
         assert "Unable to allocate" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_draw_mapping_exits_3(self, tmp_path, monkeypatch, capsys):
+        # Patched: an unpatched mmap.mmap(-1, 10**15) raises this OSError.
+        def refused(fileno, length, *args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        inst, q = tmp_path / "small.json", tmp_path / "s.coo"
+        pq.save_instance(pq.bundled_instance("press-small"), inst)
+        assert run("build", inst, "--variant", "rounded", "-o", q) == 0
+        monkeypatch.setattr(pq.solvers.mmap, "mmap", refused)
+        out = tmp_path / "out.csv"
+        assert run("solve", q, "--solver", "sa", "-o", out) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: the system refused a mapping of \d+ bytes for annealing "
+                            r"draws\n", err)
+        assert not out.exists()
+
     def test_postprocess_flag(self, qubo_file, tmp_path):
         out = tmp_path / "samples.csv"
         assert run("solve", qubo_file, "--solver", "random", "--shots", 40,
@@ -269,7 +287,7 @@ class TestSweepAndReport:
     def test_dead_worker_exits_3_without_reports(self, instance_file, tmp_path, monkeypatch,
                                                  capsys):
         # A fork pool, so the patched build reaches the worker processes.
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", functools.partial(
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(
             ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
         build, parent = pq.qubo.build_qubo, os.getpid()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import pressqubo as pq
-from pressqubo.errors import SIZE_GUARD, TooLarge
+from pressqubo.errors import SIZE_GUARD, TooLarge, check_size
 from pressqubo import lrqaoa
 from pressqubo.lrqaoa import RampSchedule, final_state, interaction_graph
 from pressqubo.qubo import Qubo, as_dense, index_to_bits, minimum_states
@@ -893,17 +893,32 @@ class TestCostFactorsGuard:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("n", [2000, 100_000])
-    def test_a_huge_declared_map_is_refused_at_once(self, n):
+    @pytest.mark.parametrize("n", [65, 2000, 100_000, 10**6])
+    def test_a_huge_declared_map_is_refused_at_once(self, n, monkeypatch):
         q = Qubo(n=n, coeffs={}, offset=Fraction(0))
+        monkeypatch.setattr(lrqaoa, "cost_split", None)  # no split is priced past 64 qubits
         start = time.perf_counter()
         with pytest.raises(TooLarge) as exc:
             pq.run_lrqaoa(q, pq.lr_schedule(1), shots=10, seeds=[0])
         assert time.perf_counter() - start < 1.0
         message = str(exc.value)
         assert message.startswith(f"the statevector of {n} qubits has 2^{n} entries, over the "
-                                  f"2^26 guard (it needs about 2^")
+                                  f"2^26 guard (it needs about ")
         assert len(message) < 200
+        with pytest.raises(TooLarge) as one_table:  # the estimate of one full table
+            check_size(f"the statevector of {n} qubits", 1 << n, lrqaoa.statevector_peak_bytes(n))
+        assert message == str(one_table.value)
+
+    def test_split_is_priced_up_to_64_qubits(self):
+        # Two 32-bit blocks fit no guard either, but the refusal names
+        # their own estimate: two tables of 2^32 entries beside the state.
+        q = Qubo(n=64, coeffs={(0, 31): Fraction(1), (32, 63): Fraction(1)}, offset=Fraction(0))
+        assert lrqaoa.cost_split(q) == (0, [(0, 32), (32, 64)])
+        estimate = lrqaoa.statevector_peak_bytes(64, [2**32, 2**32])
+        with pytest.raises(TooLarge, match=rf"^the statevector of 64 qubits has 2\^64 entries, "
+                                            rf"over the 2\^26 guard \(it needs about "
+                                            rf"{estimate / 2**30:.1f} GiB\)$"):
+            pq.run_lrqaoa(q, pq.lr_schedule(1), shots=10, seeds=[0])
 
     def test_huge_chain_split_is_linear(self):
         n = 20_000

@@ -298,6 +298,19 @@ class TestSplitHalfOracle:
             if name == "press-16x2":
                 assert _index_of(big, sol) == model._exact_solve_fraction(big, T, M, M**T)
 
+    def test_largest_ladder_search_peaks_below_one_mib(self):
+        # 2^9 x 2^10 outer sums in chunks of 2^16 int64 entries (512 KiB).
+        inst = pq.bundled_instance("press-19x2")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sol = pq.exact_solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 1 << 20
+        assert _index_of(inst, sol) == 52791
+
     def test_tied_optima_in_different_chunks(self, monkeypatch):
         # Equal costs everywhere; unit workloads with m0 holding exactly
         # one toolkit make the optima k = 2^8 - 1 - 2^j, j = 0..7.  With

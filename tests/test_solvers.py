@@ -1,3 +1,4 @@
+import errno
 import math
 import re
 import tracemalloc
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pressqubo as pq
 from pressqubo.errors import TooLarge
@@ -23,6 +26,7 @@ from pressqubo.solvers import (
 
 LAM_M = Fraction(1000)
 LAM_T = Fraction(10**7)
+CHUNK = solvers._DRAW_STEPS  # steps of uniforms a step loop draws at a time
 
 
 def random_integer_qubo(rng, n, scale=50):
@@ -262,31 +266,39 @@ def stacked_and_alone(q, cfg, seeds):
 
 def peak_bytes_of_anneal(monkeypatch, maps, cfg, seeds):
     """The traced peak of one simulated_anneal call plus the most bytes of
-    restart draws alive at once, which tracemalloc does not see (the draws
-    live in mappings of their own)."""
-    live = [0, 0]  # bytes of draws alive, most bytes alive
-    draw = solvers._restart_draws
+    mapped arrays alive at once, which tracemalloc does not see (the start
+    states, the flips and a loop's chunk of uniforms live in mappings of
+    their own)."""
+    live = [0, 0]  # bytes of mappings alive, most bytes alive
+    mapped = solvers._mapped
 
     def drop(nbytes):
         live[0] -= nbytes
 
-    def recording(*args):
-        arrays = draw(*args)
-        for array in arrays:
-            live[0] += array.nbytes
-            weakref.finalize(array, drop, array.nbytes)
+    def recording(shape, dtype):
+        array = mapped(shape, dtype)
+        live[0] += array.nbytes
+        weakref.finalize(array, drop, array.nbytes)
         live[1] = max(live)
-        return arrays
+        return array
 
-    monkeypatch.setattr(solvers, "_restart_draws", recording)
+    monkeypatch.setattr(solvers, "_mapped", recording)
     tracemalloc.start()
     try:
         pq.simulated_anneal(maps, cfg, seeds)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert live[0] == 0  # every draw is freed by the time the call returns
+    assert live[0] == 0  # every mapping is freed by the time the call returns
     return peak + live[1]
+
+
+def loop_state_bytes(rows, n, maps=1):
+    """A bound on what a step loop of ``rows`` restarts on ``maps`` maps
+    of ``n`` variables holds beside its draws: each restart's stream
+    (about 0.9 KiB), and per map three float64 rows of ``n`` per restart
+    (the state, the gathered couplings and their product)."""
+    return rows * (1536 + 3 * 8 * n * maps)
 
 
 @pytest.fixture
@@ -351,16 +363,20 @@ class TestStackedAnneal:
         assert stacked == alone
         assert recorded.draws[3:] == [[0], [1]]
 
-    def test_seeds_stack_only_within_the_draw_budget(self, monkeypatch, recorded):
+    @pytest.mark.parametrize("steps", [30, 3 * CHUNK])
+    def test_seeds_stack_only_within_the_draw_budget(self, monkeypatch, recorded, steps):
         rng = np.random.default_rng(4)
         q = random_integer_qubo(rng, 9)
         assert solvers._DRAW_BYTES == 1 << 24
-        cfg = pq.SaConfig(steps=30, restarts=40)  # 360 floats a block: the state fits all
-        monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * 40 * 30 * 9)  # two seeds' draws
+        cfg = pq.SaConfig(steps=steps, restarts=40)  # 360 floats a block: the state fits all
+        # A seed's draws: a flip byte per restart and step, and a chunk of
+        # float64 uniforms per restart (40 * 30 * 9 B at 30 steps).
+        seed_draws = 40 * (steps + 8 * min(steps, CHUNK))
+        monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * seed_draws)  # two seeds' draws
         stacked, alone = stacked_and_alone(q, cfg, [3, 1, 2, 5, 4])
         assert stacked == alone
         assert recorded.draws == [[3, 1], [2, 5], [4]]
-        monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * 40 * 30 * 9 - 1)
+        monkeypatch.setattr(solvers, "_DRAW_BYTES", 2 * seed_draws - 1)
         stacked, alone = stacked_and_alone(q, cfg, [3, 1])
         assert stacked == alone
         assert recorded.draws[3:] == [[3], [1]]
@@ -375,8 +391,10 @@ class TestStackedAnneal:
             assert not any(isinstance(value, np.ndarray) for value in vars(solvers).values())
         # Every call draws its own, even the same draws as the call before.
         assert recorded.draws == [[0, 1]] * 5
-        draws = solvers._restart_draws([0, 1], 13, 7, 30)
-        assert not any(array.flags.writeable for array in draws)
+        starts, flips, streams = solvers._restart_draws([0, 1], 13, 7, 30)
+        assert not starts.flags.writeable and not flips.flags.writeable
+        assert len(streams) == 26
+        assert all(isinstance(rng, np.random.Generator) for rng in streams)
 
     def test_empty_and_negative_seeds(self, tiny):
         q = pq.build_qubo(tiny, pq.RawVariant(LAM_M, LAM_T))
@@ -391,19 +409,27 @@ class TestStackedAnneal:
         cfg = pq.SaConfig(steps=1280, restarts=500)
         attempts = 2 * cfg.restarts * cfg.steps
         peak = peak_bytes_of_anneal(monkeypatch, q, cfg, [0, 1])
-        # The draws take 9 B per flip attempt (a uint8 index and a float64
-        # uniform); a lone call of the reference holds 16 B per attempt.
-        assert 9 * attempts < peak < 10 * attempts
+        # The draws take 1 B per flip attempt (a uint8 index) and one chunk
+        # of uniforms, 2.6 B per attempt in all at 1,280 steps (9 B when
+        # the uniforms of every step were held); a lone call of the
+        # reference holds 16 B per attempt.
+        draws = attempts + 8 * CHUNK * 2 * cfg.restarts
+        assert draws < peak < draws + loop_state_bytes(2 * cfg.restarts, q.n)
+        assert peak < 4.5 * attempts
 
     def test_peak_memory_of_one_map_over_many_seeds(self, monkeypatch):
         rng = np.random.default_rng(3)
         q = random_integer_qubo(rng, 14)  # nine (map, seed) blocks fit the state budget
         as_dense(q)
         cfg = pq.SaConfig(steps=1280, restarts=500)
+        attempts = 6 * cfg.restarts * cfg.steps
         peak = peak_bytes_of_anneal(monkeypatch, q, cfg, range(6))
-        # Loops of two seeds: each holds two seeds' draws, 9 B per attempt,
-        # and frees them before the next loop draws.
-        assert 9 * 2 * cfg.restarts * cfg.steps < peak < 10 * 2 * cfg.restarts * cfg.steps
+        # Six seeds' flips and one chunk of their uniforms, 10 MB, fit the
+        # draw budget: one loop holds them, 2.6 B per attempt.
+        draws = attempts + 8 * CHUNK * 6 * cfg.restarts
+        assert draws < solvers._DRAW_BYTES
+        assert draws < peak < draws + loop_state_bytes(6 * cfg.restarts, q.n)
+        assert peak < 4.5 * attempts
 
 
 def default_variant_maps(name):
@@ -446,10 +472,13 @@ class TestStackedMaps:
         assert recorded.loops == [(12, [0, 2])]
         assert recorded.draws == [[0, 2]]
 
-    def test_budget_splits_a_batch_across_maps(self, recorded):
+    # Past one chunk of uniforms, the second loop of a seed restores the
+    # streams to where the flips end.
+    @pytest.mark.parametrize("steps", [15, CHUNK + 1, 2 * CHUNK + 3])
+    def test_budget_splits_a_batch_across_maps(self, recorded, steps):
         rng = np.random.default_rng(12)
         maps = [random_fraction_qubo(rng, 9) for _ in range(4)]
-        cfg = pq.SaConfig(steps=15, restarts=2000)  # 18,000 floats a block: 3 blocks a loop
+        cfg = pq.SaConfig(steps=steps, restarts=2000)  # 18,000 floats a block: 3 blocks a loop
         assert pq.simulated_anneal(maps, cfg, [0, 1]) == reference_per_map(maps, cfg, [0, 1])
         assert recorded.loops == [(3, [0]), (1, [0]), (3, [1]), (1, [1])]
         assert recorded.draws == [[0], [1]]  # both loops of a seed read one draw
@@ -496,8 +525,87 @@ class TestStackedMaps:
             as_dense(q)
         cfg = pq.SaConfig(steps=1280, restarts=500)  # 20,000 floats a block: one loop
         peak = peak_bytes_of_anneal(monkeypatch, maps, cfg, [0])
-        # One map's draws take 9 B per flip attempt; three maps' would take 27 B.
-        assert 9 * cfg.restarts * cfg.steps < peak < 12 * cfg.restarts * cfg.steps
+        # One map's draws take 2.6 B per flip attempt; three maps' would take 7.8 B.
+        attempts = cfg.restarts * cfg.steps
+        draws = attempts + 8 * CHUNK * cfg.restarts
+        assert draws < peak < draws + loop_state_bytes(cfg.restarts, 40, maps=3)
+        assert peak < 3 * draws
+
+
+def recorded_mappings(monkeypatch):
+    """The (shape, dtype) of every mapping made while the patch is alive."""
+    shapes, mapped = [], solvers._mapped
+
+    def recording(shape, dtype):
+        shapes.append((shape, np.dtype(dtype)))
+        return mapped(shape, dtype)
+
+    monkeypatch.setattr(solvers, "_mapped", recording)
+    return shapes
+
+
+class TestChunkedUniforms:
+    """Uniforms drawn ``_DRAW_STEPS`` steps at a time, against one whole draw."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 2**32), r=st.integers(0, 20), n=st.integers(1, 300),
+           steps=st.integers(1, 3 * CHUNK + 5), chunk=st.integers(1, 2 * CHUNK))
+    @example(seed=0, r=0, n=2, steps=CHUNK - 1, chunk=CHUNK)
+    @example(seed=0, r=1, n=14, steps=CHUNK + 1, chunk=CHUNK)
+    @example(seed=3, r=2, n=300, steps=2 * CHUNK + 3, chunk=CHUNK)
+    @example(seed=5, r=7, n=60, steps=1280, chunk=CHUNK + 1)
+    def test_chunks_of_a_stream_are_one_whole_draw(self, seed, r, n, steps, chunk):
+        whole = np.random.default_rng([seed, r])
+        start, flips = whole.integers(0, 2, size=n), whole.integers(0, n, size=steps)
+        expected = whole.random(steps)
+        starts, flip_rows, streams = solvers._restart_draws([seed], r + 1, n, steps)
+        assert starts[r].tolist() == start.tolist()
+        assert flip_rows[:, r].tolist() == flips.tolist()
+        parts = [streams[r].random(min(chunk, steps - s)) for s in range(0, steps, chunk)]
+        assert np.concatenate(parts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("steps", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_steps_around_the_chunk(self, steps, recorded):
+        rng = np.random.default_rng(steps)
+        maps = [random_integer_qubo(rng, 6), random_fraction_qubo(rng, 6)]
+        cfg = pq.SaConfig(steps=steps, restarts=9)
+        assert pq.simulated_anneal(maps, cfg, [4, 1]) == reference_per_map(maps, cfg, [4, 1])
+        assert recorded.loops == [(2, [4, 1])]  # both maps and both seeds in one loop
+
+    def test_a_loop_holds_one_chunk_of_uniforms_whatever_the_steps(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        q = random_integer_qubo(rng, 5)
+        shapes = recorded_mappings(monkeypatch)
+        for steps in (CHUNK - 1, 10 * CHUNK + 7):
+            cfg = pq.SaConfig(steps=steps, restarts=13)
+            assert pq.simulated_anneal(q, cfg, [0, 3]) == [
+                simulated_anneal_reference(q, cfg, k) for k in (0, 3)]
+        assert shapes == [((26, 5), np.uint8), ((CHUNK - 1, 26), np.uint8),
+                          ((CHUNK - 1, 26), np.float64),
+                          ((26, 5), np.uint8), ((10 * CHUNK + 7, 26), np.uint8),
+                          ((CHUNK, 26), np.float64)]
+
+
+class TestRefusedMapping:
+    def test_refused_mapping_is_a_memory_error_naming_its_bytes(self, monkeypatch):
+        def refused(fileno, length, *args, **kwargs):
+            raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+        monkeypatch.setattr(solvers.mmap, "mmap", refused)
+        with pytest.raises(MemoryError, match=r"^the system refused a mapping of 3900 bytes "):
+            solvers._mapped((300, 13), np.uint8)
+        q = Qubo(n=3, coeffs={(0, 1): Fraction(-1)}, offset=Fraction(0))
+        with pytest.raises(MemoryError, match="39 bytes"):  # the start states of 13 restarts
+            pq.simulated_anneal(q, pq.SaConfig(steps=5, restarts=13), [0])
+
+    def test_other_mapping_failures_pass_through(self, monkeypatch):
+        def refused(fileno, length, *args, **kwargs):
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(solvers.mmap, "mmap", refused)
+        with pytest.raises(OSError) as exc:
+            solvers._mapped((2, 2), np.float64)
+        assert exc.value.errno == errno.EINVAL
 
 
 class TestBitflipPostprocess:
